@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import neural
-from .corpus import HATE, NON_HATE
+from .corpus import HATE
 from .embed import EmbeddingMatrix, Vocabulary
-from .metrics import WEIGHTED, prf
+from .metrics import WEIGHTED, prf, threshold_labels
 from .neural import AdamState, DenseParams, LstmCellParams, NumericError, adam_step
-from .textprep import PipelineConfig, encode, preprocess
+from .textprep import PipelineConfig, encode, preprocess, sequence_lengths
 
 log = logging.getLogger(__name__)
 
@@ -180,20 +180,33 @@ def init_params(config: ModelConfig, embedding_table: np.ndarray, dtype=np.float
     return params
 
 
-def _forward_parts(params: dict, token_ids: np.ndarray, config: ModelConfig):
-    emb_input = params["embedding"][token_ids]
+def _forward_parts(params: dict, token_ids: np.ndarray, config: ModelConfig, keep_cache=True):
+    """Probabilities plus, with keep_cache, what loss_and_grads needs.
+
+    The batch is trimmed to its longest row, and each row's features are
+    read at its own last token, so padding never changes a probability.
+    """
+    lengths = sequence_lengths(token_ids)
+    token_ids = token_ids[:, : max(int(lengths.max(initial=0)), 1)]
     fwd = LstmCellParams(params["fwd_w_in"], params["fwd_w_rec"], params["fwd_bias"])
     bwd = LstmCellParams(params["bwd_w_in"], params["bwd_w_rec"], params["bwd_bias"])
-    features, caches = neural.bilstm_batch_forward(emb_input, fwd, bwd, config.sequence_repr)
+    features, caches = neural.bilstm_batch_forward(
+        params["embedding"][token_ids], fwd, bwd, config.sequence_repr, lengths, keep_cache
+    )
+    if features.shape[1] < config.feature_size:  # flatten: positions past the trim are zero
+        features = np.pad(features, ((0, 0), (0, config.feature_size - features.shape[1])))
     dense1 = DenseParams(params["dense1_weights"], params["dense1_bias"], config.dense1_activation)
     hidden, dense1_cache = neural.dense_forward(features, dense1)
     logits = hidden @ params["dense2_weights"].T + params["dense2_bias"]
     probs = neural.sigmoid(logits[:, 0])
-    return probs, (emb_input, fwd, bwd, caches, dense1, dense1_cache, hidden)
+    if not keep_cache:
+        return probs, None
+    return probs, (token_ids, fwd, bwd, caches, dense1, dense1_cache, hidden)
 
 
 def forward_probs(params: dict, token_ids: np.ndarray, config: ModelConfig) -> np.ndarray:
-    return _forward_parts(params, token_ids, config)[0]
+    """Forward pass only; keeps nothing for backpropagation."""
+    return _forward_parts(params, token_ids, config, keep_cache=False)[0]
 
 
 def batch_loss(params: dict, token_ids: np.ndarray, labels, config: ModelConfig) -> float:
@@ -208,7 +221,7 @@ def loss_and_grads(params: dict, token_ids: np.ndarray, labels, config: ModelCon
     is set; all other gradients are always returned.
     """
     probs, parts = _forward_parts(params, token_ids, config)
-    emb_input, fwd, bwd, caches, dense1, dense1_cache, hidden = parts
+    token_ids, fwd, bwd, caches, dense1, dense1_cache, hidden = parts
     loss = neural.bce(probs, labels)
     labels_arr = np.asarray(labels, dtype=probs.dtype)
     batch = len(labels_arr)
@@ -224,8 +237,10 @@ def loss_and_grads(params: dict, token_ids: np.ndarray, labels, config: ModelCon
     d_features, d_w1, d_b1 = neural.dense_backward(d_hidden, dense1_cache, dense1)
     grads["dense1_weights"] = d_w1
     grads["dense1_bias"] = d_b1
+    if config.sequence_repr == "flatten":
+        d_features = d_features[:, : 2 * config.hidden_size * token_ids.shape[1]]
     d_inputs, grads_fwd, grads_bwd = neural.bilstm_batch_backward(
-        d_features, caches, fwd, bwd, config.sequence_repr
+        d_features, caches, fwd, bwd, config.sequence_repr, config.embeddings_trainable
     )
     for direction, direction_grads in (("fwd", grads_fwd), ("bwd", grads_bwd)):
         grads[f"{direction}_w_in"] = direction_grads["w_in"]
@@ -296,13 +311,15 @@ class HateClassifier:
         eps = probs.dtype.type(neural.PROB_EPS)
         return np.clip(probs, eps, 1.0 - eps)
 
+    @property
+    def threshold(self) -> float:
+        return self.config.threshold
+
     def classify(self, texts, threshold: float | None = None) -> list:
         """Hate iff probability >= threshold."""
         if threshold is None:
-            threshold = self.config.threshold
-        if not 0.0 < threshold < 1.0:
-            raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-        return [HATE if p >= threshold else NON_HATE for p in self.predict(texts)]
+            threshold = self.threshold
+        return threshold_labels(self.predict(texts), threshold)
 
     def save(self, path) -> None:
         """Versioned archive: JSON manifest + raw little-endian float32 tensors."""
@@ -411,7 +428,7 @@ def train(model: HateClassifier, splits) -> tuple:
         train_loss = loss_sum / n
         val_probs = model.predict_encoded(val_ids)
         val_loss = neural.bce(val_probs, val_labels)
-        val_predicted = [HATE if p >= config.threshold else NON_HATE for p in val_probs]
+        val_predicted = threshold_labels(val_probs, config.threshold)
         val_f1 = prf((val_predicted, val_actual), WEIGHTED).f1
         records.append(EpochRecord(epoch, float(train_loss), float(val_loss), float(val_f1)))
         log.info(

@@ -332,9 +332,8 @@ def _cmd_evaluate(args) -> int:
         report = metrics_mod.report(model, bundle.test)
         config.record()
         out = _write_report(config, report, "metrics")
-        scores = model.predict([example.text for example in bundle.test])
         metrics_mod.write_predictions_csv(
-            out / "predictions.csv", [example.id for example in bundle.test], scores
+            out / "predictions.csv", [example.id for example in bundle.test], report.scores
         )
         metrics_mod.write_labels_csv(
             out / "labels.csv",

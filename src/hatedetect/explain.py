@@ -183,7 +183,7 @@ def explain(predictor, text: str, n_samples: int = DEFAULT_N_SAMPLES,
             kernel_width: float = DEFAULT_KERNEL_WIDTH,
             ridge: float = DEFAULT_RIDGE) -> Explanation:
     """Full pipeline: preprocess, perturb, query the predictor on the batch
-    of perturbed texts, kernel-weight, and fit the local surrogate.
+    of distinct perturbed texts, kernel-weight, and fit the local surrogate.
 
     `predictor` takes a list of texts and returns their hate probabilities.
     The returned Explanation records seed and sample count for replay.
@@ -193,11 +193,16 @@ def explain(predictor, text: str, n_samples: int = DEFAULT_N_SAMPLES,
         raise ValueError("text preprocesses to zero tokens; nothing to explain")
     instance = InterpretableInstance.from_tokens(tokens)
     masks, texts = perturb(instance, n_samples, seed)
-    probabilities = np.asarray(predictor(texts), dtype=np.float64)
-    if probabilities.shape != (n_samples,):
+    # Samples often repeat a text: score each distinct text once.
+    position = {}
+    sample_rows = [position.setdefault(text, len(position)) for text in texts]
+    distinct = list(position)
+    scores = np.asarray(predictor(distinct), dtype=np.float64)
+    if scores.shape != (len(distinct),):
         raise ValueError(
-            f"predictor returned shape {probabilities.shape}, expected ({n_samples},)"
+            f"predictor returned shape {scores.shape}, expected ({len(distinct)},)"
         )
+    probabilities = scores[sample_rows]
     weights = kernel_weights(masks, kernel_width)
     explanation = fit_local(
         masks, weights, probabilities, top_k, feature_names=instance.features, ridge=ridge

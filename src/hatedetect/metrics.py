@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -73,6 +73,13 @@ def confusion(predicted, actual) -> ConfusionMatrix:
         else:
             tn += 1
     return ConfusionMatrix(tp, fp, fn, tn)
+
+
+def threshold_labels(scores, threshold: float) -> list:
+    """Hard labels from scores: hate iff score >= threshold."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    return [HATE if s >= threshold else NON_HATE for s in scores]
 
 
 def _safe_prf(tp, fp, fn) -> Prf:
@@ -147,6 +154,7 @@ class MetricsReport:
     auc: float | None
     supports: dict
     confusion_matrix: ConfusionMatrix
+    scores: np.ndarray = field(default=None, compare=False, repr=False)  # what was scored
 
     def to_dict(self) -> dict:
         return {
@@ -208,11 +216,15 @@ def evaluate_predictions(scores, predicted, actual) -> MetricsReport:
     except ValueError:
         log.warning("single-class input: AUC omitted from the report")
         auc = None
-    return MetricsReport(per_class, weighted, accuracy, auc, supports, cm)
+    return MetricsReport(per_class, weighted, accuracy, auc, supports, cm, np.asarray(scores))
 
 
 def report(model, examples, threshold: float | None = None) -> MetricsReport:
-    """Score a model over labeled examples and compute the full suite."""
+    """Score a model over labeled examples and compute the full suite.
+
+    The model is asked for each text's score once; the hard labels
+    threshold those scores at `threshold`, by default the model's own.
+    """
     examples = list(examples)
     if not examples:
         raise ValueError("empty evaluation split")
@@ -223,7 +235,7 @@ def report(model, examples, threshold: float | None = None) -> MetricsReport:
         actual.append(example.binary_label)
     texts = [example.text for example in examples]
     scores = model.predict(texts)
-    predicted = model.classify(texts, threshold=threshold)
+    predicted = threshold_labels(scores, model.threshold if threshold is None else threshold)
     return evaluate_predictions(scores, predicted, actual)
 
 
@@ -283,5 +295,4 @@ def score_external(predictions_path, labels_path, threshold: float = 0.5) -> Met
         scores.append(score)
     actual = [label_rows[example_id] for example_id in ids]
     _check_labels(actual)
-    predicted = [HATE if s >= threshold else NON_HATE for s in scores]
-    return evaluate_predictions(np.asarray(scores), predicted, actual)
+    return evaluate_predictions(np.asarray(scores), threshold_labels(scores, threshold), actual)

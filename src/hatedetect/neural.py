@@ -83,140 +83,174 @@ def init_lstm_params(input_size, hidden_size, rng, dtype=np.float32) -> LstmCell
     return LstmCellParams(w_in, w_rec, bias)
 
 
-def lstm_cell_step(x, h_prev, c_prev, params: LstmCellParams):
-    """One gated update: c' = f*c + i*g, h' = o*tanh(c')."""
-    x = np.asarray(x)
-    h_prev = np.asarray(h_prev)
-    c_prev = np.asarray(c_prev)
-    h = params.hidden_size
-    if x.shape != (params.input_size,) or h_prev.shape != (h,) or c_prev.shape != (h,):
-        raise ValueError(
-            f"shape mismatch: x {x.shape}, h {h_prev.shape}, c {c_prev.shape} "
-            f"for cell with d={params.input_size}, h={h}"
-        )
-    z = params.w_in @ x + params.w_rec @ h_prev + params.bias
-    i = sigmoid(z[:h])
-    f = sigmoid(z[h : 2 * h])
-    g = np.tanh(z[2 * h : 3 * h])
-    o = sigmoid(z[3 * h :])
-    c = f * c_prev + i * g
-    return o * np.tanh(c), c
+def _gate_constants(h, dtype):
+    """Per-unit (scale, offset) over the stacked gates, order (i, f, g, o).
+    Each gate is offset + scale * tanh(scale * z): tanh(z) on the candidate,
+    sigmoid(z) = 0.5 + 0.5 * tanh(z / 2) on the other three."""
+    scale = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], dtype=dtype), h)
+    offset = np.repeat(np.array([0.5, 0.5, 0.0, 0.5], dtype=dtype), h)
+    return scale, offset
 
 
-def lstm_forward(inputs, params: LstmCellParams):
-    """Scan a batch of sequences; returns (states (B,L,h), cache for backward)."""
+def lstm_forward(inputs, params: LstmCellParams, keep_cache=True):
+    """Scan a batch of sequences; returns (states (B,L,h), cache for backward).
+
+    Each step is c' = f*c + i*g, h' = o*tanh(c') from a zero state. The
+    input-side products of all steps come from one GEMM before the scan;
+    only the recurrent product stays in the loop. With keep_cache=False
+    (inference) nothing is kept for backward and the cache is None.
+    """
     inputs = np.asarray(inputs)
     batch, length, d = inputs.shape
     if d != params.input_size:
         raise ValueError(f"input size {d} does not match cell input size {params.input_size}")
     h = params.hidden_size
     dtype = inputs.dtype
-    gates_i = np.empty((batch, length, h), dtype=dtype)
-    gates_f = np.empty_like(gates_i)
-    gates_g = np.empty_like(gates_i)
-    gates_o = np.empty_like(gates_i)
-    cells = np.empty_like(gates_i)
-    states = np.empty_like(gates_i)
+    scale, offset = _gate_constants(h, dtype)
+    # The weights carry the pre-activation scale; a power of two, it is exact.
+    w_rec_t = (params.w_rec * scale[:, None]).T
+    # Scaled pre-activations of every step; activated in place, they become the gates.
+    gates = (
+        inputs.reshape(batch * length, d) @ (params.w_in * scale[:, None]).T + params.bias * scale
+    ).reshape(batch, length, 4 * h)
+    states = np.empty((batch, length, h), dtype=dtype)
+    if keep_cache:
+        cells = np.empty_like(states)
+        tanh_cells = np.empty_like(states)
     h_prev = np.zeros((batch, h), dtype=dtype)
     c_prev = np.zeros((batch, h), dtype=dtype)
     for t in range(length):
-        z = inputs[:, t] @ params.w_in.T + h_prev @ params.w_rec.T + params.bias
-        i = sigmoid(z[:, :h])
-        f = sigmoid(z[:, h : 2 * h])
-        g = np.tanh(z[:, 2 * h : 3 * h])
-        o = sigmoid(z[:, 3 * h :])
-        c = f * c_prev + i * g
-        h_prev = o * np.tanh(c)
-        c_prev = c
-        gates_i[:, t], gates_f[:, t], gates_g[:, t], gates_o[:, t] = i, f, g, o
-        cells[:, t] = c
+        z = gates[:, t]
+        z += h_prev @ w_rec_t
+        np.tanh(z, out=z)
+        z *= scale
+        z += offset
+        c_prev = z[:, h : 2 * h] * c_prev + z[:, :h] * z[:, 2 * h : 3 * h]
+        tanh_c = np.tanh(c_prev)
+        h_prev = z[:, 3 * h :] * tanh_c
         states[:, t] = h_prev
-    cache = (inputs, gates_i, gates_f, gates_g, gates_o, cells, states)
+        if keep_cache:
+            cells[:, t] = c_prev
+            tanh_cells[:, t] = tanh_c
+    cache = (inputs, gates, cells, tanh_cells, states) if keep_cache else None
     return states, cache
 
 
-def lstm_backward(d_states, cache, params: LstmCellParams):
+def lstm_backward(d_states, cache, params: LstmCellParams, input_grad=True):
     """Exact BPTT given dLoss/d h_t for every timestep (zeros where unused).
 
-    Returns (d_inputs (B,L,d), grads dict with keys w_in/w_rec/bias).
+    The loop carries only the recurrence; the weight gradients, the bias
+    gradient and d_inputs are one GEMM or sum each over all steps.
+    Returns (d_inputs (B,L,d), or None without input_grad, grads dict with
+    keys w_in/w_rec/bias).
     """
-    inputs, gates_i, gates_f, gates_g, gates_o, cells, states = cache
+    inputs, gates, cells, tanh_cells, states = cache
     batch, length, h = states.shape
     dtype = inputs.dtype
-    d_inputs = np.zeros_like(inputs)
-    d_w_in = np.zeros_like(params.w_in)
-    d_w_rec = np.zeros_like(params.w_rec)
-    d_bias = np.zeros_like(params.bias)
+    scale, offset = _gate_constants(h, dtype)
+    # Each gate's slope: sigmoid' = s(1-s) = 0.25 - (s-0.5)^2 and
+    # tanh' = 1 - g^2, both scale^2 - (gate - offset)^2. Times the factor
+    # that meets dc (i, f, g) or dh (o), it is coef; scaled by dc or dh
+    # inside the loop, coef becomes the pre-activation gradients.
+    coef = gates - offset
+    coef *= coef
+    np.subtract(scale * scale, coef, out=coef)
+    acts = gates.reshape(batch, length, 4, h)
+    per_gate = coef.reshape(batch, length, 4, h)
+    per_gate[:, :, 0] *= acts[:, :, 2]  # i: g
+    per_gate[:, 1:, 1] *= cells[:, :-1]  # f: the previous cell, zero at the start
+    per_gate[:, 0, 1] = 0.0
+    per_gate[:, :, 2] *= acts[:, :, 0]  # g: i
+    per_gate[:, :, 3] *= tanh_cells  # o: tanh(c)
+    dc_dh = 1.0 - tanh_cells * tanh_cells
+    dc_dh *= acts[:, :, 3]
     dh_next = np.zeros((batch, h), dtype=dtype)
     dc_next = np.zeros((batch, h), dtype=dtype)
     for t in reversed(range(length)):
-        i, f, g, o = gates_i[:, t], gates_f[:, t], gates_g[:, t], gates_o[:, t]
-        tanh_c = np.tanh(cells[:, t])
-        c_prev = cells[:, t - 1] if t > 0 else np.zeros((batch, h), dtype=dtype)
-        h_prev = states[:, t - 1] if t > 0 else np.zeros((batch, h), dtype=dtype)
         dh = d_states[:, t] + dh_next
-        dc = dc_next + dh * o * (1.0 - tanh_c**2)
-        dz_o = dh * tanh_c * o * (1.0 - o)
-        dz_i = dc * g * i * (1.0 - i)
-        dz_f = dc * c_prev * f * (1.0 - f)
-        dz_g = dc * i * (1.0 - g**2)
-        dz = np.concatenate((dz_i, dz_f, dz_g, dz_o), axis=1)  # (B, 4h)
-        d_w_in += dz.T @ inputs[:, t]
-        d_w_rec += dz.T @ h_prev
-        d_bias += dz.sum(axis=0)
-        d_inputs[:, t] = dz @ params.w_in
-        dh_next = dz @ params.w_rec
-        dc_next = dc * f
-    return d_inputs, {"w_in": d_w_in, "w_rec": d_w_rec, "bias": d_bias}
+        dc = dh * dc_dh[:, t]
+        dc += dc_next
+        per_gate[:, t, :3] *= dc[:, None]
+        per_gate[:, t, 3] *= dh
+        dh_next = coef[:, t] @ params.w_rec
+        dc_next = dc * acts[:, t, 1]
+    flat = coef.reshape(batch * length, 4 * h)
+    h_prev = np.zeros_like(states)
+    h_prev[:, 1:] = states[:, :-1]
+    grads = {
+        "w_in": flat.T @ inputs.reshape(batch * length, -1),
+        "w_rec": flat.T @ h_prev.reshape(batch * length, h),
+        "bias": flat.sum(axis=0),
+    }
+    d_inputs = (flat @ params.w_in).reshape(inputs.shape) if input_grad else None
+    return d_inputs, grads
 
 
-def bilstm_batch_forward(inputs, forward_params, backward_params, mode="final"):
-    """Run both directions over a batch.
+def bilstm_batch_forward(inputs, forward_params, backward_params, mode="final",
+                         lengths=None, keep_cache=True):
+    """Run both directions over a batch of right-padded sequences.
 
-    mode="final": features are the concatenated final hidden states (B, 2h).
-    mode="flatten": per-position concatenation flattened to (B, 2h*L).
+    Row b holds lengths[b] real positions (all L when lengths is None). The
+    backward direction reads them reversed, so both directions stop at the
+    row's last real position and no state depends on the padding.
+
+    mode="final": both directions' hidden states at each row's last real
+    step, (B, 2h); a row of length 0 gets zeros.
+    mode="flatten": per-position concatenation flattened to (B, 2h*L),
+    zero past each row's length.
     """
     if mode not in ("final", "flatten"):
         raise ValueError(f"unknown sequence representation {mode!r}")
-    states_fwd, cache_fwd = lstm_forward(inputs, forward_params)
-    states_bwd_rev, cache_bwd = lstm_forward(inputs[:, ::-1], backward_params)
+    inputs = np.asarray(inputs)
+    if inputs.ndim != 3 or inputs.shape[1] < 1:
+        raise ValueError(f"expected a (B, L, d) batch with L >= 1, got shape {inputs.shape}")
+    batch, length, _ = inputs.shape
+    lengths = np.full(batch, length) if lengths is None else np.asarray(lengths)
+    row = np.arange(batch)
+    rows = row[:, None]
+    steps = np.arange(length)
+    real = steps < lengths[:, None]
+    # Reverses each row's real positions and leaves its padding in place;
+    # applying it twice is the identity.
+    reverse = np.where(real, lengths[:, None] - 1 - steps, steps)
+    states_fwd, cache_fwd = lstm_forward(inputs, forward_params, keep_cache)
+    states_bwd, cache_bwd = lstm_forward(inputs[rows, reverse], backward_params, keep_cache)
     if mode == "final":
-        features = np.concatenate((states_fwd[:, -1], states_bwd_rev[:, -1]), axis=1)
+        last = np.maximum(lengths - 1, 0)
+        features = np.concatenate((states_fwd[row, last], states_bwd[row, last]), axis=1)
+        features[lengths == 0] = 0.0
     else:
-        batch, length, h = states_fwd.shape
-        aligned_bwd = states_bwd_rev[:, ::-1]
-        features = np.concatenate((states_fwd, aligned_bwd), axis=2).reshape(batch, 2 * h * length)
-    return features, (cache_fwd, cache_bwd)
+        aligned = np.concatenate((states_fwd, states_bwd[rows, reverse]), axis=2)
+        features = (aligned * real[:, :, None]).reshape(batch, -1)
+    caches = (cache_fwd, cache_bwd, lengths, reverse) if keep_cache else None
+    return features, caches
 
 
-def bilstm_batch_backward(d_features, caches, forward_params, backward_params, mode="final"):
-    cache_fwd, cache_bwd = caches
-    states_fwd = cache_fwd[6]
-    states_bwd = cache_bwd[6]
+def bilstm_batch_backward(d_features, caches, forward_params, backward_params, mode="final",
+                          input_grad=True):
+    """Gradients of bilstm_batch_forward's features: (d_inputs or None
+    without input_grad, forward grads, backward grads)."""
+    cache_fwd, cache_bwd, lengths, reverse = caches
+    states_fwd = cache_fwd[4]
     batch, length, h_fwd = states_fwd.shape
-    h_bwd = states_bwd.shape[2]
+    row = np.arange(batch)
+    rows = row[:, None]
     if mode == "final":
+        last = np.maximum(lengths - 1, 0)
+        d_features = d_features * (lengths > 0)[:, None]
         d_states_fwd = np.zeros_like(states_fwd)
-        d_states_fwd[:, -1] = d_features[:, :h_fwd]
-        d_states_bwd_rev = np.zeros_like(states_bwd)
-        d_states_bwd_rev[:, -1] = d_features[:, h_fwd:]
+        d_states_fwd[row, last] = d_features[:, :h_fwd]
+        d_states_bwd = np.zeros_like(cache_bwd[4])
+        d_states_bwd[row, last] = d_features[:, h_fwd:]
     else:
-        d_all = d_features.reshape(batch, length, h_fwd + h_bwd)
+        real = np.arange(length) < lengths[:, None]
+        d_all = d_features.reshape(batch, length, -1) * real[:, :, None]
         d_states_fwd = np.ascontiguousarray(d_all[:, :, :h_fwd])
-        d_states_bwd_rev = np.ascontiguousarray(d_all[:, ::-1, h_fwd:])
-    d_in_fwd, grads_fwd = lstm_backward(d_states_fwd, cache_fwd, forward_params)
-    d_in_bwd_rev, grads_bwd = lstm_backward(d_states_bwd_rev, cache_bwd, backward_params)
-    d_inputs = d_in_fwd + d_in_bwd_rev[:, ::-1]
+        d_states_bwd = d_all[rows, reverse, h_fwd:]
+    d_in_fwd, grads_fwd = lstm_backward(d_states_fwd, cache_fwd, forward_params, input_grad)
+    d_in_bwd, grads_bwd = lstm_backward(d_states_bwd, cache_bwd, backward_params, input_grad)
+    d_inputs = d_in_fwd + d_in_bwd[rows, reverse] if input_grad else None
     return d_inputs, grads_fwd, grads_bwd
-
-
-def bilstm_forward(sequence, forward_params, backward_params, mode="final") -> np.ndarray:
-    """Single-sequence convenience wrapper: (L, d) -> (2h,) or (2h*L,)."""
-    sequence = np.asarray(sequence)
-    if sequence.ndim != 2 or sequence.shape[0] < 1:
-        raise ValueError(f"expected a (L, d) sequence with L >= 1, got shape {sequence.shape}")
-    features, _ = bilstm_batch_forward(sequence[None], forward_params, backward_params, mode)
-    return features[0]
 
 
 DENSE_ACTIVATIONS = ("identity", "sigmoid", "relu")

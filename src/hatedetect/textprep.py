@@ -140,3 +140,10 @@ def encode(tokens: Iterable[str], vocab: "Vocabulary", max_len: int) -> np.ndarr
     ids = [vocab.index_of(t) for t in tokens][:max_len]
     ids.extend([PAD_INDEX] * (max_len - len(ids)))
     return np.asarray(ids, dtype=np.int64)
+
+
+def sequence_lengths(token_ids: np.ndarray) -> np.ndarray:
+    """Lengths of encoded rows (B, L): the positions before each row's
+    trailing run of PAD_INDEX."""
+    real = token_ids != PAD_INDEX
+    return np.where(real.any(axis=1), token_ids.shape[1] - np.argmax(real[:, ::-1], axis=1), 0)

@@ -1,6 +1,7 @@
 import json
 import math
 import zipfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,7 +172,7 @@ def trained_setup():
         hidden_size=8,
         dense1_size=6,
         batch_size=32,
-        epochs=6,
+        epochs=10,
         learning_rate=5e-3,
         embeddings_trainable=True,
         seed=3,
@@ -191,12 +192,12 @@ class TestTrain:
 
     def test_learns_separable_data(self, trained_setup):
         bundle, _, _, history, best = trained_setup
-        assert history.records[-1].validation_weighted_f1 >= 0.95
+        assert history.records[-1].validation_weighted_f1 >= 0.98
         texts = [e.text for e in bundle.test]
         predicted = best.classify(texts)
         actual = [e.binary_label for e in bundle.test]
         accuracy = sum(p == a for p, a in zip(predicted, actual)) / len(actual)
-        assert accuracy >= 0.95
+        assert accuracy >= 0.98
 
     def test_selected_epoch_minimizes_validation_loss(self, trained_setup):
         _, _, _, history, _ = trained_setup
@@ -226,8 +227,12 @@ class TestTrain:
     def test_first_batch_loss_decreases_after_one_step(self):
         examples = make_keyword_examples(64, seed=6)
         for seed in range(10):
-            model = small_model(seed=seed, max_len=20,
-                                pipeline=PipelineConfig(stopwords=frozenset(), max_len=20))
+            config = small_config(seed=seed, max_len=20,
+                                  pipeline=PipelineConfig(stopwords=frozenset(), max_len=20))
+            matrix = make_random_matrix(
+                list(FILLER_TOKENS) + list(TRIGGER_TOKENS), dim=8, seed=seed
+            )
+            model = HateClassifier.build(config, matrix)
             token_ids = model.encode_texts([e.text for e in examples])
             labels = np.array(
                 [1.0 if e.binary_label == HATE else 0.0 for e in examples], dtype=np.float32
@@ -247,6 +252,40 @@ class TestTrain:
         )
         with pytest.raises(ValueError, match="training"):
             train(model, empty)
+
+
+class TestLengthAware:
+    """Padding must not change a score: the recurrence stops at each text's
+    last token."""
+
+    TEXTS = ["w01 scum w02 w03", "w04 w05", "vermin", "w06 w07 w08 w09 w10 w11 trash w12"]
+    LONG = " ".join(FILLER_TOKENS[i % 40] for i in range(50))
+
+    @staticmethod
+    def with_max_len(model, max_len):
+        pipeline = replace(model.config.pipeline, max_len=max_len)
+        config = replace(model.config, max_len=max_len, pipeline=pipeline)
+        return HateClassifier(config, model.vocab, model.params)
+
+    def test_same_probability_at_any_max_len(self, trained_setup):
+        _, _, _, _, best = trained_setup
+        short = self.with_max_len(best, 20).predict(self.TEXTS)
+        long = self.with_max_len(best, 50).predict(self.TEXTS)
+        assert np.max(np.abs(short - long)) < 1e-6
+
+    def test_same_probability_alone_and_beside_a_long_text(self, trained_setup):
+        _, _, _, _, best = trained_setup
+        model = self.with_max_len(best, 50)
+        batched = model.predict([self.LONG, *self.TEXTS])[1:]
+        alone = np.array([model.predict([text])[0] for text in self.TEXTS])
+        assert np.max(np.abs(batched - alone)) < 1e-6
+
+    def test_texts_without_tokens_get_finite_probabilities(self, trained_setup):
+        _, _, _, _, best = trained_setup
+        probs = best.predict(["", "!!!", "w01 scum"])
+        assert np.all(np.isfinite(probs))
+        assert np.all((probs > 0.0) & (probs < 1.0))
+        assert probs[0] == probs[1]
 
 
 class TestCheckpoint:

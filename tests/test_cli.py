@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from hatedetect import cli
-from hatedetect.corpus import HATE, NON_HATE
+from hatedetect.classifier import HateClassifier
+from hatedetect.corpus import HATE, NON_HATE, load_split_manifests
 
 from conftest import make_keyword_examples
 
@@ -133,7 +134,13 @@ class TestPipeline:
         assert (run_dir / "models" / "history.json").exists()
         report = json.loads((run_dir / "reports" / "metrics.json").read_text())
         assert 0.0 <= report["weighted"]["f1"] <= 1.0
-        assert (run_dir / "reports" / "predictions.csv").exists()
+        # predictions.csv holds the scores the report was computed from
+        test = load_split_manifests(run_dir / "prepared").test
+        with open(run_dir / "reports" / "predictions.csv", newline="", encoding="utf-8") as handle:
+            written = {row["id"]: float(row["score"]) for row in csv.DictReader(handle)}
+        scores = HateClassifier.load(run_dir / "models" / "model.ckpt").predict(
+            [example.text for example in test])
+        assert written == {example.id: float(s) for example, s in zip(test, scores)}
 
         # external scoring of the exported predictions reproduces the report
         capsys.readouterr()

@@ -217,6 +217,29 @@ class TestExplain:
             )
             assert dict(explanation.token_weights)[target] >= 0.0
 
+    def test_each_distinct_text_scored_once(self):
+        keyword = keyword_predictor("scum")
+        calls = []
+
+        def predict(texts):
+            calls.append(list(texts))
+            return keyword(texts)
+
+        explanation = explain(predict, "scum and villainy", n_samples=60, seed=0, config=PLAIN)
+        instance = InterpretableInstance.from_tokens(["scum", "and", "villainy"])
+        masks, texts = perturb(instance, 60, 0)
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted(set(texts))
+        expected = fit_local(masks, kernel_weights(masks), keyword(texts),
+                             feature_names=instance.features)
+        assert explanation.token_weights == expected.token_weights
+        assert explanation.intercept == expected.intercept
+
+    def test_predictor_output_shape_checked(self):
+        with pytest.raises(ValueError, match="shape"):
+            explain(lambda texts: np.zeros(len(texts) + 1), "a b c", n_samples=10, seed=0,
+                    config=PLAIN)
+
     def test_zero_token_text_rejected(self):
         with pytest.raises(ValueError, match="zero tokens"):
             explain(lambda texts: np.zeros(len(texts)), "!!! ...", n_samples=10, seed=0)

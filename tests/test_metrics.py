@@ -165,10 +165,6 @@ class FakeModel:
     def predict(self, texts):
         return np.array([self.score_of(t) for t in texts])
 
-    def classify(self, texts, threshold=None):
-        threshold = self.threshold if threshold is None else threshold
-        return [H if p >= threshold else N for p in self.predict(texts)]
-
 
 def labeled(texts_and_labels):
     return [
@@ -205,6 +201,23 @@ class TestReport:
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError):
             report(FakeModel(lambda t: 0.5), [])
+
+    def test_each_text_scored_once_and_thresholded(self):
+        calls = []
+
+        class CountingModel(FakeModel):
+            def predict(self, texts):
+                calls.append(list(texts))
+                return super().predict(texts)
+
+        examples = labeled([("a", H), ("b", N), ("c", H), ("d", N)])
+        scores = {"a": 0.9, "b": 0.6, "c": 0.7, "d": 0.1}
+        model = CountingModel(scores.get, threshold=0.65)
+        result = report(model, examples)
+        assert calls == [["a", "b", "c", "d"]]
+        assert result.scores.tolist() == [0.9, 0.6, 0.7, 0.1]
+        assert result.confusion_matrix.to_dict() == {"tp": 2, "fp": 0, "fn": 0, "tn": 2}
+        assert report(model, examples, threshold=0.5).confusion_matrix.fp == 1
 
     def test_renderings(self):
         examples = labeled([("a", H), ("b", N)])

@@ -12,14 +12,12 @@ from hatedetect.neural import (
     bce,
     bilstm_batch_backward,
     bilstm_batch_forward,
-    bilstm_forward,
     dense_backward,
     dense_forward,
     finite_diff_grad,
     init_dense_params,
     init_lstm_params,
     lstm_backward,
-    lstm_cell_step,
     lstm_forward,
     sigmoid,
 )
@@ -83,47 +81,82 @@ def random_cell(input_size, hidden_size, seed, dtype=np.float64):
     return init_lstm_params(input_size, hidden_size, rng, dtype)
 
 
+def identity_input_cell(h):
+    """Zero recurrence and bias, identity input weights: the stacked gate
+    pre-activations of each step are that step's input (d = 4h)."""
+    return LstmCellParams(np.eye(4 * h), np.zeros((4 * h, h)), np.zeros(4 * h))
+
+
+def reference_scan(sequence, params):
+    """One sequence stepped through the textbook equations, one step at a
+    time, with the plain logistic function."""
+    h = params.hidden_size
+    h_t, c_t = np.zeros(h), np.zeros(h)
+    states, cells = [], []
+    for x in sequence:
+        z = params.w_in @ x + params.w_rec @ h_t + params.bias
+        i, f, o = (1.0 / (1.0 + np.exp(-z[k * h : (k + 1) * h])) for k in (0, 1, 3))
+        g = np.tanh(z[2 * h : 3 * h])
+        c_t = f * c_t + i * g
+        h_t = o * np.tanh(c_t)
+        states.append(h_t)
+        cells.append(c_t)
+    return np.array(states), np.array(cells)
+
+
 class TestLstmCellStep:
-    def test_zero_parameters_halve_cell(self):
-        d, h = 3, 4
-        params = LstmCellParams(np.zeros((4 * h, d)), np.zeros((4 * h, h)), np.zeros(4 * h))
-        c0 = np.array([0.4, -0.2, 1.0, 0.0])
-        h_new, c_new = lstm_cell_step(np.zeros(d), np.zeros(h), c0, params)
+    """The gated update c' = f*c + i*g, h' = o*tanh(c'), checked through the
+    batch scan."""
+
+    def test_zero_preactivation_step_halves_cell(self):
+        h = 4
+        params = identity_input_cell(h)
+        first = np.random.default_rng(0).normal(0.0, 2.0, 4 * h)
+        states, cache = lstm_forward(np.stack([first, np.zeros(4 * h)])[None], params)
+        c0 = cache[2][0, 0]
+        assert np.any(np.abs(c0) > 0.1)
         # all gates sit at sigmoid(0)=0.5 and the candidate at tanh(0)=0
-        assert np.allclose(c_new, 0.5 * c0, atol=1e-12)
-        assert np.allclose(h_new, 0.5 * np.tanh(0.5 * c0), atol=1e-12)
+        assert np.allclose(cache[2][0, 1], 0.5 * c0, atol=1e-12)
+        assert np.allclose(states[0, 1], 0.5 * np.tanh(0.5 * c0), atol=1e-12)
 
     def test_all_zero(self):
         d, h = 2, 3
         params = LstmCellParams(np.zeros((4 * h, d)), np.zeros((4 * h, h)), np.zeros(4 * h))
-        h_new, c_new = lstm_cell_step(np.zeros(d), np.zeros(h), np.zeros(h), params)
-        assert np.all(h_new == 0.0)
-        assert np.all(c_new == 0.0)
+        states, cache = lstm_forward(np.zeros((1, 1, d)), params)
+        assert np.all(states == 0.0)
+        assert np.all(cache[2] == 0.0)
 
     def test_shape_mismatch(self):
         params = random_cell(3, 4, 0)
         with pytest.raises(ValueError):
-            lstm_cell_step(np.zeros(5), np.zeros(4), np.zeros(4), params)
+            lstm_forward(np.zeros((1, 1, 5)), params)
 
     def test_cell_growth_bound(self):
         # |c'| <= |c| + 1 elementwise: forget gate <= 1, candidate in [-1, 1]
         rng = np.random.default_rng(3)
         params = random_cell(4, 5, 1)
-        for _ in range(50):
-            c = rng.normal(0.0, 3.0, 5)
-            _, c_new = lstm_cell_step(rng.normal(0, 2, 4), rng.normal(0, 2, 5), c, params)
-            assert np.all(np.abs(c_new) <= np.abs(c) + 1.0 + 1e-12)
+        _, cache = lstm_forward(rng.normal(0, 2, (50, 8, 4)), params)
+        cells = cache[2]
+        assert np.all(np.abs(cells[:, 0]) <= 1.0 + 1e-12)
+        assert np.all(np.abs(cells[:, 1:]) <= np.abs(cells[:, :-1]) + 1.0 + 1e-12)
 
-    def test_matches_batch_scan(self):
+    def test_matches_reference_scan(self):
         params = random_cell(3, 4, 2)
+        params.bias[:] = np.random.default_rng(5).normal(0, 1, 16)
         rng = np.random.default_rng(4)
-        seq = rng.normal(0, 1, (1, 3, 3))
-        states, _ = lstm_forward(seq, params)
-        h = np.zeros(4)
-        c = np.zeros(4)
-        for t in range(3):
-            h, c = lstm_cell_step(seq[0, t], h, c, params)
-        assert np.allclose(states[0, -1], h, atol=1e-12)
+        batch = rng.normal(0, 1, (3, 6, 3))
+        states, cache = lstm_forward(batch, params)
+        for row, sequence in enumerate(batch):
+            ref_states, ref_cells = reference_scan(sequence, params)
+            assert np.allclose(states[row], ref_states, atol=1e-12)
+            assert np.allclose(cache[2][row], ref_cells, atol=1e-12)
+
+    def test_forward_only_keeps_no_cache(self):
+        params = random_cell(3, 4, 2)
+        inputs = np.random.default_rng(6).normal(0, 1, (2, 5, 3))
+        states, cache = lstm_forward(inputs, params, keep_cache=False)
+        assert cache is None
+        assert np.array_equal(states, lstm_forward(inputs, params)[0])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -164,40 +197,64 @@ class TestBilstm:
     def test_single_position_sequence(self):
         fwd = random_cell(3, 4, 0)
         bwd = random_cell(3, 4, 1)
-        out = bilstm_forward(np.ones((1, 3)), fwd, bwd)
-        assert out.shape == (8,)
+        out, _ = bilstm_batch_forward(np.ones((1, 1, 3)), fwd, bwd)
+        assert out.shape == (1, 8)
 
     def test_reversal_swaps_halves_with_shared_params(self):
         cell = random_cell(3, 4, 2)
         rng = np.random.default_rng(3)
-        seq = rng.normal(0, 1, (6, 3))
-        out = bilstm_forward(seq, cell, cell)
-        reversed_out = bilstm_forward(seq[::-1], cell, cell)
+        seq = rng.normal(0, 1, (1, 6, 3))
+        out, _ = bilstm_batch_forward(seq, cell, cell)
+        reversed_out, _ = bilstm_batch_forward(seq[:, ::-1], cell, cell)
         h = 4
-        assert np.allclose(out[:h], reversed_out[h:], atol=1e-12)
-        assert np.allclose(out[h:], reversed_out[:h], atol=1e-12)
+        assert np.allclose(out[0, :h], reversed_out[0, h:], atol=1e-12)
+        assert np.allclose(out[0, h:], reversed_out[0, :h], atol=1e-12)
 
     def test_zero_everything(self):
         d, h = 2, 3
         zero = LstmCellParams(np.zeros((4 * h, d)), np.zeros((4 * h, h)), np.zeros(4 * h))
-        out = bilstm_forward(np.zeros((4, d)), zero, zero)
+        out, _ = bilstm_batch_forward(np.zeros((1, 4, d)), zero, zero)
         assert np.all(out == 0.0)
 
     def test_flatten_mode_length(self):
         fwd = random_cell(3, 4, 4)
         bwd = random_cell(3, 4, 5)
-        seq = np.ones((5, 3))
-        assert bilstm_forward(seq, fwd, bwd, mode="flatten").shape == (2 * 4 * 5,)
+        seq = np.ones((1, 5, 3))
+        assert bilstm_batch_forward(seq, fwd, bwd, mode="flatten")[0].shape == (1, 2 * 4 * 5)
 
     def test_unknown_mode(self):
         fwd = random_cell(2, 2, 0)
         with pytest.raises(ValueError):
-            bilstm_forward(np.ones((2, 2)), fwd, fwd, mode="sum")
+            bilstm_batch_forward(np.ones((1, 2, 2)), fwd, fwd, mode="sum")
 
     def test_empty_sequence_rejected(self):
         fwd = random_cell(2, 2, 0)
         with pytest.raises(ValueError):
-            bilstm_forward(np.ones((0, 2)), fwd, fwd)
+            bilstm_batch_forward(np.ones((1, 0, 2)), fwd, fwd)
+
+    @pytest.mark.parametrize("mode", ["final", "flatten"])
+    def test_row_features_ignore_padding(self, mode):
+        # A row of length n reads the same features as its first n
+        # positions alone, whatever sits in the positions after them.
+        fwd = random_cell(3, 4, 6)
+        bwd = random_cell(3, 4, 7)
+        rng = np.random.default_rng(8)
+        inputs = rng.normal(0, 1, (3, 7, 3))
+        lengths = np.array([7, 4, 1])
+        features, _ = bilstm_batch_forward(inputs, fwd, bwd, mode, lengths)
+        for row, n in enumerate(lengths):
+            alone, _ = bilstm_batch_forward(inputs[row : row + 1, :n], fwd, bwd, mode)
+            assert np.allclose(features[row, : alone.shape[1]], alone[0], atol=1e-12)
+            assert np.all(features[row, alone.shape[1] :] == 0.0)
+
+    @pytest.mark.parametrize("mode", ["final", "flatten"])
+    def test_zero_length_row_gets_zero_features(self, mode):
+        fwd = random_cell(3, 4, 9)
+        bwd = random_cell(3, 4, 10)
+        inputs = np.random.default_rng(11).normal(0, 1, (2, 5, 3))
+        features, _ = bilstm_batch_forward(inputs, fwd, bwd, mode, np.array([3, 0]))
+        assert np.all(features[1] == 0.0)
+        assert np.any(features[0] != 0.0)
 
     @pytest.mark.parametrize("mode", ["final", "flatten"])
     def test_gradients_match_finite_differences(self, mode):
@@ -208,6 +265,7 @@ class TestBilstm:
         bwd = random_cell(d, h, 13)
         width = 2 * h * (L if mode == "flatten" else 1)
         probe = rng.normal(0, 1, (B, width))
+        lengths = np.array([L, 3])  # the second row ends before the padding
         params = {
             "fw": fwd.w_in, "fr": fwd.w_rec, "fb": fwd.bias,
             "bw": bwd.w_in, "br": bwd.w_rec, "bb": bwd.bias,
@@ -216,24 +274,30 @@ class TestBilstm:
         def loss(p):
             f = LstmCellParams(p["fw"], p["fr"], p["fb"])
             b = LstmCellParams(p["bw"], p["br"], p["bb"])
-            features, _ = bilstm_batch_forward(inputs, f, b, mode)
+            features, _ = bilstm_batch_forward(inputs, f, b, mode, lengths)
             return float(np.sum(features * probe))
 
         numeric = finite_diff_grad(loss, params, step=1e-5)
-        features, caches = bilstm_batch_forward(inputs, fwd, bwd, mode)
-        _, grads_fwd, grads_bwd = bilstm_batch_backward(probe, caches, fwd, bwd, mode)
+        features, caches = bilstm_batch_forward(inputs, fwd, bwd, mode, lengths)
+        d_inputs, grads_fwd, grads_bwd = bilstm_batch_backward(probe, caches, fwd, bwd, mode)
         analytic = {
             "fw": grads_fwd["w_in"], "fr": grads_fwd["w_rec"], "fb": grads_fwd["bias"],
             "bw": grads_bwd["w_in"], "br": grads_bwd["w_rec"], "bb": grads_bwd["bias"],
         }
         for name in params:
             assert rel_error(analytic[name], numeric[name]) < 1e-4
+        numeric_x = finite_diff_grad(
+            lambda x: float(np.sum(bilstm_batch_forward(x, fwd, bwd, mode, lengths)[0] * probe)),
+            inputs, step=1e-5,
+        )
+        assert rel_error(d_inputs, numeric_x) < 1e-4
+        assert np.all(d_inputs[1, 3:] == 0.0)
 
     def test_forward_finite_for_large_inputs(self):
         fwd = random_cell(3, 4, 20)
         bwd = random_cell(3, 4, 21)
-        seq = np.full((8, 3), 1e3)
-        out = bilstm_forward(seq, fwd, bwd)
+        seq = np.full((1, 8, 3), 1e3)
+        out, _ = bilstm_batch_forward(seq, fwd, bwd)
         assert np.all(np.isfinite(out))
 
 

@@ -10,6 +10,7 @@ from hatedetect.textprep import (
     encode,
     expand_contractions,
     preprocess,
+    sequence_lengths,
 )
 
 from conftest import make_vocab
@@ -130,6 +131,12 @@ def test_encode_length_and_range_property():
         assert encoded.shape == (max_len,)
         assert encoded.max(initial=0) < len(vocab)
         assert encoded.min(initial=0) >= 0
+        assert sequence_lengths(encoded[None]).tolist() == [min(n, max_len)]
+
+
+def test_sequence_lengths_stop_at_the_trailing_padding():
+    token_ids = np.array([[3, 4, 0, 0], [0, 5, 0, 0], [0, 0, 0, 0], [2, 2, 2, 2]])
+    assert sequence_lengths(token_ids).tolist() == [2, 2, 0, 4]
 
 
 def test_determinism():
