@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import zipfile
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import neural
+from .atomic import atomic_write
 from .corpus import HATE
 from .embed import EmbeddingMatrix, Vocabulary
 from .metrics import WEIGHTED, prf, threshold_labels
@@ -28,6 +30,10 @@ from .textprep import PipelineConfig, encode, preprocess, sequence_lengths
 log = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = "1.0"
+
+# params.bin is read in pieces of this size: one read of the whole entry
+# would first build a second copy of it as bytes.
+READ_CHUNK_BYTES = 1 << 20
 
 PARAM_NAMES = (
     "embedding",
@@ -81,23 +87,7 @@ class ModelConfig:
         return width * self.max_len if self.sequence_repr == "flatten" else width
 
     def to_dict(self) -> dict:
-        data = {
-            name: getattr(self, name)
-            for name in (
-                "embedding_dim",
-                "max_len",
-                "hidden_size",
-                "dense1_size",
-                "dense1_activation",
-                "sequence_repr",
-                "embeddings_trainable",
-                "batch_size",
-                "epochs",
-                "learning_rate",
-                "threshold",
-                "seed",
-            )
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["pipeline"] = self.pipeline.to_dict()
         return data
 
@@ -122,31 +112,11 @@ class TrainHistory:
     selected_epoch: int
 
     def to_dict(self) -> dict:
-        return {
-            "records": [
-                {
-                    "epoch": r.epoch,
-                    "train_loss": r.train_loss,
-                    "validation_loss": r.validation_loss,
-                    "validation_weighted_f1": r.validation_weighted_f1,
-                }
-                for r in self.records
-            ],
-            "selected_epoch": self.selected_epoch,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainHistory":
-        records = tuple(
-            EpochRecord(
-                epoch=r["epoch"],
-                train_loss=r["train_loss"],
-                validation_loss=r["validation_loss"],
-                validation_weighted_f1=r["validation_weighted_f1"],
-            )
-            for r in data["records"]
-        )
-        return cls(records, data["selected_epoch"])
+        return cls(tuple(EpochRecord(**r) for r in data["records"]), data["selected_epoch"])
 
 
 def _expected_shapes(config: ModelConfig, vocab_size: int) -> dict:
@@ -322,7 +292,12 @@ class HateClassifier:
         return threshold_labels(self.predict(texts), threshold)
 
     def save(self, path) -> None:
-        """Versioned archive: JSON manifest + raw little-endian float32 tensors."""
+        """Versioned archive: JSON manifest + raw little-endian float32 tensors.
+
+        The tensors are stored, not deflated: float32 weights shrink only to
+        about half, and inflating them cost more than the rest of a load.
+        The file is replaced in one rename, so a crash never leaves a part.
+        """
         manifest = {
             "format_version": CHECKPOINT_VERSION,
             "model_config": self.config.to_dict(),
@@ -333,50 +308,68 @@ class HateClassifier:
                 {"name": name, "shape": list(self.params[name].shape)} for name in PARAM_NAMES
             ],
         }
-        blob = b"".join(
-            np.ascontiguousarray(self.params[name], dtype="<f4").tobytes() for name in PARAM_NAMES
-        )
+        tensors = [np.ascontiguousarray(self.params[name], dtype="<f4") for name in PARAM_NAMES]
         stamp = (1980, 1, 1, 0, 0, 0)  # fixed so equal models give equal bytes
-        with zipfile.ZipFile(path, "w") as archive:
-            for name, data in (("manifest.json", json.dumps(manifest, indent=2)), ("params.bin", blob)):
-                info = zipfile.ZipInfo(name, date_time=stamp)
-                info.compress_type = zipfile.ZIP_DEFLATED
-                archive.writestr(info, data)
+        with atomic_write(path, "wb") as handle, zipfile.ZipFile(handle, "w") as archive:
+            info = zipfile.ZipInfo("manifest.json", date_time=stamp)
+            info.compress_type = zipfile.ZIP_DEFLATED
+            archive.writestr(info, json.dumps(manifest, indent=2))
+            info = zipfile.ZipInfo("params.bin", date_time=stamp)
+            info.compress_type = zipfile.ZIP_STORED
+            info.file_size = sum(tensor.nbytes for tensor in tensors)  # zip64 is decided up front
+            with archive.open(info, "w") as entry:
+                for tensor in tensors:
+                    entry.write(tensor)
 
     @classmethod
     def load(cls, path) -> "HateClassifier":
+        """Read a checkpoint written by save; deflated params.bin also loads.
+
+        The tensors are views of one float32 array that params.bin is read
+        into; the read runs to the entry's end, so zipfile checks its CRC-32.
+        """
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"checkpoint not found: {path}")
         try:
             with zipfile.ZipFile(path) as archive:
                 manifest = json.loads(archive.read("manifest.json"))
-                blob = archive.read("params.bin")
+                version = str(manifest.get("format_version", ""))
+                major = version.split(".")[0]
+                if not major.isdigit():
+                    raise ValueError(
+                        f"corrupt checkpoint file {path}: bad format version {version!r}"
+                    )
+                if int(major) > int(CHECKPOINT_VERSION.split(".")[0]):
+                    raise ValueError(
+                        f"checkpoint format version {version} is newer than "
+                        f"supported {CHECKPOINT_VERSION}"
+                    )
+                shapes = [(entry["name"], tuple(entry["shape"])) for entry in manifest["tensors"]]
+                count = sum(math.prod(shape) for _, shape in shapes)
+                stored_bytes = archive.getinfo("params.bin").file_size
+                if stored_bytes != 4 * count:
+                    problem = "truncated" if stored_bytes < 4 * count else "has trailing bytes"
+                    raise ValueError(f"corrupt checkpoint file {path}: parameter blob {problem}")
+                flat = np.empty(count, dtype="<f4")
+                view = memoryview(flat).cast("B")
+                with archive.open("params.bin") as blob:
+                    for start in range(0, view.nbytes, READ_CHUNK_BYTES):
+                        chunk = view[start : start + READ_CHUNK_BYTES]
+                        if blob.readinto(chunk) != len(chunk):
+                            raise ValueError(
+                                f"corrupt checkpoint file {path}: parameter blob truncated"
+                            )
         except (zipfile.BadZipFile, KeyError, json.JSONDecodeError, EOFError, zlib.error) as exc:
             raise ValueError(f"corrupt checkpoint file {path}: {exc}") from exc
-        version = str(manifest.get("format_version", ""))
-        major = version.split(".")[0]
-        supported = int(CHECKPOINT_VERSION.split(".")[0])
-        if not major.isdigit():
-            raise ValueError(f"corrupt checkpoint file {path}: bad format version {version!r}")
-        if int(major) > supported:
-            raise ValueError(
-                f"checkpoint format version {version} is newer than supported {CHECKPOINT_VERSION}"
-            )
-        config = ModelConfig.from_dict(manifest["model_config"])
-        vocab = Vocabulary(manifest["vocabulary"], manifest["vocabulary_counts"])
         params = {}
         offset = 0
-        for entry in manifest["tensors"]:
-            shape = tuple(entry["shape"])
-            nbytes = 4 * int(np.prod(shape))
-            chunk = blob[offset : offset + nbytes]
-            if len(chunk) < nbytes:
-                raise ValueError(f"corrupt checkpoint file {path}: parameter blob truncated")
-            params[entry["name"]] = np.frombuffer(chunk, dtype="<f4").reshape(shape).copy()
-            offset += nbytes
-        if offset != len(blob):
-            raise ValueError(f"corrupt checkpoint file {path}: trailing bytes in parameter blob")
+        for name, shape in shapes:
+            size = math.prod(shape)
+            params[name] = flat[offset : offset + size].reshape(shape)
+            offset += size
+        config = ModelConfig.from_dict(manifest["model_config"])
+        vocab = Vocabulary(manifest["vocabulary"], manifest["vocabulary_counts"])
         history = TrainHistory.from_dict(manifest["history"]) if manifest.get("history") else None
         return cls(config, vocab, params, history)
 

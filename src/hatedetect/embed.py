@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .textprep import PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN
 
 log = logging.getLogger(__name__)
@@ -100,18 +101,7 @@ class CbowConfig:
             raise ValueError("subsample threshold must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "window": self.window,
-            "dim": self.dim,
-            "negative": self.negative,
-            "epochs": self.epochs,
-            "initial_lr": self.initial_lr,
-            "min_lr": self.min_lr,
-            "min_count": self.min_count,
-            "subsample": self.subsample,
-            "dynamic_window": self.dynamic_window,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "CbowConfig":
@@ -148,8 +138,9 @@ class EmbeddingMatrix:
 
     def save_text(self, path) -> None:
         """Write the standard text format: "V dim" header, then one token
-        per line followed by its components."""
-        with open(path, "w", encoding="utf-8") as handle:
+        per line followed by its components. The file is replaced in one
+        rename, so a crash never leaves a part."""
+        with atomic_write(path, "w", encoding="utf-8") as handle:
             v, dim = self.vectors.shape
             handle.write(f"{v} {dim}\n")
             for token, row in zip(self.vocab.tokens, self.vectors):
@@ -157,10 +148,15 @@ class EmbeddingMatrix:
 
     @classmethod
     def load_text(cls, path) -> "EmbeddingMatrix":
+        """Read the text format; a UTF-8 byte-order mark is skipped.
+
+        Python splits off each token and checks each line's arity; numpy's
+        C parser converts the values, to the same doubles as float().
+        """
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"embedding file not found: {path}")
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             header = handle.readline().split()
             if len(header) != 2:
                 raise ValueError(f"malformed header in {path}: expected 'V dim'")
@@ -168,16 +164,21 @@ class EmbeddingMatrix:
                 v, dim = int(header[0]), int(header[1])
             except ValueError:
                 raise ValueError(f"malformed header in {path}: expected two integers") from None
-            tokens, rows = [], []
+            if dim < 1:
+                raise ValueError(f"malformed header in {path}: dim must be >= 1, got {dim}")
+            tokens, values = [], []
             for line_number, line in enumerate(handle, start=2):
-                fields = line.rstrip("\n").split(" ")
-                if len(fields) != dim + 1:
+                line = line.rstrip("\n")
+                n_fields = line.count(" ") + 1
+                if n_fields != dim + 1:
                     raise ValueError(
                         f"{path}:{line_number}: expected 1 token + {dim} values, "
-                        f"got {len(fields)} fields"
+                        f"got {n_fields} fields"
                     )
-                tokens.append(fields[0])
-                rows.append([float(x) for x in fields[1:]])
+                token, _, row = line.partition(" ")
+                tokens.append(token)
+                values.append(row)
+        table = _parse_values(path, values, dim)
         if len(tokens) != v:
             raise ValueError(f"{path}: header claims {v} rows but file has {len(tokens)}")
         if len(set(tokens)) != len(tokens):
@@ -185,9 +186,31 @@ class EmbeddingMatrix:
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             # Third-party vector files have no reserved rows; add them.
             tokens = [PAD_TOKEN, UNK_TOKEN, *tokens]
-            rows = [[0.0] * dim, [0.0] * dim, *rows]
+            table = np.concatenate((np.zeros((2, dim)), table))
         vocab = Vocabulary(tokens, [0] * len(tokens))
-        return cls(np.asarray(rows, dtype=np.float64), vocab)
+        return cls(table, vocab)
+
+
+def _parse_values(path, rows: list, dim: int) -> np.ndarray:
+    """(len(rows), dim) float64 table of space-separated value rows, which
+    come from lines 2, 3, ... of `path`. A row loadtxt cannot parse (or
+    skips as blank) is found again with float(), so the error names its line.
+    """
+    if not rows:
+        return np.zeros((0, dim))
+    try:
+        table = np.loadtxt(rows, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+        if table.shape == (len(rows), dim):
+            return table
+    except ValueError:
+        pass
+    for line_number, row in enumerate(rows, start=2):
+        for value in row.split(" "):
+            try:
+                float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{line_number}: value {value!r} is not a number") from None
+    raise ValueError(f"{path}: a value is not a plain decimal number")
 
 
 def cosine(u, v) -> float:

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 import zipfile
 from dataclasses import replace
 
@@ -335,6 +336,40 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="newer"):
             HateClassifier.load(doctored)
 
+    def test_flipped_byte_in_params_is_corrupt(self, tmp_path, trained_setup):
+        _, _, _, _, best = trained_setup
+        path = tmp_path / "model.ckpt"
+        best.save(path)
+        data = bytearray(path.read_bytes())
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("params.bin")
+        # local header: 30 fixed bytes, then the name and the extra field
+        header = info.header_offset
+        name_len, extra_len = struct.unpack("<HH", data[header + 26 : header + 30])
+        start = header + 30 + name_len + extra_len
+        data[start + info.compress_size // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="corrupt checkpoint") as caught:
+            HateClassifier.load(path)
+        assert "CRC-32" in str(caught.value)
+
+    def test_deflated_params_load_bitwise(self, tmp_path, trained_setup):
+        _, _, _, _, best = trained_setup
+        stored = tmp_path / "stored.ckpt"
+        best.save(stored)
+        deflated = tmp_path / "deflated.ckpt"
+        with zipfile.ZipFile(stored) as source, zipfile.ZipFile(deflated, "w") as target:
+            assert source.getinfo("params.bin").compress_type == zipfile.ZIP_STORED
+            for name in source.namelist():
+                target.writestr(name, source.read(name), compress_type=zipfile.ZIP_DEFLATED)
+        assert zipfile.ZipFile(deflated).getinfo("params.bin").compress_type == zipfile.ZIP_DEFLATED
+        a, b = HateClassifier.load(stored), HateClassifier.load(deflated)
+        for name, tensor in a.params.items():
+            assert tensor.dtype == b.params[name].dtype == np.float32
+            assert tensor.tobytes() == b.params[name].tobytes() == best.params[name].tobytes()
+        texts = ["scum w00 w01", "w02 w03", "", "vermin trash"]
+        assert np.array_equal(a.predict(texts), b.predict(texts))
+
     def test_vocabulary_embedding_mismatch_rejected(self):
         model = small_model()
         params = {n: t.copy() for n, t in model.params.items()}
@@ -357,6 +392,21 @@ class TestModelConfig:
             small_config(dense1_activation="softmax")
         with pytest.raises(ValueError):
             small_config(sequence_repr="mean")
+
+    def test_dict_keys_are_pinned(self, trained_setup):
+        # checkpoint manifests and history.json must keep these keys in this order
+        assert list(ModelConfig().to_dict()) == [
+            "embedding_dim", "max_len", "hidden_size", "dense1_size", "dense1_activation",
+            "sequence_repr", "embeddings_trainable", "batch_size", "epochs", "learning_rate",
+            "threshold", "seed", "pipeline",
+        ]
+        _, _, _, history, _ = trained_setup
+        data = history.to_dict()
+        assert list(data) == ["records", "selected_epoch"]
+        for record in data["records"]:
+            assert list(record) == [
+                "epoch", "train_loss", "validation_loss", "validation_weighted_f1"
+            ]
 
     def test_history_roundtrip(self, trained_setup):
         _, _, _, history, _ = trained_setup

@@ -131,7 +131,11 @@ class TestPipeline:
         assert (run_dir / "embeddings" / "vectors.txt").exists()
         assert (run_dir / "embeddings" / "training_log.txt").exists()
         assert (run_dir / "models" / "model.ckpt").exists()
-        assert (run_dir / "models" / "history.json").exists()
+        history = json.loads((run_dir / "models" / "history.json").read_text())
+        assert list(history) == ["records", "selected_epoch"]
+        assert [list(record) for record in history["records"]] == [
+            ["epoch", "train_loss", "validation_loss", "validation_weighted_f1"]
+        ] * len(history["records"])
         report = json.loads((run_dir / "reports" / "metrics.json").read_text())
         assert 0.0 <= report["weighted"]["f1"] <= 1.0
         # predictions.csv holds the scores the report was computed from

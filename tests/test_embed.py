@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,50 @@ class TestTextFormat:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             EmbeddingMatrix.load_text(tmp_path / "nope.txt")
+
+
+class TestHostileTextFormat:
+    def test_bom_header(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_text("\ufeff2 2\nfoo 1.0 0.0\nbar 0.0 1.0\n", encoding="utf-8")
+        loaded = EmbeddingMatrix.load_text(path)
+        assert loaded.vocab.tokens[2:] == ["foo", "bar"]
+        assert np.array_equal(loaded.vectors[2:], [[1.0, 0.0], [0.0, 1.0]])
+
+    def test_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(b"2 2\r\nfoo 1.0 0.0\r\nbar 0.0 1.5\r\n")
+        loaded = EmbeddingMatrix.load_text(path)
+        assert loaded.vocab.tokens[2:] == ["foo", "bar"]
+        assert np.array_equal(loaded.vectors[2:], [[1.0, 0.0], [0.0, 1.5]])
+
+    @pytest.mark.parametrize(
+        "lines, bad_line",
+        [
+            (["2 2", "foo 1.0 0.0", "bar 0.0 one"], 3),
+            (["3 2", "foo 1.0 0.0", "bar 0.0 1,5", "baz 1.0 x"], 3),
+            (["2 1", "foo 1.0", "bar "], 3),  # an empty value, which loadtxt would skip
+        ],
+    )
+    def test_non_numeric_value_names_its_line(self, tmp_path, lines, bad_line):
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{bad_line}: value")):
+            EmbeddingMatrix.load_text(path)
+
+    def test_matches_float_parse_bitwise(self, tmp_path):
+        rng = np.random.default_rng(7)
+        tokens = [PAD_TOKEN, UNK_TOKEN, *(f"w{i}" for i in range(48))]
+        vectors = rng.normal(0.0, 1.0, (50, 300)) * 10.0 ** rng.integers(-4, 3, (50, 1))
+        vectors[PAD_INDEX] = 0.0
+        path = tmp_path / "vectors.txt"
+        EmbeddingMatrix(vectors, Vocabulary(tokens, [0] * 50)).save_text(path)
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        reference = np.array([[float(x) for x in line.split(" ")[1:]] for line in lines])
+        loaded = EmbeddingMatrix.load_text(path)
+        assert loaded.vocab.tokens == tokens
+        assert loaded.vectors.dtype == reference.dtype == np.float64
+        assert loaded.vectors.tobytes() == reference.tobytes()
 
 
 class TestPairObjective:
