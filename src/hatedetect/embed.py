@@ -143,8 +143,9 @@ class EmbeddingMatrix:
         with atomic_write(path, "w", encoding="utf-8") as handle:
             v, dim = self.vectors.shape
             handle.write(f"{v} {dim}\n")
+            values = " %.8f" * dim + "\n"
             for token, row in zip(self.vocab.tokens, self.vectors):
-                handle.write(token + " " + " ".join(f"{x:.8f}" for x in row) + "\n")
+                handle.write(token + values % tuple(row.tolist()))
 
     @classmethod
     def load_text(cls, path) -> "EmbeddingMatrix":

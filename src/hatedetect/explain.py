@@ -65,19 +65,13 @@ def perturb(instance: InterpretableInstance, n_samples: int, seed: int):
     return masks, texts
 
 
-def kernel_weight(mask, kernel_width: float = DEFAULT_KERNEL_WIDTH) -> float:
-    """Proximity weight exp(-D^2 / width^2), D = cosine distance between the
-    mask and the all-ones mask. The all-zero mask takes D = 1."""
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.size == 0:
-        raise ValueError("empty mask")
-    ones = mask.sum()
-    distance = 1.0 if ones == 0 else 1.0 - np.sqrt(ones / mask.size)
-    return float(np.exp(-(distance**2) / kernel_width**2))
-
-
 def kernel_weights(masks, kernel_width: float = DEFAULT_KERNEL_WIDTH) -> np.ndarray:
+    """Proximity weight exp(-D^2 / width^2) of each mask (row), D = cosine
+    distance between the mask and the all-ones mask. The all-zero mask
+    takes D = 1."""
     masks = np.asarray(masks, dtype=np.float64)
+    if masks.ndim != 2 or masks.shape[1] == 0:
+        raise ValueError(f"expected (samples, features) masks with features, got {masks.shape}")
     ones = masks.sum(axis=1)
     distance = np.where(ones == 0, 1.0, 1.0 - np.sqrt(ones / masks.shape[1]))
     return np.exp(-(distance**2) / kernel_width**2)

@@ -9,6 +9,7 @@ verification runs the same code in float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,62 +93,129 @@ def _gate_constants(h, dtype):
     return scale, offset
 
 
-def lstm_forward(inputs, params: LstmCellParams, keep_cache=True):
-    """Scan a batch of sequences; returns (states (B,L,h), cache for backward).
+class LstmCache(NamedTuple):
+    """What lstm_backward needs from a forward scan.
 
-    Each step is c' = f*c + i*g, h' = o*tanh(c') from a zero state. The
-    input-side products of all steps come from one GEMM before the scan;
-    only the recurrent product stays in the loop. With keep_cache=False
-    (inference) nothing is kept for backward and the cache is None.
+    The per-position arrays are packed time-major: step t holds the
+    counts[t] rows still running, in order of decreasing length, and
+    position p of the pack is row rows[p], time position cols[p] of the
+    padded (B, L) layout.
+    """
+
+    inputs: np.ndarray  # (B, L, d), the padded batch as passed in
+    packed_inputs: np.ndarray  # (P, d)
+    gates: np.ndarray  # (P, 4h)
+    cells: np.ndarray  # (P, h)
+    tanh_cells: np.ndarray  # (P, h)
+    states: np.ndarray  # (P, h)
+    rows: np.ndarray  # (P,)
+    cols: np.ndarray  # (P,)
+    counts: np.ndarray  # (T,) running rows per step, T the longest length
+
+
+def _check_lengths(lengths, batch, length):
+    """Per-row lengths as an index array; all `length` when None."""
+    if lengths is None:
+        return np.full(batch, length, dtype=np.intp)
+    lengths = np.asarray(lengths)
+    if lengths.shape != (batch,) or not np.issubdtype(lengths.dtype, np.integer):
+        raise ValueError(
+            f"lengths must be {batch} integers, got shape {lengths.shape} of {lengths.dtype}"
+        )
+    if batch and (lengths.min() < 0 or lengths.max() > length):
+        raise ValueError(f"lengths must lie in 0..{length}, got {lengths.min()}..{lengths.max()}")
+    return lengths.astype(np.intp, copy=False)
+
+
+def _schedule(lengths, reverse):
+    """Packed positions of a batch: (rows, cols, counts) as in LstmCache.
+
+    Rows are ordered by decreasing length (a stable sort), so the rows
+    still running at any step are a prefix of that order.
+    """
+    order = np.argsort(-lengths, kind="stable")
+    by_length = lengths[order]
+    running = by_length > np.arange(by_length[0] if len(by_length) else 0)[:, None]
+    t, j = np.nonzero(running)
+    cols = by_length[j] - 1 - t if reverse else t
+    return order[j], cols, np.count_nonzero(running, axis=1)
+
+
+def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, reverse=False):
+    """Scan a batch of right-padded sequences; returns (states (B,L,h),
+    cache for backward).
+
+    Row b holds lengths[b] real positions (all L when lengths is None);
+    with reverse it is read from its last real position back to its
+    first. Each step is c' = f*c + i*g, h' = o*tanh(c') from a zero state,
+    and runs only the rows that have not ended, so padding costs no work.
+    The state after reading position t is written at position t; it is
+    zero past each row's length. The input-side products of all real
+    positions come from one GEMM before the scan; only the recurrent
+    product stays in the loop. With keep_cache=False (inference) nothing
+    is kept for backward and the cache is None.
     """
     inputs = np.asarray(inputs)
     batch, length, d = inputs.shape
     if d != params.input_size:
         raise ValueError(f"input size {d} does not match cell input size {params.input_size}")
+    lengths = _check_lengths(lengths, batch, length)
+    rows, cols, counts = _schedule(lengths, reverse)
     h = params.hidden_size
     dtype = inputs.dtype
     scale, offset = _gate_constants(h, dtype)
     # The weights carry the pre-activation scale; a power of two, it is exact.
     w_rec_t = (params.w_rec * scale[:, None]).T
-    # Scaled pre-activations of every step; activated in place, they become the gates.
-    gates = (
-        inputs.reshape(batch * length, d) @ (params.w_in * scale[:, None]).T + params.bias * scale
-    ).reshape(batch, length, 4 * h)
-    states = np.empty((batch, length, h), dtype=dtype)
-    if keep_cache:
-        cells = np.empty_like(states)
-        tanh_cells = np.empty_like(states)
-    h_prev = np.zeros((batch, h), dtype=dtype)
-    c_prev = np.zeros((batch, h), dtype=dtype)
-    for t in range(length):
-        z = gates[:, t]
-        z += h_prev @ w_rec_t
+    # Scaled pre-activations of every real position; activated in place,
+    # they become the gates.
+    packed = inputs[rows, cols]
+    gates = packed @ (params.w_in * scale[:, None]).T
+    gates += params.bias * scale
+    if not keep_cache:
+        del packed
+    hs = np.empty((len(rows), h), dtype=dtype)
+    cells = np.empty_like(hs)
+    tanh_cells = np.empty_like(hs) if keep_cache else None
+    start = previous = 0
+    for t, n in enumerate(counts.tolist()):
+        now = slice(start, start + n)
+        z = gates[now]
+        if t:
+            z += hs[previous : previous + n] @ w_rec_t
         np.tanh(z, out=z)
         z *= scale
         z += offset
-        c_prev = z[:, h : 2 * h] * c_prev + z[:, :h] * z[:, 2 * h : 3 * h]
-        tanh_c = np.tanh(c_prev)
-        h_prev = z[:, 3 * h :] * tanh_c
-        states[:, t] = h_prev
-        if keep_cache:
-            cells[:, t] = c_prev
-            tanh_cells[:, t] = tanh_c
-    cache = (inputs, gates, cells, tanh_cells, states) if keep_cache else None
-    return states, cache
+        c = cells[now]
+        np.multiply(z[:, h : 2 * h], cells[previous : previous + n] if t else 0.0, out=c)
+        c += z[:, :h] * z[:, 2 * h : 3 * h]
+        tanh_c = np.tanh(c, out=tanh_cells[now] if keep_cache else None)
+        np.multiply(z[:, 3 * h :], tanh_c, out=hs[now])
+        previous, start = start, start + n
+    states = np.zeros((batch, length, h), dtype=dtype)
+    states[rows, cols] = hs
+    if not keep_cache:
+        return states, None
+    return states, LstmCache(inputs, packed, gates, cells, tanh_cells, hs, rows, cols, counts)
 
 
-def lstm_backward(d_states, cache, params: LstmCellParams, input_grad=True):
-    """Exact BPTT given dLoss/d h_t for every timestep (zeros where unused).
+def lstm_backward(d_states, cache: LstmCache, params: LstmCellParams, input_grad=True):
+    """Exact BPTT given dLoss/d h_t for every timestep; entries past a
+    row's length are ignored.
 
-    The loop carries only the recurrence; the weight gradients, the bias
-    gradient and d_inputs are one GEMM or sum each over all steps.
-    Returns (d_inputs (B,L,d), or None without input_grad, grads dict with
-    keys w_in/w_rec/bias).
+    The loop carries only the recurrence, over the same packed schedule
+    as the forward scan: going back in time, the running rows grow. The
+    weight gradients, the bias gradient and d_inputs are one GEMM or sum
+    each over the real positions. Returns (d_inputs (B,L,d), zero past
+    each row's length, or None without input_grad, grads dict with keys
+    w_in/w_rec/bias).
     """
-    inputs, gates, cells, tanh_cells, states = cache
-    batch, length, h = states.shape
+    inputs, packed, gates, cells, tanh_cells, hs, rows, cols, counts = cache
+    h = params.hidden_size
     dtype = inputs.dtype
     scale, offset = _gate_constants(h, dtype)
+    first = int(counts[0]) if len(counts) else 0
+    # Position p of step t >= 1 follows position p - counts[t-1] of its row.
+    before = np.arange(first, len(rows)) - np.repeat(counts[:-1], counts[1:])
     # Each gate's slope: sigmoid' = s(1-s) = 0.25 - (s-0.5)^2 and
     # tanh' = 1 - g^2, both scale^2 - (gate - offset)^2. Times the factor
     # that meets dc (i, f, g) or dh (o), it is coef; scaled by dc or dh
@@ -155,34 +223,39 @@ def lstm_backward(d_states, cache, params: LstmCellParams, input_grad=True):
     coef = gates - offset
     coef *= coef
     np.subtract(scale * scale, coef, out=coef)
-    acts = gates.reshape(batch, length, 4, h)
-    per_gate = coef.reshape(batch, length, 4, h)
-    per_gate[:, :, 0] *= acts[:, :, 2]  # i: g
-    per_gate[:, 1:, 1] *= cells[:, :-1]  # f: the previous cell, zero at the start
-    per_gate[:, 0, 1] = 0.0
-    per_gate[:, :, 2] *= acts[:, :, 0]  # g: i
-    per_gate[:, :, 3] *= tanh_cells  # o: tanh(c)
+    acts = gates.reshape(-1, 4, h)
+    per_gate = coef.reshape(-1, 4, h)
+    per_gate[:, 0] *= acts[:, 2]  # i: g
+    per_gate[first:, 1] *= cells[before]  # f: the previous cell, zero at the start
+    per_gate[:first, 1] = 0.0
+    per_gate[:, 2] *= acts[:, 0]  # g: i
+    per_gate[:, 3] *= tanh_cells  # o: tanh(c)
     dc_dh = 1.0 - tanh_cells * tanh_cells
-    dc_dh *= acts[:, :, 3]
-    dh_next = np.zeros((batch, h), dtype=dtype)
-    dc_next = np.zeros((batch, h), dtype=dtype)
-    for t in reversed(range(length)):
-        dh = d_states[:, t] + dh_next
-        dc = dh * dc_dh[:, t]
-        dc += dc_next
-        per_gate[:, t, :3] *= dc[:, None]
-        per_gate[:, t, 3] *= dh
-        dh_next = coef[:, t] @ params.w_rec
-        dc_next = dc * acts[:, t, 1]
-    flat = coef.reshape(batch * length, 4 * h)
-    h_prev = np.zeros_like(states)
-    h_prev[:, 1:] = states[:, :-1]
+    dc_dh *= acts[:, 3]
+    d_hs = d_states[rows, cols]
+    # Going back in time, each row joins the running prefix with zero carries.
+    dh_next = np.zeros((first, h), dtype=dtype)
+    dc_next = np.zeros((first, h), dtype=dtype)
+    end = len(rows)
+    for n in reversed(counts.tolist()):
+        now = slice(end - n, end)
+        dh = d_hs[now] + dh_next[:n]
+        dc = dh * dc_dh[now]
+        dc += dc_next[:n]
+        per_gate[now, :3] *= dc[:, None]
+        per_gate[now, 3] *= dh
+        np.matmul(coef[now], params.w_rec, out=dh_next[:n])
+        np.multiply(dc, acts[now, 1], out=dc_next[:n])
+        end -= n
     grads = {
-        "w_in": flat.T @ inputs.reshape(batch * length, -1),
-        "w_rec": flat.T @ h_prev.reshape(batch * length, h),
-        "bias": flat.sum(axis=0),
+        "w_in": coef.T @ packed,
+        "w_rec": coef[first:].T @ hs[before],
+        "bias": coef.sum(axis=0),
     }
-    d_inputs = (flat @ params.w_in).reshape(inputs.shape) if input_grad else None
+    if not input_grad:
+        return None, grads
+    d_inputs = np.zeros_like(inputs)
+    d_inputs[rows, cols] = coef @ params.w_in
     return d_inputs, grads
 
 
@@ -190,9 +263,10 @@ def bilstm_batch_forward(inputs, forward_params, backward_params, mode="final",
                          lengths=None, keep_cache=True):
     """Run both directions over a batch of right-padded sequences.
 
-    Row b holds lengths[b] real positions (all L when lengths is None). The
-    backward direction reads them reversed, so both directions stop at the
-    row's last real position and no state depends on the padding.
+    Row b holds lengths[b] real positions (all L when lengths is None), an
+    integer in 0..L. The backward direction reads them reversed, so both
+    directions stop at the row's last real position and no state depends
+    on the padding.
 
     mode="final": both directions' hidden states at each row's last real
     step, (B, 2h); a row of length 0 gets zeros.
@@ -205,24 +279,16 @@ def bilstm_batch_forward(inputs, forward_params, backward_params, mode="final",
     if inputs.ndim != 3 or inputs.shape[1] < 1:
         raise ValueError(f"expected a (B, L, d) batch with L >= 1, got shape {inputs.shape}")
     batch, length, _ = inputs.shape
-    lengths = np.full(batch, length) if lengths is None else np.asarray(lengths)
-    row = np.arange(batch)
-    rows = row[:, None]
-    steps = np.arange(length)
-    real = steps < lengths[:, None]
-    # Reverses each row's real positions and leaves its padding in place;
-    # applying it twice is the identity.
-    reverse = np.where(real, lengths[:, None] - 1 - steps, steps)
-    states_fwd, cache_fwd = lstm_forward(inputs, forward_params, keep_cache)
-    states_bwd, cache_bwd = lstm_forward(inputs[rows, reverse], backward_params, keep_cache)
+    lengths = _check_lengths(lengths, batch, length)
+    states_fwd, cache_fwd = lstm_forward(inputs, forward_params, keep_cache, lengths)
+    states_bwd, cache_bwd = lstm_forward(inputs, backward_params, keep_cache, lengths, True)
     if mode == "final":
+        # The backward direction ends at position 0; rows of length 0 are zero.
         last = np.maximum(lengths - 1, 0)
-        features = np.concatenate((states_fwd[row, last], states_bwd[row, last]), axis=1)
-        features[lengths == 0] = 0.0
+        features = np.concatenate((states_fwd[np.arange(batch), last], states_bwd[:, 0]), axis=1)
     else:
-        aligned = np.concatenate((states_fwd, states_bwd[rows, reverse]), axis=2)
-        features = (aligned * real[:, :, None]).reshape(batch, -1)
-    caches = (cache_fwd, cache_bwd, lengths, reverse) if keep_cache else None
+        features = np.concatenate((states_fwd, states_bwd), axis=2).reshape(batch, -1)
+    caches = (cache_fwd, cache_bwd, lengths) if keep_cache else None
     return features, caches
 
 
@@ -230,26 +296,21 @@ def bilstm_batch_backward(d_features, caches, forward_params, backward_params, m
                           input_grad=True):
     """Gradients of bilstm_batch_forward's features: (d_inputs or None
     without input_grad, forward grads, backward grads)."""
-    cache_fwd, cache_bwd, lengths, reverse = caches
-    states_fwd = cache_fwd[4]
-    batch, length, h_fwd = states_fwd.shape
-    row = np.arange(batch)
-    rows = row[:, None]
+    cache_fwd, cache_bwd, lengths = caches
+    batch, length, _ = cache_fwd.inputs.shape
+    h_fwd = forward_params.hidden_size
     if mode == "final":
-        last = np.maximum(lengths - 1, 0)
-        d_features = d_features * (lengths > 0)[:, None]
-        d_states_fwd = np.zeros_like(states_fwd)
-        d_states_fwd[row, last] = d_features[:, :h_fwd]
-        d_states_bwd = np.zeros_like(cache_bwd[4])
-        d_states_bwd[row, last] = d_features[:, h_fwd:]
+        d_states_fwd = np.zeros((batch, length, h_fwd), dtype=d_features.dtype)
+        d_states_fwd[np.arange(batch), np.maximum(lengths - 1, 0)] = d_features[:, :h_fwd]
+        d_states_bwd = np.zeros((batch, length, backward_params.hidden_size),
+                                dtype=d_features.dtype)
+        d_states_bwd[:, 0] = d_features[:, h_fwd:]
     else:
-        real = np.arange(length) < lengths[:, None]
-        d_all = d_features.reshape(batch, length, -1) * real[:, :, None]
-        d_states_fwd = np.ascontiguousarray(d_all[:, :, :h_fwd])
-        d_states_bwd = d_all[rows, reverse, h_fwd:]
+        d_all = d_features.reshape(batch, length, -1)
+        d_states_fwd, d_states_bwd = d_all[:, :, :h_fwd], d_all[:, :, h_fwd:]
     d_in_fwd, grads_fwd = lstm_backward(d_states_fwd, cache_fwd, forward_params, input_grad)
     d_in_bwd, grads_bwd = lstm_backward(d_states_bwd, cache_bwd, backward_params, input_grad)
-    d_inputs = d_in_fwd + d_in_bwd[rows, reverse] if input_grad else None
+    d_inputs = d_in_fwd + d_in_bwd if input_grad else None
     return d_inputs, grads_fwd, grads_bwd
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hatedetect import neural
 from hatedetect.classifier import (
     HateClassifier,
     ModelConfig,
@@ -287,6 +288,46 @@ class TestLengthAware:
         assert np.all(np.isfinite(probs))
         assert np.all((probs > 0.0) & (probs < 1.0))
         assert probs[0] == probs[1]
+
+    def test_permuting_rows_permutes_probabilities(self, trained_setup):
+        _, _, _, _, best = trained_setup
+        texts = [self.LONG, "", *self.TEXTS, "w13 w14 w15 w16", "scum"]
+        order = np.random.default_rng(0).permutation(len(texts))
+        probs = best.predict(texts)
+        permuted = best.predict([texts[i] for i in order])
+        assert np.max(np.abs(permuted - probs[order])) < 1e-6
+
+
+class TestLstmCallShapes:
+    """The traced benchmark wraps neural.lstm_forward/lstm_backward and
+    reads their call shapes: the forward's first argument is the padded
+    (B, L, d) batch, the cache's first entry is that same array, and the
+    cell parameters expose hidden_size."""
+
+    def test_training_step_calls(self, monkeypatch):
+        model = small_model(seed=1)
+        token_ids = model.encode_texts(["tok1 tok2 tok3", "tok4", "", "tok5 tok6"])
+        labels = np.array([1.0, 0.0, 0.0, 1.0], dtype=np.float32)
+        forward_inputs, backward_caches = [], []
+        lstm_forward, lstm_backward = neural.lstm_forward, neural.lstm_backward
+
+        def traced_forward(*args, **kwargs):
+            forward_inputs.append((args[0], args[1].hidden_size))
+            return lstm_forward(*args, **kwargs)
+
+        def traced_backward(*args, **kwargs):
+            backward_caches.append((args[1], args[2].hidden_size))
+            return lstm_backward(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "lstm_forward", traced_forward)
+        monkeypatch.setattr(neural, "lstm_backward", traced_backward)
+        loss_and_grads(model.params, token_ids, labels, model.config)
+        assert len(forward_inputs) == len(backward_caches) == 2
+        longest = 3  # the batch is trimmed to its longest row
+        for (inputs, hidden), (cache, cache_hidden) in zip(forward_inputs, backward_caches):
+            assert np.shape(inputs) == (4, longest, model.config.embedding_dim)
+            assert hidden == cache_hidden == model.config.hidden_size
+            assert cache[0] is inputs
 
 
 class TestCheckpoint:

@@ -138,6 +138,25 @@ class TestTextFormat:
         assert loaded.vocab.tokens == matrix.vocab.tokens
         assert np.max(np.abs(loaded.vectors - matrix.vectors)) < 1e-6
 
+    def test_bytes_match_per_value_format(self, tmp_path):
+        rng = np.random.default_rng(3)
+        vectors = rng.normal(0.0, 1.0, (50, 300))
+        vectors[PAD_INDEX] = 0.0
+        # -0.0, values that print as +-0 at 8 places, and exact binary ties
+        # at the 9th place (2**-9 = 0.001953125), which round half to even.
+        vectors[1, :7] = [-0.0, 1e-9, -1e-9, 2.0**-9, -(2.0**-9), 3 * 2.0**-9, 1.000000005]
+        tokens = [PAD_TOKEN, UNK_TOKEN, *(f"w{i}" for i in range(48))]
+        path = tmp_path / "vectors.txt"
+        EmbeddingMatrix(vectors, Vocabulary(tokens, [0] * 50)).save_text(path)
+        lines = ["50 300\n"] + [
+            token + " " + " ".join(f"{x:.8f}" for x in row) + "\n"
+            for token, row in zip(tokens, vectors)
+        ]
+        assert path.read_bytes() == "".join(lines).encode("utf-8")
+        assert path.read_text().splitlines()[2].split(" ")[1:7] == [
+            "-0.00000000", "0.00000000", "-0.00000000", "0.00195312", "-0.00195312", "0.00585938",
+        ]
+
     def test_header_row_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("5 2\nx 1.0 2.0\ny 1.0 2.0\nz 1.0 2.0\nw 1.0 2.0\n")

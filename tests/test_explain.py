@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from hatedetect.explain import (
+    DEFAULT_KERNEL_WIDTH,
     InterpretableInstance,
     explain,
     fit_local,
-    kernel_weight,
     kernel_weights,
     perturb,
 )
@@ -74,32 +74,39 @@ class TestPerturb:
 
 class TestKernel:
     def test_all_ones(self):
-        assert kernel_weight([1, 1, 1]) == 1.0
+        assert kernel_weights([[1, 1, 1]])[0] == 1.0
 
     def test_all_zero(self):
-        assert kernel_weight([0, 0, 0], kernel_width=25.0) == pytest.approx(
+        assert kernel_weights([[0, 0, 0]], kernel_width=25.0)[0] == pytest.approx(
             np.exp(-1.0 / 625.0), abs=1e-12
         )
 
     def test_non_increasing_along_nested_chain(self):
         mask = [1] * 8
-        previous = kernel_weight(mask)
+        previous = kernel_weights([mask])[0]
         for i in range(8):
             mask[i] = 0
-            current = kernel_weight(mask)
+            current = kernel_weights([mask])[0]
             assert current <= previous + 1e-15
             previous = current
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValueError):
-            kernel_weight([])
+            kernel_weights([[]])
+        with pytest.raises(ValueError):
+            kernel_weights([])
 
-    def test_vectorized_matches_scalar(self):
+    def test_rows_match_cosine_distance(self):
         rng = np.random.default_rng(0)
         masks = (rng.random((20, 6)) < 0.5).astype(int)
         batch = kernel_weights(masks)
-        for row, expected in zip(masks, batch):
-            assert kernel_weight(row) == pytest.approx(expected, abs=1e-15)
+        ones = np.ones(6)
+        for row, weight in zip(masks, batch):
+            norm = np.linalg.norm(row)
+            distance = 1.0 if norm == 0 else 1.0 - row @ ones / (norm * np.linalg.norm(ones))
+            expected = np.exp(-(distance**2) / DEFAULT_KERNEL_WIDTH**2)
+            assert weight == pytest.approx(expected, abs=1e-15)
+            assert kernel_weights(row[None])[0] == weight
 
 
 class TestFitLocal:

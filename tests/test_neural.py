@@ -76,6 +76,10 @@ class TestBce:
         assert bce(p, y) >= 0.0
 
 
+# A zero-length row, tied lengths, and rows not sorted by length.
+MIXED_LENGTHS = np.array([3, 0, 5, 3, 1, 5, 2])
+
+
 def random_cell(input_size, hidden_size, seed, dtype=np.float64):
     rng = np.random.default_rng(seed)
     return init_lstm_params(input_size, hidden_size, rng, dtype)
@@ -104,6 +108,14 @@ def reference_scan(sequence, params):
     return np.array(states), np.array(cells)
 
 
+def padded(cache, packed):
+    """A packed per-position cache array laid out as (B, L, ...), zero past
+    each row's length."""
+    out = np.zeros(cache.inputs.shape[:2] + packed.shape[1:], dtype=packed.dtype)
+    out[cache.rows, cache.cols] = packed
+    return out
+
+
 class TestLstmCellStep:
     """The gated update c' = f*c + i*g, h' = o*tanh(c'), checked through the
     batch scan."""
@@ -113,10 +125,11 @@ class TestLstmCellStep:
         params = identity_input_cell(h)
         first = np.random.default_rng(0).normal(0.0, 2.0, 4 * h)
         states, cache = lstm_forward(np.stack([first, np.zeros(4 * h)])[None], params)
-        c0 = cache[2][0, 0]
+        cells = padded(cache, cache.cells)
+        c0 = cells[0, 0]
         assert np.any(np.abs(c0) > 0.1)
         # all gates sit at sigmoid(0)=0.5 and the candidate at tanh(0)=0
-        assert np.allclose(cache[2][0, 1], 0.5 * c0, atol=1e-12)
+        assert np.allclose(cells[0, 1], 0.5 * c0, atol=1e-12)
         assert np.allclose(states[0, 1], 0.5 * np.tanh(0.5 * c0), atol=1e-12)
 
     def test_all_zero(self):
@@ -124,7 +137,8 @@ class TestLstmCellStep:
         params = LstmCellParams(np.zeros((4 * h, d)), np.zeros((4 * h, h)), np.zeros(4 * h))
         states, cache = lstm_forward(np.zeros((1, 1, d)), params)
         assert np.all(states == 0.0)
-        assert np.all(cache[2] == 0.0)
+        assert cache.cells.shape == (1, h)
+        assert np.all(cache.cells == 0.0)
 
     def test_shape_mismatch(self):
         params = random_cell(3, 4, 0)
@@ -136,7 +150,7 @@ class TestLstmCellStep:
         rng = np.random.default_rng(3)
         params = random_cell(4, 5, 1)
         _, cache = lstm_forward(rng.normal(0, 2, (50, 8, 4)), params)
-        cells = cache[2]
+        cells = padded(cache, cache.cells)
         assert np.all(np.abs(cells[:, 0]) <= 1.0 + 1e-12)
         assert np.all(np.abs(cells[:, 1:]) <= np.abs(cells[:, :-1]) + 1.0 + 1e-12)
 
@@ -149,7 +163,7 @@ class TestLstmCellStep:
         for row, sequence in enumerate(batch):
             ref_states, ref_cells = reference_scan(sequence, params)
             assert np.allclose(states[row], ref_states, atol=1e-12)
-            assert np.allclose(cache[2][row], ref_cells, atol=1e-12)
+            assert np.allclose(padded(cache, cache.cells)[row], ref_cells, atol=1e-12)
 
     def test_forward_only_keeps_no_cache(self):
         params = random_cell(3, 4, 2)
@@ -157,6 +171,12 @@ class TestLstmCellStep:
         states, cache = lstm_forward(inputs, params, keep_cache=False)
         assert cache is None
         assert np.array_equal(states, lstm_forward(inputs, params)[0])
+        lengths = np.array([3, 0, 5])
+        for reverse in (False, True):
+            states, cache = lstm_forward(inputs[[0, 1, 0]], params, False, lengths, reverse)
+            assert cache is None
+            cached, _ = lstm_forward(inputs[[0, 1, 0]], params, True, lengths, reverse)
+            assert np.array_equal(states, cached)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -191,6 +211,87 @@ class TestLstmCellStep:
 
         numeric = finite_diff_grad(loss, inputs, step=1e-5)
         assert rel_error(d_inputs, numeric) < 1e-4
+
+
+class TestPackedScan:
+    """Rows are stepped only while they run; each row's states are those of
+    the row scanned alone, whatever its neighbours and its padding."""
+
+    @staticmethod
+    def mixed_batch(seed, d=3):
+        inputs = np.random.default_rng(seed).normal(0, 1, (len(MIXED_LENGTHS), 5, d))
+        return inputs, MIXED_LENGTHS
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_rows_match_the_reference_scan_alone(self, reverse):
+        params = random_cell(3, 4, 30)
+        params.bias[:] = np.random.default_rng(31).normal(0, 1, 16)
+        inputs, lengths = self.mixed_batch(32)
+        states, cache = lstm_forward(inputs, params, lengths=lengths, reverse=reverse)
+        cells = padded(cache, cache.cells)
+        for row, n in enumerate(lengths):
+            sequence = inputs[row, :n][::-1] if reverse else inputs[row, :n]
+            ref_states, ref_cells = reference_scan(sequence, params)
+            if reverse and n:  # the state after reading position t sits at t
+                ref_states, ref_cells = ref_states[::-1], ref_cells[::-1]
+            assert np.allclose(states[row, :n], ref_states.reshape(n, 4), atol=1e-12)
+            assert np.allclose(cells[row, :n], ref_cells.reshape(n, 4), atol=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_states_and_input_gradients_zero_past_length(self, reverse):
+        params = random_cell(3, 4, 35)
+        inputs, lengths = self.mixed_batch(36)
+        states, cache = lstm_forward(inputs, params, lengths=lengths, reverse=reverse)
+        # A gradient arriving at padding positions is ignored.
+        probe = np.random.default_rng(37).normal(0, 1, states.shape)
+        d_inputs, _ = lstm_backward(probe, cache, params)
+        padding = np.arange(inputs.shape[1]) >= lengths[:, None]
+        assert np.all(states[padding] == 0.0)
+        assert np.all(d_inputs[padding] == 0.0)
+        assert np.all(np.any(d_inputs[~padding] != 0.0, axis=-1))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradients_match_finite_differences(self, reverse):
+        cell = random_cell(3, 4, 38)
+        inputs, lengths = self.mixed_batch(39)
+        probe = np.random.default_rng(40).normal(0, 1, inputs.shape[:2] + (4,))
+        params = {"w_in": cell.w_in, "w_rec": cell.w_rec, "bias": cell.bias}
+
+        def loss(p, x=inputs):
+            cell = LstmCellParams(p["w_in"], p["w_rec"], p["bias"])
+            states, _ = lstm_forward(x, cell, lengths=lengths, reverse=reverse)
+            return float(np.sum(states * probe))
+
+        numeric = finite_diff_grad(loss, params, step=1e-5)
+        numeric_x = finite_diff_grad(lambda x: loss(params, x), inputs, step=1e-5)
+        _, cache = lstm_forward(inputs, cell, lengths=lengths, reverse=reverse)
+        d_inputs, analytic = lstm_backward(probe, cache, cell)
+        for name in params:
+            assert rel_error(analytic[name], numeric[name]) < 1e-4
+        assert rel_error(d_inputs, numeric_x) < 1e-4
+
+    def test_no_real_positions(self):
+        params = random_cell(3, 4, 41)
+        inputs = np.ones((3, 4, 3))
+        states, cache = lstm_forward(inputs, params, lengths=np.zeros(3, dtype=int))
+        assert np.all(states == 0.0)
+        d_inputs, grads = lstm_backward(np.ones((3, 4, 4)), cache, params)
+        assert np.all(d_inputs == 0.0)
+        assert all(np.all(grad == 0.0) for grad in grads.values())
+
+    @pytest.mark.parametrize("lengths", [
+        [6, 1],  # past L
+        [-1, 2],
+        [2],  # not one per row
+        [[2, 2]],
+        [2.0, 1.0],  # not integers
+    ])
+    def test_invalid_lengths_rejected(self, lengths):
+        params = random_cell(3, 4, 42)
+        with pytest.raises(ValueError, match="lengths"):
+            lstm_forward(np.ones((2, 5, 3)), params, lengths=np.array(lengths))
+        with pytest.raises(ValueError, match="lengths"):
+            bilstm_batch_forward(np.ones((2, 5, 3)), params, params, lengths=np.array(lengths))
 
 
 class TestBilstm:
@@ -259,13 +360,14 @@ class TestBilstm:
     @pytest.mark.parametrize("mode", ["final", "flatten"])
     def test_gradients_match_finite_differences(self, mode):
         rng = np.random.default_rng(11)
-        d, h, L, B = 3, 4, 5, 2
+        d, h, L = 3, 4, 5
+        lengths = MIXED_LENGTHS  # rows that end before the padding, one of length L
+        B = len(lengths)
         inputs = rng.normal(0, 1, (B, L, d))
         fwd = random_cell(d, h, 12)
         bwd = random_cell(d, h, 13)
         width = 2 * h * (L if mode == "flatten" else 1)
         probe = rng.normal(0, 1, (B, width))
-        lengths = np.array([L, 3])  # the second row ends before the padding
         params = {
             "fw": fwd.w_in, "fr": fwd.w_rec, "fb": fwd.bias,
             "bw": bwd.w_in, "br": bwd.w_rec, "bb": bwd.bias,
@@ -291,7 +393,7 @@ class TestBilstm:
             inputs, step=1e-5,
         )
         assert rel_error(d_inputs, numeric_x) < 1e-4
-        assert np.all(d_inputs[1, 3:] == 0.0)
+        assert np.all(d_inputs[np.arange(L) >= lengths[:, None]] == 0.0)
 
     def test_forward_finite_for_large_inputs(self):
         fwd = random_cell(3, 4, 20)
