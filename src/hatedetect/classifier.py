@@ -179,11 +179,6 @@ def forward_probs(params: dict, token_ids: np.ndarray, config: ModelConfig) -> n
     return _forward_parts(params, token_ids, config, keep_cache=False)[0]
 
 
-def batch_loss(params: dict, token_ids: np.ndarray, labels, config: ModelConfig) -> float:
-    """Mean BCE of the full model on one batch (forward only)."""
-    return neural.bce(forward_probs(params, token_ids, config), labels)
-
-
 def loss_and_grads(params: dict, token_ids: np.ndarray, labels, config: ModelConfig):
     """Loss plus analytic gradients for every trainable tensor.
 
@@ -257,18 +252,21 @@ class HateClassifier:
         return cls(config, embeddings.vocab, params)
 
     def encode_texts(self, texts) -> np.ndarray:
-        rows = [
-            encode(preprocess(text, self.config.pipeline), self.vocab, self.config.max_len)
-            for text in texts
-        ]
+        return self._encode_tokens(preprocess(text, self.config.pipeline) for text in texts)
+
+    def _encode_tokens(self, sequences) -> np.ndarray:
+        rows = [encode(tokens, self.vocab, self.config.max_len) for tokens in sequences]
         if not rows:
             return np.zeros((0, self.config.max_len), dtype=np.int64)
         return np.stack(rows)
 
     def predict(self, texts) -> np.ndarray:
         """Hate probabilities in (0, 1), order-preserving, batch-size independent."""
-        token_ids = self.encode_texts(texts)
-        return self.predict_encoded(token_ids)
+        return self.predict_encoded(self.encode_texts(texts))
+
+    def predict_tokens(self, sequences) -> np.ndarray:
+        """predict for already preprocessed texts: one token sequence each."""
+        return self.predict_encoded(self._encode_tokens(sequences))
 
     def predict_encoded(self, token_ids: np.ndarray) -> np.ndarray:
         if token_ids.shape[0] == 0:

@@ -355,7 +355,7 @@ def _cmd_explain(args) -> int:
         print(f"dry run: checkpoint loaded, text has {len(tokens)} tokens")
         return EXIT_OK
     explanation = explain(
-        model.predict,
+        model.predict_tokens,
         args.text,
         n_samples=args.samples,
         top_k=args.top_k,

@@ -84,7 +84,7 @@ def load_dataset(path, spec: DatasetSpec) -> list[LabeledExample]:
         raise FileNotFoundError(f"dataset file not found: {path}")
     examples = []
     skipped = 0
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames or []
         for column in (spec.text_column, spec.label_column):

@@ -255,16 +255,10 @@ def nearest(word, k: int, matrix: EmbeddingMatrix) -> list:
     return candidates[:k]
 
 
-def _pair_loss(input_vectors, output_vectors, context, center, negatives) -> float:
-    """Negative-sampling loss for one center position (lower is better)."""
-    h = input_vectors[context].mean(axis=0)
-    s_pos = float(output_vectors[center] @ h)
-    s_neg = output_vectors[negatives] @ h
-    return float(np.logaddexp(0.0, -s_pos) + np.logaddexp(0.0, s_neg).sum())
-
-
 def _pair_grads(input_vectors, output_vectors, context, center, negatives):
-    """Loss and analytic gradients of _pair_loss for the rows it touches.
+    """Loss and analytic gradients of the negative-sampling loss for one
+    center position, for the rows it touches (oracle: tests/oracles.py
+    pair_loss).
 
     Returns (loss, d_context_row, d_target_rows, targets): every context
     row receives d_context_row; output row targets[i] receives

@@ -1,8 +1,8 @@
-"""Local explanation of any binary text predictor.
+"""Local explanation of any binary predictor over token sequences.
 
 A text is reduced to its distinct tokens as binary presence features,
 perturbed by removing random token subsets, and the predictor's
-probabilities on the perturbed texts are fit with a proximity-weighted
+probabilities on the kept token sequences are fit with a proximity-weighted
 ridge regression. The signed coefficients say which tokens pushed the
 prediction toward hate (positive) or away from it (negative).
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 import html
 import json
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -32,23 +33,16 @@ class InterpretableInstance:
 
     @classmethod
     def from_tokens(cls, tokens) -> "InterpretableInstance":
-        seen = []
-        for token in tokens:
-            if token not in seen:
-                seen.append(token)
-        return cls(tuple(tokens), tuple(seen))
-
-    def text_for_mask(self, mask) -> str:
-        """Drop every occurrence of masked-off features, preserving order."""
-        keep = {f for f, bit in zip(self.features, mask) if bit}
-        return " ".join(t for t in self.tokens if t in keep)
+        return cls(tuple(tokens), tuple(dict.fromkeys(tokens)))
 
 
 def perturb(instance: InterpretableInstance, n_samples: int, seed: int):
-    """Masks over the instance features plus the matching perturbed texts.
+    """Masks over the instance features plus the tuple of tokens each sample
+    keeps, in order; samples with equal masks share one tuple.
 
-    Sample 0 is the all-ones mask (the original text); the rest remove a
-    uniform random number of features each. Deterministic per seed.
+    Sample 0 is the all-ones mask (the original tokens); the rest each
+    remove a uniform random number of uniformly chosen features.
+    Deterministic per seed.
     """
     n_features = len(instance.features)
     if n_features < 1:
@@ -56,13 +50,17 @@ def perturb(instance: InterpretableInstance, n_samples: int, seed: int):
     if n_samples < 2:
         raise ValueError(f"need at least 2 samples, got {n_samples}")
     rng = np.random.default_rng(seed)
+    n_off = rng.integers(1, n_features + 1, n_samples - 1)
+    # A random ranking of the features per sample: the first n_off go.
+    ranks = rng.random((n_samples - 1, n_features)).argsort(axis=1).argsort(axis=1)
     masks = np.ones((n_samples, n_features), dtype=np.int64)
-    for i in range(1, n_samples):
-        n_off = int(rng.integers(1, n_features + 1))
-        off = rng.choice(n_features, size=n_off, replace=False)
-        masks[i, off] = 0
-    texts = [instance.text_for_mask(mask) for mask in masks]
-    return masks, texts
+    masks[1:] = ranks >= n_off[:, None]
+    # np.unique sorts bit-packed rows, a few bytes each, far faster than int64 rows.
+    _, first, inverse = np.unique(np.packbits(masks, axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    feature_of = [instance.features.index(token) for token in instance.tokens]
+    kept = [tuple(compress(instance.tokens, row)) for row in masks[first][:, feature_of].tolist()]
+    return masks, [kept[i] for i in inverse.reshape(-1).tolist()]
 
 
 def kernel_weights(masks, kernel_width: float = DEFAULT_KERNEL_WIDTH) -> np.ndarray:
@@ -177,25 +175,27 @@ def explain(predictor, text: str, n_samples: int = DEFAULT_N_SAMPLES,
             kernel_width: float = DEFAULT_KERNEL_WIDTH,
             ridge: float = DEFAULT_RIDGE) -> Explanation:
     """Full pipeline: preprocess, perturb, query the predictor on the batch
-    of distinct perturbed texts, kernel-weight, and fit the local surrogate.
+    of distinct kept token sequences, kernel-weight, and fit the surrogate.
 
-    `predictor` takes a list of texts and returns their hate probabilities.
-    The returned Explanation records seed and sample count for replay.
+    `predictor` takes a list of token tuples and returns their hate
+    probabilities; a text predictor `predict` takes them as
+    `lambda seqs: predict([" ".join(s) for s in seqs])`. The returned
+    Explanation records seed and sample count for replay.
     """
     tokens = preprocess(text, config or PipelineConfig())
     if not tokens:
         raise ValueError("text preprocesses to zero tokens; nothing to explain")
     instance = InterpretableInstance.from_tokens(tokens)
-    masks, texts = perturb(instance, n_samples, seed)
-    # Samples often repeat a text: score each distinct text once.
+    masks, sequences = perturb(instance, n_samples, seed)
+    # Samples often repeat a sequence: score each distinct one once.
     position = {}
-    sample_rows = [position.setdefault(text, len(position)) for text in texts]
+    sample_rows = [position.setdefault(sequence, len(position)) for sequence in sequences]
     distinct = list(position)
     scores = np.asarray(predictor(distinct), dtype=np.float64)
     if scores.shape != (len(distinct),):
-        raise ValueError(
-            f"predictor returned shape {scores.shape}, expected ({len(distinct)},)"
-        )
+        raise ValueError(f"predictor returned shape {scores.shape}, expected ({len(distinct)},)")
+    if not np.isfinite(scores).all():
+        raise ValueError("predictor returned non-finite scores")
     probabilities = scores[sample_rows]
     weights = kernel_weights(masks, kernel_width)
     explanation = fit_local(

@@ -261,7 +261,7 @@ def _read_two_column_csv(path, value_column):
     if not path.exists():
         raise FileNotFoundError(f"file not found: {path}")
     rows = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames or []
         if "id" not in fields or value_column not in fields:

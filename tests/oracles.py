@@ -1,10 +1,29 @@
-"""Independent brute-force oracles used to verify the metrics pipeline.
+"""Independent oracles the tests check the library against.
 
-Everything here is deliberately written with plain Python loops, separate
-from the library's vectorized/rank-based implementations.
+The metric oracles are deliberately written with plain Python loops,
+separate from the library's vectorized/rank-based implementations. The
+loss oracles are forward-only losses whose finite differences check the
+analytic gradients.
 """
 
+import numpy as np
+
+from hatedetect import neural
+from hatedetect.classifier import ModelConfig, forward_probs
 from hatedetect.corpus import HATE, NON_HATE
+
+
+def batch_loss(params: dict, token_ids: np.ndarray, labels, config: ModelConfig) -> float:
+    """Mean BCE of the full model on one batch (forward only)."""
+    return neural.bce(forward_probs(params, token_ids, config), labels)
+
+
+def pair_loss(input_vectors, output_vectors, context, center, negatives) -> float:
+    """Negative-sampling loss for one center position (lower is better)."""
+    h = input_vectors[context].mean(axis=0)
+    s_pos = float(output_vectors[center] @ h)
+    s_neg = output_vectors[negatives] @ h
+    return float(np.logaddexp(0.0, -s_pos) + np.logaddexp(0.0, s_neg).sum())
 
 
 def brute_force_auc(scores, labels) -> float:

@@ -34,7 +34,7 @@ from hatedetect.metrics import PER_CLASS, WEIGHTED, prf, report, roc_auc
 from hatedetect.textprep import PipelineConfig, expand_contractions, preprocess
 
 from conftest import make_keyword_examples
-from oracles import brute_force_auc, brute_force_prf
+from oracles import batch_loss, brute_force_auc, brute_force_prf
 
 H, N = HATE, NON_HATE
 
@@ -101,7 +101,7 @@ def test_criterion_2_gradient_verification():
             labels = rng.integers(0, 2, batch).astype(np.float64)
             _, analytic = classifier_mod.loss_and_grads(params, token_ids, labels, config)
             numeric = neural.finite_diff_grad(
-                lambda p: classifier_mod.batch_loss(p, token_ids, labels, config),
+                lambda p: batch_loss(p, token_ids, labels, config),
                 params,
                 step=1e-5,
             )
@@ -317,9 +317,9 @@ def test_criterion_6_lime_fidelity():
         started = time.perf_counter()
         pipeline = PipelineConfig(stopwords=frozenset())
 
-        def keyword_predictor(texts):
+        def keyword_predictor(sequences):
             return np.array(
-                [1.0 / (1.0 + np.exp(-(4.0 * ("scum" in t.split()) - 2.0))) for t in texts]
+                [1.0 / (1.0 + np.exp(-(4.0 * ("scum" in s) - 2.0))) for s in sequences]
             )
 
         hits = 0
@@ -337,7 +337,7 @@ def test_criterion_6_lime_fidelity():
         assert hits >= 95
 
         constant = explain(
-            lambda texts: np.full(len(texts), 0.3),
+            lambda sequences: np.full(len(sequences), 0.3),
             "nothing to see here at all",
             n_samples=200,
             seed=0,

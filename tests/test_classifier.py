@@ -12,7 +12,6 @@ from hatedetect.classifier import (
     HateClassifier,
     ModelConfig,
     TrainHistory,
-    batch_loss,
     loss_and_grads,
     train,
 )
@@ -21,6 +20,7 @@ from hatedetect.neural import AdamState, adam_step
 from hatedetect.textprep import PipelineConfig
 
 from conftest import FILLER_TOKENS, TRIGGER_TOKENS, make_keyword_examples, make_random_matrix
+from oracles import batch_loss
 
 
 def small_config(**overrides):

@@ -156,7 +156,7 @@ class TestPipeline:
         rescored = json.loads((run_dir / "reports" / "metrics.json").read_text())
         assert rescored == report
 
-    def test_explain_and_nearest(self, workspace, capsys):
+    def test_explain_and_nearest(self, workspace, capsys, monkeypatch):
         tmp_path, config_path = workspace
         run_full_pipeline(config_path)
         run_dir = tmp_path / "run"
@@ -167,6 +167,17 @@ class TestPipeline:
         ) == 0
         assert (run_dir / "explanations" / "explanation.json").exists()
         assert (run_dir / "explanations" / "explanation.html").exists()
+
+        # a model that scores NaN is refused before anything is written
+        written = (run_dir / "explanations" / "explanation.json").read_bytes()
+        monkeypatch.setattr(HateClassifier, "predict_tokens",
+                            lambda self, sequences: np.full(len(sequences), np.nan))
+        assert run_cli(
+            "explain", "--config", str(config_path), "--text", "w00 scum", "--samples", "80",
+        ) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert (run_dir / "explanations" / "explanation.json").read_bytes() == written
+        monkeypatch.undo()
 
         capsys.readouterr()
         assert run_cli(

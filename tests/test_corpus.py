@@ -55,6 +55,16 @@ class TestLoadDataset:
         # ids come from file row order, not from the surviving count
         assert [e.id for e in examples] == ["toy:0", "toy:3"]
 
+    def test_bom_header_and_crlf(self, tmp_path):
+        # spreadsheet exports often start with a UTF-8 BOM and end lines in CRLF
+        path = tmp_path / "d.csv"
+        path.write_bytes("\ufefftext,label\r\none,a\r\n\"two\r\nlines\",b\r\n".encode("utf-8"))
+        examples = load_dataset(path, spec_for(path))
+        assert [(e.id, e.text, e.raw_label) for e in examples] == [
+            ("toy:0", "one", "a"),
+            ("toy:1", "two\r\nlines", "b"),
+        ]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(tmp_path / "nope.csv", spec_for(tmp_path / "nope.csv"))

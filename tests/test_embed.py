@@ -8,7 +8,6 @@ from hatedetect.embed import (
     EmbeddingMatrix,
     Vocabulary,
     _pair_grads,
-    _pair_loss,
     build_vocab,
     cosine,
     nearest,
@@ -18,6 +17,7 @@ from hatedetect.neural import finite_diff_grad
 from hatedetect.textprep import PAD_INDEX, PAD_TOKEN, UNK_TOKEN
 
 from conftest import make_random_matrix, make_vocab
+from oracles import pair_loss
 
 
 class TestVocabulary:
@@ -251,7 +251,7 @@ class TestPairObjective:
             }
 
             def loss(t):
-                return _pair_loss(t["input"], t["output"], context, center, negatives)
+                return pair_loss(t["input"], t["output"], context, center, negatives)
 
             numeric = finite_diff_grad(loss, tables, step=1e-5)
             loss_value, d_context, d_targets, targets = _pair_grads(
@@ -280,7 +280,7 @@ class TestPairObjective:
         }
 
         def loss(t):
-            return _pair_loss(t["input"], t["output"], context, center, negatives)
+            return pair_loss(t["input"], t["output"], context, center, negatives)
 
         numeric = finite_diff_grad(loss, tables, step=1e-5)
         _, d_context, d_targets, targets = _pair_grads(

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from hatedetect.classifier import HateClassifier, ModelConfig
 from hatedetect.explain import (
     DEFAULT_KERNEL_WIDTH,
     InterpretableInstance,
@@ -9,7 +12,9 @@ from hatedetect.explain import (
     kernel_weights,
     perturb,
 )
-from hatedetect.textprep import PipelineConfig
+from hatedetect.textprep import PipelineConfig, preprocess
+
+from conftest import make_random_matrix
 
 PLAIN = PipelineConfig(stopwords=frozenset())
 
@@ -19,10 +24,22 @@ def sigmoid(x):
 
 
 def keyword_predictor(word, gain=4.0, offset=-2.0):
-    def predict(texts):
-        return np.array([sigmoid(gain * (word in t.split()) + offset) for t in texts])
+    def predict(sequences):
+        return np.array([sigmoid(gain * (word in s) + offset) for s in sequences])
 
     return predict
+
+
+def kept_tokens(instance, mask):
+    """Oracle: the instance tokens whose feature the mask keeps, in order."""
+    keep = {f for f, bit in zip(instance.features, mask) if bit}
+    return tuple(t for t in instance.tokens if t in keep)
+
+
+def tiny_model(pipeline, words, seed=0):
+    config = ModelConfig(embedding_dim=8, max_len=12, hidden_size=6, dense1_size=4,
+                         batch_size=16, seed=seed, pipeline=pipeline)
+    return HateClassifier.build(config, make_random_matrix(words, dim=8, seed=seed))
 
 
 class TestInstance:
@@ -32,31 +49,65 @@ class TestInstance:
 
     def test_all_ones_mask_reconstructs(self):
         instance = InterpretableInstance.from_tokens(["x", "y", "x"])
-        assert instance.text_for_mask([1, 1]) == "x y x"
+        masks, sequences = perturb(instance, 2, seed=0)
+        assert masks[0].tolist() == [1, 1]
+        assert sequences[0] == ("x", "y", "x")
 
     def test_masking_drops_every_occurrence(self):
         instance = InterpretableInstance.from_tokens(["x", "y", "x", "z"])
-        assert instance.text_for_mask([0, 1, 1]) == "y z"
+        masks, sequences = perturb(instance, 100, seed=0)
+        dropped_x = [s for m, s in zip(masks.tolist(), sequences) if m == [0, 1, 1]]
+        assert dropped_x and all(s == ("y", "z") for s in dropped_x)
 
 
 class TestPerturb:
     def test_single_feature_exhaustive(self):
         instance = InterpretableInstance.from_tokens(["only"])
-        masks, texts = perturb(instance, 2, seed=0)
+        masks, sequences = perturb(instance, 2, seed=0)
         assert masks.tolist() == [[1], [0]]
-        assert texts == ["only", ""]
+        assert sequences == [("only",), ()]
 
     def test_first_sample_is_original(self):
         instance = InterpretableInstance.from_tokens(["a", "b", "c", "b"])
-        masks, texts = perturb(instance, 10, seed=3)
+        masks, sequences = perturb(instance, 10, seed=3)
         assert masks[0].tolist() == [1, 1, 1]
-        assert texts[0] == "a b c b"
+        assert sequences[0] == ("a", "b", "c", "b")
+
+    def test_sequences_keep_unmasked_tokens_in_order(self):
+        instance = InterpretableInstance.from_tokens(["x", "y", "x", "z", "y"])
+        masks, sequences = perturb(instance, 300, seed=4)
+        assert len(sequences) == 300
+        for mask, sequence in zip(masks, sequences):
+            assert sequence == kept_tokens(instance, mask)
+
+    def test_equal_masks_share_one_sequence(self):
+        instance = InterpretableInstance.from_tokens(list("abcd"))
+        masks, sequences = perturb(instance, 200, seed=6)
+        first = {}
+        for mask, sequence in zip(map(tuple, masks.tolist()), sequences):
+            assert first.setdefault(mask, sequence) is sequence
+        assert len(first) == len({id(s) for s in sequences})
+
+    def test_removed_subsets_uniform(self):
+        # sizes uniform over 1..F, and given a size every subset equally likely
+        n_features, n_samples = 4, 24001
+        instance = InterpretableInstance.from_tokens(list("abcd"))
+        masks, _ = perturb(instance, n_samples, seed=11)
+        removed = 1 - masks[1:]
+        sizes = removed.sum(axis=1)
+        for size in range(1, n_features + 1):
+            assert np.mean(sizes == size) == pytest.approx(1 / n_features, abs=0.015)
+        pairs = removed[sizes == 2]
+        for subset in itertools.combinations(range(n_features), 2):
+            share = np.mean(pairs[:, list(subset)].sum(axis=1) == 2)
+            assert share == pytest.approx(1 / 6, abs=0.025)
 
     def test_deterministic_per_seed(self):
         instance = InterpretableInstance.from_tokens(list("abcdef"))
-        first, _ = perturb(instance, 20, seed=9)
-        second, _ = perturb(instance, 20, seed=9)
+        first, first_sequences = perturb(instance, 20, seed=9)
+        second, second_sequences = perturb(instance, 20, seed=9)
         assert np.array_equal(first, second)
+        assert first_sequences == second_sequences
 
     def test_each_perturbed_sample_removes_something(self):
         instance = InterpretableInstance.from_tokens(list("abcde"))
@@ -169,7 +220,7 @@ class TestFitLocal:
 class TestExplain:
     def test_constant_predictor_near_zero_weights(self):
         explanation = explain(
-            lambda texts: np.full(len(texts), 0.42),
+            lambda sequences: np.full(len(sequences), 0.42),
             "one two three four five",
             n_samples=150,
             seed=0,
@@ -224,32 +275,53 @@ class TestExplain:
             )
             assert dict(explanation.token_weights)[target] >= 0.0
 
-    def test_each_distinct_text_scored_once(self):
+    def test_each_distinct_sequence_scored_once(self):
         keyword = keyword_predictor("scum")
         calls = []
 
-        def predict(texts):
-            calls.append(list(texts))
-            return keyword(texts)
+        def predict(sequences):
+            calls.append(list(sequences))
+            return keyword(sequences)
 
         explanation = explain(predict, "scum and villainy", n_samples=60, seed=0, config=PLAIN)
         instance = InterpretableInstance.from_tokens(["scum", "and", "villainy"])
-        masks, texts = perturb(instance, 60, 0)
+        masks, sequences = perturb(instance, 60, 0)
         assert len(calls) == 1
-        assert sorted(calls[0]) == sorted(set(texts))
-        expected = fit_local(masks, kernel_weights(masks), keyword(texts),
+        assert sorted(calls[0]) == sorted(set(sequences))
+        assert len(calls[0]) == len(set(calls[0]))
+        expected = fit_local(masks, kernel_weights(masks), keyword(sequences),
                              feature_names=instance.features)
         assert explanation.token_weights == expected.token_weights
         assert explanation.intercept == expected.intercept
 
+    def test_text_predictor_through_adapter(self):
+        def text_predict(texts):
+            return np.array([sigmoid(4.0 * ("scum" in t.split()) - 2.0) for t in texts])
+
+        kwargs = dict(n_samples=80, seed=5, config=PLAIN)
+        adapted = explain(lambda seqs: text_predict([" ".join(s) for s in seqs]),
+                          "you scum people ruin everything", **kwargs)
+        direct = explain(keyword_predictor("scum"), "you scum people ruin everything", **kwargs)
+        assert adapted == direct
+
     def test_predictor_output_shape_checked(self):
         with pytest.raises(ValueError, match="shape"):
-            explain(lambda texts: np.zeros(len(texts) + 1), "a b c", n_samples=10, seed=0,
+            explain(lambda sequences: np.zeros(len(sequences) + 1), "a b c", n_samples=10, seed=0,
                     config=PLAIN)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        def predict(sequences):
+            scores = np.full(len(sequences), 0.5)
+            scores[-1] = bad
+            return scores
+
+        with pytest.raises(ValueError, match="non-finite"):
+            explain(predict, "a b c", n_samples=10, seed=0, config=PLAIN)
 
     def test_zero_token_text_rejected(self):
         with pytest.raises(ValueError, match="zero tokens"):
-            explain(lambda texts: np.zeros(len(texts)), "!!! ...", n_samples=10, seed=0)
+            explain(lambda sequences: np.zeros(len(sequences)), "!!! ...", n_samples=10, seed=0)
 
     def test_html_rendering(self):
         explanation = explain(
@@ -270,3 +342,46 @@ class TestExplain:
         assert parsed["seed"] == 0
         assert parsed["n_samples"] == 60
         assert parsed["token_weights"]
+
+
+class TestModelPredictor:
+    def test_token_scores_equal_text_scores_bitwise(self):
+        # Under the default pipeline a sample's joined text preprocesses back
+        # to its tokens, so predict_tokens scores what predict would.
+        pipeline = PipelineConfig(max_len=12)
+        texts = [
+            "You SCUM people can't ruin https://t.co/x everything, @them #here",
+            "vermin   vermin\u2028and naïve trash won’t go",
+            "filth",
+        ]
+        tokens = sorted({t for text in texts for t in preprocess(text, pipeline)})
+        model = tiny_model(pipeline, tokens[::2])  # the rest are out of vocabulary
+        for text in texts:
+            instance = InterpretableInstance.from_tokens(preprocess(text, pipeline))
+            n_features = len(instance.features)
+            masks = np.array(list(itertools.product((0, 1), repeat=n_features))[-64:])
+            sequences = [kept_tokens(instance, mask) for mask in masks]
+            by_tokens = model.predict_tokens(sequences)
+            by_text = model.predict([" ".join(s) for s in sequences])
+            assert by_tokens.tobytes() == by_text.tobytes()
+            assert by_tokens[-1] == model.predict([text])[0]
+
+    def test_all_ones_sample_scores_like_predict(self):
+        # Lowercasing "İ" emits U+0307, which opens a word boundary, so the
+        # joined tokens re-preprocess differently when punctuation is kept.
+        # Sample 0 must still score the model's own tokens.
+        pipeline = PipelineConfig(strip_punctuation=False, stopwords=frozenset(), max_len=12)
+        text = "İwon't stop"
+        tokens = preprocess(text, pipeline)
+        assert tokens == ["i\u0307won't", "stop"]
+        assert preprocess(" ".join(tokens), pipeline) == ["i\u0307will", "not", "stop"]
+        model = tiny_model(pipeline, [*tokens, "i\u0307will", "not"])
+        scored = {}
+
+        def predict(sequences):
+            scores = model.predict_tokens(sequences)
+            scored.update(zip(sequences, scores.tolist()))
+            return scores
+
+        explain(predict, text, n_samples=20, seed=0, config=pipeline)
+        assert scored[tuple(tokens)] == model.predict([text])[0]

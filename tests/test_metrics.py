@@ -259,6 +259,15 @@ class TestScoreExternal:
         with pytest.raises(FileNotFoundError):
             score_external(tmp_path / "p.csv", tmp_path / "l.csv")
 
+    def test_bom_header_and_crlf(self, tmp_path):
+        (tmp_path / "p.csv").write_bytes("\ufeffid,score\r\na,0.9\r\nb,0.2\r\n".encode("utf-8"))
+        (tmp_path / "l.csv").write_bytes(
+            "\ufeffid,label\r\na,hate\r\nb,nonhate\r\n".encode("utf-8"))
+        write_predictions_csv(tmp_path / "p2.csv", ["a", "b"], [0.9, 0.2])
+        write_labels_csv(tmp_path / "l2.csv", ["a", "b"], [H, N])
+        expected = score_external(tmp_path / "p2.csv", tmp_path / "l2.csv")
+        assert score_external(tmp_path / "p.csv", tmp_path / "l.csv") == expected
+
     def test_bad_header(self, tmp_path):
         (tmp_path / "p.csv").write_text("identifier,value\na,0.5\n")
         write_labels_csv(tmp_path / "l.csv", ["a"], [H])

@@ -75,6 +75,39 @@ def test_idempotence():
         assert again == once
 
 
+HOSTILE_FRAGMENTS = (
+    "naïve", "İstanbul", "STRASSE", "straße", "日本語", "🙂", "ǅemal", "x\u0307",
+    "can’t", "WON’T", "it’s", "can't", "y'all", "shouldn't've", "İwon't", "Isn't",
+    "https://t.co/abc?x=1", "www.example.org/a_b", "HTTP://X.Y", "@some_user", "@ünï",
+    "#GoHome", "#tag2", "&amp;", "!!!", "-", "'", "’", "123", "a1b2", "the", "not",
+    "\x1c", "\u2028", "\u00a0", "\t", "\r\n",
+)
+SEPARATORS = (" ", "", "\x1c", "\u2028", "\u3000", "\n", ",")
+
+
+def test_preprocess_keeps_any_subsequence_of_its_output():
+    # Explanations score subsequences of a text's tokens joined by spaces;
+    # with punctuation stripped, every such text preprocesses back to
+    # exactly those tokens, so no sample is re-tokenized.
+    rng = np.random.default_rng(0)
+    configs = [
+        PipelineConfig(lowercase=lowercase, expand_contractions=expand, stopwords=stopwords)
+        for lowercase in (True, False)
+        for expand in (True, False)
+        for stopwords in (default_stopwords(), frozenset())
+    ]
+    for _ in range(300):
+        n = int(rng.integers(1, 12))
+        text = ""
+        for j in rng.integers(0, len(HOSTILE_FRAGMENTS), n):
+            text += HOSTILE_FRAGMENTS[j] + SEPARATORS[int(rng.integers(0, len(SEPARATORS)))]
+        for config in configs:
+            tokens = preprocess(text, config)
+            for _ in range(3):
+                sub = [t for t in tokens if rng.random() < 0.6]
+                assert preprocess(" ".join(sub), config) == sub, (text, config)
+
+
 def test_default_stopwords_exclude_negators():
     words = default_stopwords()
     assert not (NEGATORS & words)
