@@ -49,13 +49,12 @@ PARAM_NAMES = (
     "dense2_bias",
 )
 
-SEQUENCE_REPRS = ("final", "flatten")
-
 
 @dataclass(frozen=True)
 class ModelConfig:
-    embedding_dim: int = 300
-    max_len: int = 50
+    """Layer sizes and training settings. The input length is
+    pipeline.max_len; the input width is the embedding table's."""
+
     hidden_size: int = 128
     dense1_size: int = 64
     dense1_activation: str = "identity"
@@ -69,12 +68,12 @@ class ModelConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
 
     def __post_init__(self):
-        for name in ("embedding_dim", "max_len", "hidden_size", "dense1_size", "batch_size", "epochs"):
+        for name in ("hidden_size", "dense1_size", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dense1_activation not in neural.DENSE_ACTIVATIONS:
             raise ValueError(f"unknown dense1 activation {self.dense1_activation!r}")
-        if self.sequence_repr not in SEQUENCE_REPRS:
+        if self.sequence_repr not in neural.SEQUENCE_REPRS:
             raise ValueError(f"unknown sequence representation {self.sequence_repr!r}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
@@ -84,7 +83,7 @@ class ModelConfig:
     @property
     def feature_size(self) -> int:
         width = 2 * self.hidden_size
-        return width * self.max_len if self.sequence_repr == "flatten" else width
+        return width * self.pipeline.max_len if self.sequence_repr == "flatten" else width
 
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -93,9 +92,19 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        data = dict(data)
-        data["pipeline"] = PipelineConfig.from_dict(data["pipeline"])
-        return cls(**data)
+        """Inverse of to_dict; a key left out keeps its default.
+
+        Older format 1.0 manifests also state the input width, which the
+        tensors carry, and a top-level max_len, the length the model
+        encoded at, which becomes the pipeline's. Keys that are not fields
+        are dropped.
+        """
+        pipeline = dict(data.get("pipeline", {}))
+        if "max_len" in data:
+            pipeline["max_len"] = data["max_len"]
+        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
+        kwargs["pipeline"] = PipelineConfig.from_dict(pipeline)
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -119,8 +128,8 @@ class TrainHistory:
         return cls(tuple(EpochRecord(**r) for r in data["records"]), data["selected_epoch"])
 
 
-def _expected_shapes(config: ModelConfig, vocab_size: int) -> dict:
-    d, h = config.embedding_dim, config.hidden_size
+def _expected_shapes(config: ModelConfig, vocab_size: int, d: int) -> dict:
+    h = config.hidden_size
     shapes = {"embedding": (vocab_size, d)}
     for direction in ("fwd", "bwd"):
         shapes[f"{direction}_w_in"] = (4 * h, d)
@@ -134,13 +143,15 @@ def _expected_shapes(config: ModelConfig, vocab_size: int) -> dict:
 
 
 def init_params(config: ModelConfig, embedding_table: np.ndarray, dtype=np.float32) -> dict:
-    """Seeded parameter dict; the embedding table is copied, everything else
-    drawn uniform +-1/sqrt(fan) with zero biases."""
+    """Seeded parameter dict; the embedding table is copied and sets the
+    input width, everything else is drawn uniform +-1/sqrt(fan) with zero
+    biases."""
     rng = np.random.default_rng(config.seed)
     h = config.hidden_size
     params = {"embedding": np.array(embedding_table, dtype=dtype, order="C")}
-    fwd = neural.init_lstm_params(config.embedding_dim, h, rng, dtype)
-    bwd = neural.init_lstm_params(config.embedding_dim, h, rng, dtype)
+    d = params["embedding"].shape[1]
+    fwd = neural.init_lstm_params(d, h, rng, dtype)
+    bwd = neural.init_lstm_params(d, h, rng, dtype)
     params.update(fwd_w_in=fwd.w_in, fwd_w_rec=fwd.w_rec, fwd_bias=fwd.bias)
     params.update(bwd_w_in=bwd.w_in, bwd_w_rec=bwd.w_rec, bwd_bias=bwd.bias)
     dense1 = neural.init_dense_params(config.feature_size, config.dense1_size, rng, dtype=dtype)
@@ -226,10 +237,11 @@ class HateClassifier:
     """A built or loaded model: predicts hate probabilities for raw texts."""
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary, params: dict, history=None):
-        expected = _expected_shapes(config, len(vocab))
         for name in PARAM_NAMES:
             if name not in params:
                 raise ValueError(f"missing parameter tensor {name!r}")
+        expected = _expected_shapes(config, len(vocab), params["embedding"].shape[-1])
+        for name in PARAM_NAMES:
             if tuple(params[name].shape) != expected[name]:
                 raise ValueError(
                     f"checkpoint inconsistency: {name} has shape {params[name].shape}, "
@@ -243,11 +255,6 @@ class HateClassifier:
     @classmethod
     def build(cls, config: ModelConfig, embeddings: EmbeddingMatrix) -> "HateClassifier":
         """Wire the three layers over a pretrained embedding matrix."""
-        if embeddings.dim != config.embedding_dim:
-            raise ValueError(
-                f"embeddings have dimension {embeddings.dim} but the model "
-                f"expects {config.embedding_dim}"
-            )
         params = init_params(config, embeddings.vectors)
         return cls(config, embeddings.vocab, params)
 
@@ -255,9 +262,10 @@ class HateClassifier:
         return self._encode_tokens(preprocess(text, self.config.pipeline) for text in texts)
 
     def _encode_tokens(self, sequences) -> np.ndarray:
-        rows = [encode(tokens, self.vocab, self.config.max_len) for tokens in sequences]
+        max_len = self.config.pipeline.max_len
+        rows = [encode(tokens, self.vocab, max_len) for tokens in sequences]
         if not rows:
-            return np.zeros((0, self.config.max_len), dtype=np.int64)
+            return np.zeros((0, max_len), dtype=np.int64)
         return np.stack(rows)
 
     def predict(self, texts) -> np.ndarray:
@@ -282,12 +290,6 @@ class HateClassifier:
     @property
     def threshold(self) -> float:
         return self.config.threshold
-
-    def classify(self, texts, threshold: float | None = None) -> list:
-        """Hate iff probability >= threshold."""
-        if threshold is None:
-            threshold = self.threshold
-        return threshold_labels(self.predict(texts), threshold)
 
     def save(self, path) -> None:
         """Versioned archive: JSON manifest + raw little-endian float32 tensors.

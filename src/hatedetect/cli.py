@@ -13,7 +13,7 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -33,11 +33,32 @@ EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
+# What a run config may give for each annotated config field, and how that
+# is said in an error message.
+_JSON_TYPES = {
+    "bool": (bool, "true or false"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "frozenset": (list, "a list"),
+}
 
-@dataclass
-class Command:
-    verb: str
-    args: argparse.Namespace
+
+def _section(data: dict, name: str, config_class, **defaults) -> dict:
+    """Section `name` of a run config as keywords for config_class, over
+    `defaults`. A key that is not a field of config_class, or a value of
+    the wrong type, is refused with an error that names both."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {name!r} must be an object")
+    annotations = {f.name: f.type for f in fields(config_class)}
+    for key, value in section.items():
+        if annotations.get(key) not in _JSON_TYPES:
+            raise ValueError(f"config section {name!r} has no key {key!r}")
+        expected, wanted = _JSON_TYPES[annotations[key]]
+        if not isinstance(value, expected) or isinstance(value, bool) != (expected is bool):
+            raise ValueError(f"config key {name}.{key} must be {wanted}, got {value!r}")
+    return {**defaults, **section}
 
 
 @dataclass
@@ -50,7 +71,6 @@ class RunConfig:
     stratified: bool
     balanced: bool
     per_class_cap: int | None
-    pipeline: PipelineConfig
     cbow: CbowConfig
     model: ModelConfig
     overrides: dict
@@ -96,21 +116,10 @@ class RunConfig:
         split_cfg = data.get("split", {})
         combine_cfg = data.get("combine", {})
 
-        pipeline_kwargs = dict(data.get("pipeline", {}))
-        if "stopwords" in pipeline_kwargs:
-            pipeline_kwargs["stopwords"] = frozenset(pipeline_kwargs["stopwords"])
-        pipeline = PipelineConfig(**pipeline_kwargs)
-
-        cbow_kwargs = dict(data.get("cbow", {}))
-        cbow_kwargs.setdefault("seed", seed)
-        cbow = CbowConfig(**cbow_kwargs)
-
-        model_kwargs = dict(data.get("model", {}))
-        model_kwargs.setdefault("seed", seed)
-        model_kwargs.setdefault("embedding_dim", cbow.dim)
-        model_kwargs.setdefault("max_len", pipeline.max_len)
-        model_kwargs["pipeline"] = pipeline
-        model = ModelConfig(**model_kwargs)
+        pipeline = _section(data, "pipeline", PipelineConfig)
+        cbow = CbowConfig(**_section(data, "cbow", CbowConfig, seed=seed))
+        model = ModelConfig.from_dict(_section(data, "model", ModelConfig, seed=seed,
+                                               pipeline=pipeline))
 
         return cls(
             path=path,
@@ -121,7 +130,6 @@ class RunConfig:
             stratified=bool(split_cfg.get("stratified", True)),
             balanced=bool(combine_cfg.get("balanced", True)),
             per_class_cap=combine_cfg.get("per_class_cap"),
-            pipeline=pipeline,
             cbow=cbow,
             model=model,
             overrides=overrides,
@@ -182,11 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("sweep-activation",
                           help="train once per dense1 activation and compare"))
     return parser
-
-
-def parse(argv) -> Command:
-    args = build_parser().parse_args(argv)
-    return Command(args.verb, args)
 
 
 def _load_config(args) -> RunConfig:
@@ -251,7 +254,7 @@ def _cmd_embed_train(args) -> int:
             texts = [line.rstrip("\n") for line in handle if line.strip()]
     else:
         texts = [example.text for example in _load_prepared(config).train]
-    sequences = [preprocess(text, config.pipeline) for text in texts]
+    sequences = [preprocess(text, config.model.pipeline) for text in texts]
     if args.dry_run:
         print(f"dry run: would train {config.cbow.dim}-dim vectors on "
               f"{len(sequences)} documents")
@@ -424,11 +427,14 @@ _HANDLERS = {
 }
 
 
-def run(command: Command) -> int:
-    """Dispatch a parsed command, mapping error families to exit codes."""
-    handler = _HANDLERS[command.verb]
+def main(argv=None) -> int:
+    """Parse argv and run its verb, mapping error families to exit codes."""
     try:
-        return handler(command.args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return _HANDLERS[args.verb](args)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -438,14 +444,6 @@ def run(command: Command) -> int:
     except (ValueError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-
-
-def main(argv=None) -> int:
-    try:
-        command = parse(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    return run(command)
 
 
 if __name__ == "__main__":

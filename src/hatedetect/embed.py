@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +89,6 @@ class CbowConfig:
     min_lr: float = 1e-4
     min_count: int = 5
     subsample: float = 1e-3  # 0 disables frequent-word subsampling
-    dynamic_window: bool = True  # radius drawn uniform in 1..window per center
     seed: int = 0
 
     def __post_init__(self):
@@ -99,13 +98,6 @@ class CbowConfig:
             raise ValueError("need initial_lr >= min_lr > 0")
         if self.subsample < 0:
             raise ValueError("subsample threshold must be >= 0")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CbowConfig":
-        return cls(**data)
 
 
 @dataclass
@@ -122,6 +114,8 @@ class EmbeddingMatrix:
                 f"vector table shape {self.vectors.shape} does not match "
                 f"vocabulary of size {len(self.vocab)}"
             )
+        if self.dim < 1:
+            raise ValueError("word vectors must have at least one component")
         if not np.all(np.isfinite(self.vectors)):
             raise ValueError("embedding matrix contains non-finite values")
         if np.any(self.vectors[PAD_INDEX] != 0.0):
@@ -347,10 +341,7 @@ def train_cbow(corpus, config: CbowConfig, vocab: Vocabulary | None = None):
             if len(sentence) < 2:
                 continue
             for position in range(len(sentence)):
-                if config.dynamic_window:
-                    radius = int(rng.integers(1, config.window + 1))
-                else:
-                    radius = config.window
+                radius = int(rng.integers(1, config.window + 1))
                 lo = max(0, position - radius)
                 context = np.concatenate(
                     (sentence[lo:position], sentence[position + 1 : position + 1 + radius])

@@ -1,9 +1,9 @@
 """Numerical core: activations, binary cross-entropy, an LSTM cell with
 exact backpropagation through time, bidirectional composition, dense
-layers, Adam, and a central finite-difference gradient oracle.
+layers and Adam.
 
 Everything is plain numpy. Training runs in float32 by default; gradient
-verification runs the same code in float64.
+verification (tests/oracles.py) runs the same code in float64.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 PROB_EPS = 1e-7  # probability clamp used by the loss and by predictions
+
+DENSE_ACTIVATIONS = ("identity", "sigmoid", "relu")
+SEQUENCE_REPRS = ("final", "flatten")  # what bilstm_batch_forward returns per row
 
 
 class NumericError(RuntimeError):
@@ -273,7 +276,7 @@ def bilstm_batch_forward(inputs, forward_params, backward_params, mode="final",
     mode="flatten": per-position concatenation flattened to (B, 2h*L),
     zero past each row's length.
     """
-    if mode not in ("final", "flatten"):
+    if mode not in SEQUENCE_REPRS:
         raise ValueError(f"unknown sequence representation {mode!r}")
     inputs = np.asarray(inputs)
     if inputs.ndim != 3 or inputs.shape[1] < 1:
@@ -312,9 +315,6 @@ def bilstm_batch_backward(d_features, caches, forward_params, backward_params, m
     d_in_bwd, grads_bwd = lstm_backward(d_states_bwd, cache_bwd, backward_params, input_grad)
     d_inputs = d_in_fwd + d_in_bwd if input_grad else None
     return d_inputs, grads_fwd, grads_bwd
-
-
-DENSE_ACTIVATIONS = ("identity", "sigmoid", "relu")
 
 
 @dataclass
@@ -414,32 +414,3 @@ def adam_step(params: dict, grads: dict, state: AdamState):
         v_hat = v / correction2
         param -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
     return params, state
-
-
-def finite_diff_grad(f, params, step: float = 1e-5):
-    """Central finite differences of a scalar function, coordinate by
-    coordinate. `params` is an ndarray or a dict of ndarrays; `f` is
-    called on the same (temporarily perturbed) object and must be pure.
-    """
-    if isinstance(params, np.ndarray):
-        wrapped = {"_": params}
-        return _finite_diff_dict(lambda p: f(p["_"]), wrapped, step)["_"]
-    return _finite_diff_dict(f, params, step)
-
-
-def _finite_diff_dict(f, params, step):
-    grads = {}
-    for name, tensor in params.items():
-        grad = np.zeros(tensor.shape, dtype=np.float64)
-        flat = tensor.reshape(-1)
-        grad_flat = grad.reshape(-1)
-        for idx in range(flat.size):
-            saved = flat[idx]
-            flat[idx] = saved + step
-            f_plus = f(params)
-            flat[idx] = saved - step
-            f_minus = f(params)
-            flat[idx] = saved
-            grad_flat[idx] = (f_plus - f_minus) / (2.0 * step)
-        grads[name] = grad
-    return grads

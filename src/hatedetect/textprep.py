@@ -10,7 +10,7 @@ tokens keep their exact surface form.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from importlib import resources
 from typing import TYPE_CHECKING, Iterable
@@ -86,23 +86,17 @@ class PipelineConfig:
             raise ValueError(f"stopword list must not contain negators: {sorted(banned)}")
 
     def to_dict(self) -> dict:
-        return {
-            "lowercase": self.lowercase,
-            "expand_contractions": self.expand_contractions,
-            "strip_punctuation": self.strip_punctuation,
-            "stopwords": sorted(self.stopwords),
-            "max_len": self.max_len,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["stopwords"] = sorted(self.stopwords)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
-        return cls(
-            lowercase=data["lowercase"],
-            expand_contractions=data["expand_contractions"],
-            strip_punctuation=data["strip_punctuation"],
-            stopwords=frozenset(data["stopwords"]),
-            max_len=data["max_len"],
-        )
+        """Inverse of to_dict; a key left out keeps its default."""
+        data = dict(data)
+        if "stopwords" in data:
+            data["stopwords"] = frozenset(data["stopwords"])
+        return cls(**data)
 
 
 def preprocess(text: str, config: PipelineConfig | None = None) -> list[str]:

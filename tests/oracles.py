@@ -2,8 +2,8 @@
 
 The metric oracles are deliberately written with plain Python loops,
 separate from the library's vectorized/rank-based implementations. The
-loss oracles are forward-only losses whose finite differences check the
-analytic gradients.
+loss oracles are forward-only losses whose central finite differences
+(finite_diff_grad) check the analytic gradients.
 """
 
 import numpy as np
@@ -69,3 +69,32 @@ def brute_force_prf(predicted, actual) -> dict:
     }
     counts["weighted"] = weighted
     return counts
+
+
+def finite_diff_grad(f, params, step: float = 1e-5):
+    """Central finite differences of a scalar function, coordinate by
+    coordinate. `params` is an ndarray or a dict of ndarrays; `f` is
+    called on the same (temporarily perturbed) object and must be pure.
+    """
+    if isinstance(params, np.ndarray):
+        wrapped = {"_": params}
+        return _finite_diff_dict(lambda p: f(p["_"]), wrapped, step)["_"]
+    return _finite_diff_dict(f, params, step)
+
+
+def _finite_diff_dict(f, params, step):
+    grads = {}
+    for name, tensor in params.items():
+        grad = np.zeros(tensor.shape, dtype=np.float64)
+        flat = tensor.reshape(-1)
+        grad_flat = grad.reshape(-1)
+        for idx in range(flat.size):
+            saved = flat[idx]
+            flat[idx] = saved + step
+            f_plus = f(params)
+            flat[idx] = saved - step
+            f_minus = f(params)
+            flat[idx] = saved
+            grad_flat[idx] = (f_plus - f_minus) / (2.0 * step)
+        grads[name] = grad
+    return grads

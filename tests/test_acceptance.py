@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from hatedetect import classifier as classifier_mod
-from hatedetect import neural
 from hatedetect.classifier import HateClassifier, ModelConfig, train
 from hatedetect.corpus import (
     HATE,
@@ -34,7 +33,7 @@ from hatedetect.metrics import PER_CLASS, WEIGHTED, prf, report, roc_auc
 from hatedetect.textprep import PipelineConfig, expand_contractions, preprocess
 
 from conftest import make_keyword_examples
-from oracles import batch_loss, brute_force_auc, brute_force_prf
+from oracles import batch_loss, brute_force_auc, brute_force_prf, finite_diff_grad
 
 H, N = HATE, NON_HATE
 
@@ -84,8 +83,6 @@ def test_criterion_2_gradient_verification():
         for trial in range(20):
             rng = np.random.default_rng(100 + trial)
             config = ModelConfig(
-                embedding_dim=d,
-                max_len=length,
                 hidden_size=h,
                 dense1_size=4,
                 embeddings_trainable=(trial % 2 == 0),
@@ -100,7 +97,7 @@ def test_criterion_2_gradient_verification():
             token_ids = rng.integers(0, vocab_size, (batch, length))
             labels = rng.integers(0, 2, batch).astype(np.float64)
             _, analytic = classifier_mod.loss_and_grads(params, token_ids, labels, config)
-            numeric = neural.finite_diff_grad(
+            numeric = finite_diff_grad(
                 lambda p: batch_loss(p, token_ids, labels, config),
                 params,
                 step=1e-5,
@@ -165,8 +162,6 @@ def keyword_pipeline_run(examples, seed=5):
     )
     matrix, _ = train_cbow(sequences, embed_config)
     model_config = ModelConfig(
-        embedding_dim=16,
-        max_len=20,
         hidden_size=16,
         dense1_size=8,
         batch_size=32,
@@ -230,8 +225,6 @@ def test_criterion_4b_davidson_directional():
         embed_config = CbowConfig(window=5, dim=100, negative=5, epochs=3, min_count=2, seed=13)
         matrix, _ = train_cbow(sequences, embed_config)
         model_config = ModelConfig(
-            embedding_dim=100,
-            max_len=30,
             hidden_size=64,
             dense1_size=32,
             batch_size=256,
@@ -386,8 +379,6 @@ def keyword_pipeline_run_small(examples, seed=9):
         CbowConfig(window=3, dim=8, negative=3, epochs=2, min_count=1, subsample=0.0, seed=seed),
     )
     config = ModelConfig(
-        embedding_dim=8,
-        max_len=20,
         hidden_size=6,
         dense1_size=4,
         batch_size=32,

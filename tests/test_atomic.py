@@ -49,7 +49,7 @@ def test_save_text_failing_mid_write_keeps_previous_file(tmp_path):
 
 
 def test_checkpoint_save_failing_mid_write_keeps_previous_file(tmp_path, monkeypatch):
-    config = ModelConfig(embedding_dim=4, max_len=6, hidden_size=3, dense1_size=2,
+    config = ModelConfig(hidden_size=3, dense1_size=2,
                          pipeline=PipelineConfig(stopwords=frozenset(), max_len=6))
     model = HateClassifier.build(config, make_random_matrix(["a", "b"], dim=4, seed=1))
     path = tmp_path / "model.ckpt"

@@ -16,6 +16,7 @@ from hatedetect.classifier import (
     train,
 )
 from hatedetect.corpus import HATE, NON_HATE, split
+from hatedetect.metrics import threshold_labels
 from hatedetect.neural import AdamState, adam_step
 from hatedetect.textprep import PipelineConfig
 
@@ -25,8 +26,6 @@ from oracles import batch_loss
 
 def small_config(**overrides):
     defaults = dict(
-        embedding_dim=8,
-        max_len=12,
         hidden_size=6,
         dense1_size=4,
         batch_size=16,
@@ -48,8 +47,6 @@ def small_model(seed=0, **overrides):
 class TestBuild:
     def test_parameter_shapes_from_layer_arithmetic(self):
         config = ModelConfig(
-            embedding_dim=300,
-            max_len=50,
             hidden_size=128,
             dense1_size=64,
             pipeline=PipelineConfig(max_len=50),
@@ -63,12 +60,6 @@ class TestBuild:
         assert model.params["dense1_weights"].shape == (64, 256)
         assert model.params["dense2_weights"].shape == (1, 64)
         assert model.params["embedding"].shape == (5, 300)
-
-    def test_dimension_mismatch(self):
-        config = small_config(embedding_dim=300)
-        matrix = make_random_matrix(["a", "b"], dim=200, seed=0)
-        with pytest.raises(ValueError, match="200"):
-            HateClassifier.build(config, matrix)
 
     def test_equal_seed_equal_initial_weights(self):
         first = small_model(seed=4)
@@ -131,21 +122,21 @@ class TestClassify:
     def test_boundary_is_hate(self):
         model = self.with_fixed_probability(0.5)
         assert model.predict(["whatever"])[0] == 0.5
-        assert model.classify(["whatever"]) == [HATE]
+        assert threshold_labels(model.predict(["whatever"]), model.threshold) == [HATE]
 
     def test_below_threshold(self):
         model = self.with_fixed_probability(0.49)
-        assert model.classify(["x"]) == [NON_HATE]
+        assert threshold_labels(model.predict(["x"]), model.threshold) == [NON_HATE]
 
     def test_high_threshold(self):
         model = self.with_fixed_probability(0.8)
-        assert model.classify(["x"], threshold=0.9) == [NON_HATE]
-        assert model.classify(["x"], threshold=0.5) == [HATE]
+        assert threshold_labels(model.predict(["x"]), 0.9) == [NON_HATE]
+        assert threshold_labels(model.predict(["x"]), 0.5) == [HATE]
 
     def test_threshold_validation(self):
         model = small_model()
         with pytest.raises(ValueError):
-            model.classify(["x"], threshold=1.0)
+            threshold_labels(model.predict(["x"]), 1.0)
 
     def test_raising_threshold_never_adds_hate(self):
         model = small_model(seed=2)
@@ -153,7 +144,7 @@ class TestClassify:
         previous_hate = None
         for threshold in (0.2, 0.4, 0.6, 0.8):
             hate_ids = {
-                i for i, label in enumerate(model.classify(texts, threshold=threshold))
+                i for i, label in enumerate(threshold_labels(model.predict(texts), threshold))
                 if label == HATE
             }
             if previous_hate is not None:
@@ -169,8 +160,6 @@ def trained_setup():
         list(FILLER_TOKENS) + list(TRIGGER_TOKENS), dim=8, seed=1
     )
     config = ModelConfig(
-        embedding_dim=8,
-        max_len=20,
         hidden_size=8,
         dense1_size=6,
         batch_size=32,
@@ -196,7 +185,7 @@ class TestTrain:
         bundle, _, _, history, best = trained_setup
         assert history.records[-1].validation_weighted_f1 >= 0.98
         texts = [e.text for e in bundle.test]
-        predicted = best.classify(texts)
+        predicted = threshold_labels(best.predict(texts), best.threshold)
         actual = [e.binary_label for e in bundle.test]
         accuracy = sum(p == a for p, a in zip(predicted, actual)) / len(actual)
         assert accuracy >= 0.98
@@ -219,7 +208,7 @@ class TestTrain:
     def test_frozen_embeddings_unchanged(self):
         examples = make_keyword_examples(120, seed=1)
         matrix = make_random_matrix(list(FILLER_TOKENS) + list(TRIGGER_TOKENS), dim=8, seed=2)
-        config = small_config(max_len=20, epochs=1, embeddings_trainable=False,
+        config = small_config(epochs=1, embeddings_trainable=False,
                               pipeline=PipelineConfig(stopwords=frozenset(), max_len=20))
         model = HateClassifier.build(config, matrix)
         before = model.params["embedding"].copy()
@@ -229,7 +218,7 @@ class TestTrain:
     def test_first_batch_loss_decreases_after_one_step(self):
         examples = make_keyword_examples(64, seed=6)
         for seed in range(10):
-            config = small_config(seed=seed, max_len=20,
+            config = small_config(seed=seed,
                                   pipeline=PipelineConfig(stopwords=frozenset(), max_len=20))
             matrix = make_random_matrix(
                 list(FILLER_TOKENS) + list(TRIGGER_TOKENS), dim=8, seed=seed
@@ -266,7 +255,7 @@ class TestLengthAware:
     @staticmethod
     def with_max_len(model, max_len):
         pipeline = replace(model.config.pipeline, max_len=max_len)
-        config = replace(model.config, max_len=max_len, pipeline=pipeline)
+        config = replace(model.config, pipeline=pipeline)
         return HateClassifier(config, model.vocab, model.params)
 
     def test_same_probability_at_any_max_len(self, trained_setup):
@@ -274,6 +263,13 @@ class TestLengthAware:
         short = self.with_max_len(best, 20).predict(self.TEXTS)
         long = self.with_max_len(best, 50).predict(self.TEXTS)
         assert np.max(np.abs(short - long)) < 1e-6
+
+    def test_texts_truncated_at_the_pipeline_max_len(self, trained_setup):
+        _, _, _, _, best = trained_setup
+        model = self.with_max_len(best, 5)
+        assert model.encode_texts(["w01"]).shape == (1, 5)
+        head = "w01 scum w02 w03 w04"
+        assert model.predict([head + " vermin trash"])[0] == model.predict([head])[0]
 
     def test_same_probability_alone_and_beside_a_long_text(self, trained_setup):
         _, _, _, _, best = trained_setup
@@ -325,7 +321,7 @@ class TestLstmCallShapes:
         assert len(forward_inputs) == len(backward_caches) == 2
         longest = 3  # the batch is trimmed to its longest row
         for (inputs, hidden), (cache, cache_hidden) in zip(forward_inputs, backward_caches):
-            assert np.shape(inputs) == (4, longest, model.config.embedding_dim)
+            assert np.shape(inputs) == (4, longest, model.params["embedding"].shape[1])
             assert hidden == cache_hidden == model.config.hidden_size
             assert cache[0] is inputs
 
@@ -411,6 +407,29 @@ class TestCheckpoint:
         texts = ["scum w00 w01", "w02 w03", "", "vermin trash"]
         assert np.array_equal(a.predict(texts), b.predict(texts))
 
+    def test_format_1_0_manifest_with_model_max_len_loads(self, tmp_path, trained_setup):
+        # Older 1.0 manifests stated the input width and length in the model
+        # config as well; the top-level max_len was the one the model encoded at.
+        _, _, _, _, best = trained_setup
+        path = tmp_path / "model.ckpt"
+        best.save(path)
+        with zipfile.ZipFile(path) as archive:
+            manifest = json.loads(archive.read("manifest.json"))
+            blob = archive.read("params.bin")
+        legacy = {"embedding_dim": best.params["embedding"].shape[1],
+                  "max_len": best.config.pipeline.max_len, **manifest["model_config"]}
+        legacy["pipeline"] = {**legacy["pipeline"], "max_len": 7}
+        manifest["model_config"] = legacy
+        old = tmp_path / "old.ckpt"
+        with zipfile.ZipFile(old, "w") as archive:
+            archive.writestr("manifest.json", json.dumps(manifest, indent=2))
+            archive.writestr("params.bin", blob)
+        loaded = HateClassifier.load(old)
+        assert loaded.config.pipeline.max_len == best.config.pipeline.max_len == 20
+        assert loaded.config == best.config
+        texts = [" ".join(FILLER_TOKENS[i : i + 12]) + " scum" for i in range(4)] + ["vermin", ""]
+        assert loaded.predict(texts).tobytes() == best.predict(texts).tobytes()
+
     def test_vocabulary_embedding_mismatch_rejected(self):
         model = small_model()
         params = {n: t.copy() for n, t in model.params.items()}
@@ -437,9 +456,12 @@ class TestModelConfig:
     def test_dict_keys_are_pinned(self, trained_setup):
         # checkpoint manifests and history.json must keep these keys in this order
         assert list(ModelConfig().to_dict()) == [
-            "embedding_dim", "max_len", "hidden_size", "dense1_size", "dense1_activation",
-            "sequence_repr", "embeddings_trainable", "batch_size", "epochs", "learning_rate",
-            "threshold", "seed", "pipeline",
+            "hidden_size", "dense1_size", "dense1_activation", "sequence_repr",
+            "embeddings_trainable", "batch_size", "epochs", "learning_rate", "threshold", "seed",
+            "pipeline",
+        ]
+        assert list(PipelineConfig().to_dict()) == [
+            "lowercase", "expand_contractions", "strip_punctuation", "stopwords", "max_len",
         ]
         _, _, _, history, _ = trained_setup
         data = history.to_dict()

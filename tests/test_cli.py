@@ -8,7 +8,7 @@ from hatedetect import cli
 from hatedetect.classifier import HateClassifier
 from hatedetect.corpus import HATE, NON_HATE, load_split_manifests
 
-from conftest import make_keyword_examples
+from conftest import make_keyword_examples, make_random_matrix
 
 
 def write_dataset(path, n=80, seed=0):
@@ -60,11 +60,11 @@ def run_cli(*argv):
 
 class TestParse:
     def test_embed_nearest(self):
-        command = cli.parse(["embed-nearest", "--word", "fc*", "--k", "10",
-                             "--embeddings", "e.txt"])
-        assert command.verb == "embed-nearest"
-        assert command.args.word == "fc*"
-        assert command.args.k == 10
+        args = cli.build_parser().parse_args(["embed-nearest", "--word", "fc*", "--k", "10",
+                                              "--embeddings", "e.txt"])
+        assert args.verb == "embed-nearest"
+        assert args.word == "fc*"
+        assert args.k == 10
 
     def test_missing_required_argument(self, capsys):
         assert run_cli("train") == 2
@@ -106,6 +106,28 @@ class TestPrepare:
     def test_missing_dataset_exit_io(self, tmp_path):
         config_path = write_config(tmp_path)  # toy.csv never written
         assert run_cli("prepare", "--config", str(config_path)) == 2
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "hidden_sise", 8),
+        ("cbow", "dimm", 5),
+        ("pipeline", "stop_words", []),
+        ("pipeline", "max_len", "50"),
+        ("model", "epochs", True),
+        ("cbow", "dim", 8.0),
+        ("model", "max_len", 16),  # the pipeline's max_len is the model's
+        ("model", "embedding_dim", 8),  # the vector file's width is the model's
+        ("model", "pipeline", {}),
+    ])
+    def test_bad_config_key_exit_validation(self, tmp_path, capsys, section, key, value):
+        write_dataset(tmp_path / "toy.csv")
+        config = json.loads(write_config(tmp_path, name="base.json").read_text())
+        config[section][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("prepare", "--config", str(path)) == 3
+        err = capsys.readouterr().err
+        assert section in err and key in err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_seed_rejected(self, tmp_path):
         write_dataset(tmp_path / "toy.csv")
@@ -196,6 +218,23 @@ class TestPipeline:
         assert sorted(r["activation"] for r in rows) == ["identity", "relu", "sigmoid"]
         table = (tmp_path / "run" / "reports" / "activation_sweep.txt").read_text()
         assert len(table.strip().splitlines()) == 4  # header + 3 rows
+
+    def test_train_takes_width_from_vector_file(self, workspace):
+        # cbow.dim is left at its default (300); the vectors are 16 wide
+        tmp_path, _ = workspace
+        config = json.loads(write_config(tmp_path, name="base.json").read_text())
+        del config["cbow"]["dim"]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        assert run_cli("prepare", "--config", str(config_path)) == 0
+        tokens = sorted({t for e in make_keyword_examples(80) for t in e.text.split()})
+        vectors = tmp_path / "run" / "embeddings" / "vectors.txt"
+        vectors.parent.mkdir()
+        make_random_matrix(tokens, dim=16, seed=0).save_text(vectors)
+        assert run_cli("train", "--config", str(config_path)) == 0
+        model = HateClassifier.load(tmp_path / "run" / "models" / "model.ckpt")
+        assert model.params["embedding"].shape == (len(tokens) + 2, 16)
+        assert model.params["fwd_w_in"].shape == (4 * config["model"]["hidden_size"], 16)
 
     def test_train_without_prepare_exit_io(self, workspace):
         _, config_path = workspace

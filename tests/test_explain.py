@@ -37,7 +37,7 @@ def kept_tokens(instance, mask):
 
 
 def tiny_model(pipeline, words, seed=0):
-    config = ModelConfig(embedding_dim=8, max_len=12, hidden_size=6, dense1_size=4,
+    config = ModelConfig(hidden_size=6, dense1_size=4,
                          batch_size=16, seed=seed, pipeline=pipeline)
     return HateClassifier.build(config, make_random_matrix(words, dim=8, seed=seed))
 

@@ -14,13 +14,14 @@ from hatedetect.neural import (
     bilstm_batch_forward,
     dense_backward,
     dense_forward,
-    finite_diff_grad,
     init_dense_params,
     init_lstm_params,
     lstm_backward,
     lstm_forward,
     sigmoid,
 )
+
+from oracles import finite_diff_grad
 
 
 def rel_error(a, b, floor=1e-6):

@@ -129,6 +129,13 @@ def test_config_roundtrip():
     assert PipelineConfig.from_dict(config.to_dict()) == config
 
 
+def test_config_from_partial_dict():
+    config = PipelineConfig.from_dict({"stopwords": ["the", "a"], "max_len": 7})
+    assert config == PipelineConfig(stopwords=frozenset({"the", "a"}), max_len=7)
+    assert config.to_dict()["stopwords"] == ["a", "the"]
+    assert PipelineConfig.from_dict({}) == PipelineConfig()
+
+
 def test_encode_all_padding():
     vocab = make_vocab(["alpha", "beta"])
     assert encode([], vocab, 4).tolist() == [PAD_INDEX] * 4
