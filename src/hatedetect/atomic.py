@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 from contextlib import contextmanager
@@ -28,3 +29,14 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
+
+
+def write_bytes(path, data: bytes) -> None:
+    """Replace `path` with `data` in one rename."""
+    with atomic_write(path, "wb") as handle:
+        handle.write(data)
+
+
+def write_json(path, data) -> None:
+    """write_bytes of `data` as UTF-8 JSON indented by 2, plus a newline."""
+    write_bytes(path, (json.dumps(data, indent=2) + "\n").encode())

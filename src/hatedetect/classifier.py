@@ -103,7 +103,7 @@ class ModelConfig:
         if "max_len" in data:
             pipeline["max_len"] = data["max_len"]
         kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        kwargs["pipeline"] = PipelineConfig.from_dict(pipeline)
+        kwargs["pipeline"] = PipelineConfig(**pipeline)
         return cls(**kwargs)
 
 

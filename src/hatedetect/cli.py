@@ -11,16 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import embed as embed_mod
 from . import metrics as metrics_mod
+from .atomic import write_bytes, write_json
 from .classifier import HateClassifier, ModelConfig, train, sweep_dense1_activation
-from .corpus import DatasetSpec
+from .corpus import CombineConfig, DatasetSpec, SplitConfig
 from .embed import CbowConfig, EmbeddingMatrix
 from .explain import DEFAULT_N_SAMPLES, DEFAULT_TOP_K, explain
 from .neural import NumericError
@@ -33,32 +33,54 @@ EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
-# What a run config may give for each annotated config field, and how that
-# is said in an error message.
+# What a run config may give for a config field of each annotation, and how
+# that is said in an error message. An annotation "X | None" also allows null.
 _JSON_TYPES = {
     "bool": (bool, "true or false"),
     "int": (int, "an integer"),
     "float": ((int, float), "a number"),
     "str": (str, "a string"),
     "frozenset": (list, "a list"),
+    "tuple": (list, "a list"),
+    "dict": (dict, "an object"),
 }
 
+# The top-level keys of a run config besides `seed`, with their defaults.
+_RUN_CONFIG_DEFAULTS = {"output_dir": "run", "datasets": [], "split": {}, "combine": {},
+                        "pipeline": {}, "cbow": {}, "model": {}}
 
-def _section(data: dict, name: str, config_class, **defaults) -> dict:
-    """Section `name` of a run config as keywords for config_class, over
-    `defaults`. A key that is not a field of config_class, or a value of
-    the wrong type, is refused with an error that names both."""
-    section = data.get(name, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {name!r} must be an object")
+
+def _check(value, annotation: str, key: str):
+    """`value`, if a run config may give it for a field annotated
+    `annotation`; otherwise an error that names `key`. A bool is not a
+    number."""
+    kind, _, optional = annotation.partition(" | ")
+    expected, wanted = _JSON_TYPES[kind]
+    if value is None and optional:
+        return value
+    if not isinstance(value, expected) or isinstance(value, bool) != (expected is bool):
+        raise ValueError(f"config key {key} must be {wanted}, got {value!r}")
+    return value
+
+
+def _section(section, name: str, config_class, **kwargs):
+    """Section `name` of a run config as a config_class, over `kwargs`.
+    A key that is not a field of config_class, a value of the wrong type, a
+    field without a default left unset, or a value config_class refuses is
+    an error that names the section."""
+    _check(section, "dict", name)
     annotations = {f.name: f.type for f in fields(config_class)}
     for key, value in section.items():
-        if annotations.get(key) not in _JSON_TYPES:
+        if annotations.get(key, "").partition(" | ")[0] not in _JSON_TYPES:
             raise ValueError(f"config section {name!r} has no key {key!r}")
-        expected, wanted = _JSON_TYPES[annotations[key]]
-        if not isinstance(value, expected) or isinstance(value, bool) != (expected is bool):
-            raise ValueError(f"config key {name}.{key} must be {wanted}, got {value!r}")
-    return {**defaults, **section}
+        kwargs[key] = _check(value, annotations[key], f"{name}.{key}")
+    for f in fields(config_class):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"config section {name!r} is missing key {f.name!r}")
+    try:
+        return config_class(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"config section {name!r}: {exc}") from None
 
 
 @dataclass
@@ -66,11 +88,9 @@ class RunConfig:
     path: Path
     seed: int
     output_dir: Path
-    datasets: list
-    ratios: tuple
-    stratified: bool
-    balanced: bool
-    per_class_cap: int | None
+    datasets: tuple
+    split: SplitConfig
+    combine: CombineConfig
     cbow: CbowConfig
     model: ModelConfig
     overrides: dict
@@ -82,72 +102,54 @@ class RunConfig:
             raise FileNotFoundError(f"config file not found: {path}")
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
+        if not isinstance(data, dict):
+            raise ValueError(f"run config {path} must hold a JSON object")
         overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-        if "seed" not in data and "seed" not in overrides:
+        data = {**_RUN_CONFIG_DEFAULTS, **data, **overrides}
+        unknown = sorted(data.keys() - _RUN_CONFIG_DEFAULTS.keys() - {"seed"})
+        if unknown:
+            raise ValueError(f"run config has no key {unknown[0]!r}")
+        if "seed" not in data:
             raise ValueError("config must set an explicit 'seed' (no wall-clock defaults)")
-        seed = int(overrides.get("seed", data.get("seed")))
-        output_dir = Path(overrides.get("output_dir", data.get("output_dir", "run")))
-        if not output_dir.is_absolute():
-            output_dir = Path(os.environ.get(OUTPUT_ROOT_ENV, ".")) / output_dir
-
-        base = path.parent
-
-        def resolve(p):
-            p = Path(p)
-            return p if p.is_absolute() else base / p
-
+        seed = _check(data["seed"], "int", "seed")
+        # A relative output_dir is under the output root; a relative dataset
+        # or mapping path is beside the config file.
+        output_dir = Path(os.environ.get(OUTPUT_ROOT_ENV, ".")) / _check(
+            data["output_dir"], "str", "output_dir")
         datasets = []
-        for entry in data.get("datasets", []):
-            mapping = entry.get("label_mapping")
-            if mapping is None and "label_mapping_file" in entry:
-                mapping = corpus_mod.read_label_mapping(resolve(entry["label_mapping_file"]))
-            if mapping is not None:
-                mapping = corpus_mod.validate_mapping(mapping)
-            datasets.append(
-                DatasetSpec(
-                    name=entry["name"],
-                    path=str(resolve(entry["path"])),
-                    text_column=entry["text_column"],
-                    label_column=entry["label_column"],
-                    label_mapping=mapping,
-                )
-            )
+        for i, entry in enumerate(_check(data["datasets"], "tuple", "datasets")):
+            name = f"datasets[{i}]"
+            # The one key that is not a DatasetSpec field: a file holding the
+            # mapping, in place of a label_mapping in the entry.
+            if "label_mapping_file" in _check(entry, "dict", name):
+                if "label_mapping" in entry:
+                    raise ValueError(f"config section {name!r} sets both 'label_mapping' "
+                                     "and 'label_mapping_file'")
+                mapping_file = path.parent / _check(entry.pop("label_mapping_file"), "str",
+                                                    f"{name}.label_mapping_file")
+                entry["label_mapping"] = corpus_mod.read_label_mapping(mapping_file)
+            spec = _section(entry, name, DatasetSpec)
+            datasets.append(replace(spec, path=str(path.parent / spec.path)))
 
-        split_cfg = data.get("split", {})
-        combine_cfg = data.get("combine", {})
-
-        pipeline = _section(data, "pipeline", PipelineConfig)
-        cbow = CbowConfig(**_section(data, "cbow", CbowConfig, seed=seed))
-        model = ModelConfig.from_dict(_section(data, "model", ModelConfig, seed=seed,
-                                               pipeline=pipeline))
-
+        pipeline = _section(data["pipeline"], "pipeline", PipelineConfig)
         return cls(
             path=path,
             seed=seed,
             output_dir=output_dir,
-            datasets=datasets,
-            ratios=tuple(split_cfg.get("ratios", corpus_mod.DEFAULT_RATIOS)),
-            stratified=bool(split_cfg.get("stratified", True)),
-            balanced=bool(combine_cfg.get("balanced", True)),
-            per_class_cap=combine_cfg.get("per_class_cap"),
-            cbow=cbow,
-            model=model,
+            datasets=tuple(datasets),
+            split=_section(data["split"], "split", SplitConfig),
+            combine=_section(data["combine"], "combine", CombineConfig),
+            cbow=_section(data["cbow"], "cbow", CbowConfig, seed=seed),
+            model=_section(data["model"], "model", ModelConfig, seed=seed, pipeline=pipeline),
             overrides=overrides,
         )
-
-    def subdir(self, name: str) -> Path:
-        return self.output_dir / name
 
     def record(self) -> None:
         """Copy the exact config into the output directory; record overrides."""
         self.output_dir.mkdir(parents=True, exist_ok=True)
-        target = self.output_dir / "config.json"
-        if target.resolve() != self.path.resolve():
-            shutil.copyfile(self.path, target)
+        write_bytes(self.output_dir / "config.json", self.path.read_bytes())
         if self.overrides:
-            with open(self.output_dir / "overrides.json", "w", encoding="utf-8") as handle:
-                json.dump(self.overrides, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            write_json(self.output_dir / "overrides.json", dict(sorted(self.overrides.items())))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,17 +200,17 @@ def _load_config(args) -> RunConfig:
 
 
 def _load_prepared(config: RunConfig):
-    return corpus_mod.load_split_manifests(config.subdir("prepared"))
+    return corpus_mod.load_split_manifests(config.output_dir / "prepared")
 
 
 def _load_embeddings(config: RunConfig) -> EmbeddingMatrix:
-    return EmbeddingMatrix.load_text(config.subdir("embeddings") / "vectors.txt")
+    return EmbeddingMatrix.load_text(config.output_dir / "embeddings" / "vectors.txt")
 
 
 def _checkpoint_path(config: RunConfig, args) -> Path:
     if getattr(args, "checkpoint", None):
         return Path(args.checkpoint)
-    return config.subdir("models") / "model.ckpt"
+    return config.output_dir / "models" / "model.ckpt"
 
 
 def _cmd_prepare(args) -> int:
@@ -220,26 +222,25 @@ def _cmd_prepare(args) -> int:
     for spec in config.datasets:
         if spec.label_mapping is None:
             raise ValueError(f"dataset {spec.name!r} has no label mapping")
-        examples = corpus_mod.load_dataset(spec.path, spec)
+        examples = corpus_mod.load_dataset(spec)
         collapsed, counts = corpus_mod.collapse_labels(examples, spec.label_mapping)
         dataset_stats[spec.name] = counts.to_dict()
         collapsed_sets.append(collapsed)
-    if config.balanced:
-        combined = corpus_mod.combine_balanced(collapsed_sets, config.seed, config.per_class_cap)
+    if config.combine.balanced:
+        combined = corpus_mod.combine_balanced(collapsed_sets, config.seed,
+                                               config.combine.per_class_cap)
     else:
         combined = [example for part in collapsed_sets for example in part]
-    bundle = corpus_mod.split(combined, config.ratios, config.seed, config.stratified)
+    bundle = corpus_mod.split(combined, config.split.ratios, config.seed, config.split.stratified)
     if args.dry_run:
         print(f"dry run: {len(combined)} examples would be split "
               f"{[len(p) for p in bundle.parts()]}")
         return EXIT_OK
     config.record()
-    prepared = config.subdir("prepared")
+    prepared = config.output_dir / "prepared"
     corpus_mod.write_split_manifests(bundle, prepared)
     summary = {"datasets": dataset_stats, "combined": corpus_mod.stats(combined).to_dict()}
-    with open(prepared / "stats.json", "w", encoding="utf-8") as handle:
-        json.dump(summary, handle, indent=2)
-        handle.write("\n")
+    write_json(prepared / "stats.json", summary)
     print(f"prepared {len(combined)} examples into {prepared}")
     return EXIT_OK
 
@@ -261,7 +262,7 @@ def _cmd_embed_train(args) -> int:
         return EXIT_OK
     matrix, history = embed_mod.train_cbow(sequences, config.cbow)
     config.record()
-    out = config.subdir("embeddings")
+    out = config.output_dir / "embeddings"
     out.mkdir(parents=True, exist_ok=True)
     matrix.save_text(out / "vectors.txt")
     embed_mod.write_training_log(history, out / "training_log.txt")
@@ -290,12 +291,10 @@ def _cmd_train(args) -> int:
         return EXIT_OK
     history, best = train(model, bundle)
     config.record()
-    out = config.subdir("models")
+    out = config.output_dir / "models"
     out.mkdir(parents=True, exist_ok=True)
     best.save(out / "model.ckpt")
-    with open(out / "history.json", "w", encoding="utf-8") as handle:
-        json.dump(history.to_dict(), handle, indent=2)
-        handle.write("\n")
+    write_json(out / "history.json", history.to_dict())
     selected = history.records[history.selected_epoch]
     print(f"trained {config.model.epochs} epochs; selected epoch {selected.epoch} "
           f"(val loss {selected.validation_loss:.4f}, weighted F1 "
@@ -304,12 +303,10 @@ def _cmd_train(args) -> int:
 
 
 def _write_report(config: RunConfig, report, name: str) -> Path:
-    out = config.subdir("reports")
+    out = config.output_dir / "reports"
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / f"{name}.json", "w", encoding="utf-8") as handle:
-        handle.write(report.to_json())
-    with open(out / f"{name}.txt", "w", encoding="utf-8") as handle:
-        handle.write(report.to_text())
+    write_json(out / f"{name}.json", report.to_dict())
+    write_bytes(out / f"{name}.txt", report.to_text().encode())
     return out
 
 
@@ -350,7 +347,6 @@ def _cmd_evaluate(args) -> int:
 def _cmd_explain(args) -> int:
     config = _load_config(args)
     model = HateClassifier.load(_checkpoint_path(config, args))
-    seed = args.seed if args.seed is not None else config.seed
     if args.dry_run:
         tokens = preprocess(args.text, model.config.pipeline)
         if not tokens:
@@ -362,16 +358,14 @@ def _cmd_explain(args) -> int:
         args.text,
         n_samples=args.samples,
         top_k=args.top_k,
-        seed=seed,
+        seed=config.seed,
         config=model.config.pipeline,
     )
     config.record()
-    out = config.subdir("explanations")
+    out = config.output_dir / "explanations"
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "explanation.json", "w", encoding="utf-8") as handle:
-        handle.write(explanation.to_json())
-    with open(out / "explanation.html", "w", encoding="utf-8") as handle:
-        handle.write(explanation.to_html())
+    write_json(out / "explanation.json", explanation.to_dict())
+    write_bytes(out / "explanation.html", explanation.to_html().encode())
     for token, weight in explanation.token_weights:
         print(f"{token}\t{weight:+.4f}")
     return EXIT_OK
@@ -387,7 +381,7 @@ def _cmd_sweep_activation(args) -> int:
         return EXIT_OK
     results = sweep_dense1_activation(config.model, matrix, bundle)
     config.record()
-    out = config.subdir("reports")
+    out = config.output_dir / "reports"
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for activation, history in results.items():
@@ -400,9 +394,7 @@ def _cmd_sweep_activation(args) -> int:
                 "validation_weighted_f1": record.validation_weighted_f1,
             }
         )
-    with open(out / "activation_sweep.json", "w", encoding="utf-8") as handle:
-        json.dump(rows, handle, indent=2)
-        handle.write("\n")
+    write_json(out / "activation_sweep.json", rows)
     lines = [f"{'activation':<12}{'epoch':>6}{'val_loss':>10}{'weighted_F1':>13}"]
     for row in rows:
         lines.append(
@@ -410,8 +402,7 @@ def _cmd_sweep_activation(args) -> int:
             f"{row['validation_loss']:>10.4f}{row['validation_weighted_f1']:>13.4f}"
         )
     table = "\n".join(lines) + "\n"
-    with open(out / "activation_sweep.txt", "w", encoding="utf-8") as handle:
-        handle.write(table)
+    write_bytes(out / "activation_sweep.txt", table.encode())
     print(table)
     return EXIT_OK
 

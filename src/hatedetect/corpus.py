@@ -10,10 +10,13 @@ import csv
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
+
+from .atomic import atomic_write, write_json
 
 log = logging.getLogger(__name__)
 
@@ -45,6 +48,37 @@ class DatasetSpec:
     label_column: str
     label_mapping: dict | None = None
 
+    def __post_init__(self):
+        validate_mapping(self.label_mapping or {})
+
+
+@dataclass(frozen=True)
+class SplitConfig:
+    """Train/validation/test ratios, three positive numbers that sum to 1."""
+
+    ratios: tuple = DEFAULT_RATIOS
+    stratified: bool = True
+
+    def __post_init__(self):
+        if len(self.ratios) != 3 or not all(isinstance(r, (int, float)) and r > 0
+                                            for r in self.ratios):
+            raise ValueError(f"ratios must be three positive numbers, got {self.ratios!r}")
+        if abs(sum(self.ratios) - 1.0) > 1e-9:
+            raise ValueError(f"ratios must sum to 1, got {sum(self.ratios)!r}")
+        object.__setattr__(self, "ratios", tuple(map(float, self.ratios)))
+
+
+@dataclass(frozen=True)
+class CombineConfig:
+    """Combine datasets to equal class counts, at most per_class_cap each."""
+
+    balanced: bool = True
+    per_class_cap: int | None = None
+
+    def __post_init__(self):
+        if self.per_class_cap is not None and self.per_class_cap < 1:
+            raise ValueError(f"per_class_cap must be >= 1, got {self.per_class_cap}")
+
 
 @dataclass(frozen=True)
 class ClassCounts:
@@ -72,14 +106,14 @@ class SplitBundle:
         return (self.train, self.validation, self.test)
 
 
-def load_dataset(path, spec: DatasetSpec) -> list[LabeledExample]:
-    """Read one CSV dataset into LabeledExamples.
+def load_dataset(spec: DatasetSpec) -> list[LabeledExample]:
+    """Read the CSV dataset at spec.path into LabeledExamples.
 
     Ids are assigned deterministically from row order as "<name>:<row>".
     Rows whose text is empty after trimming are skipped; the skip count is
     logged.
     """
-    path = Path(path)
+    path = Path(spec.path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
     examples = []
@@ -112,16 +146,15 @@ def read_label_mapping(path) -> dict:
         mapping = json.load(handle)
     if not isinstance(mapping, dict):
         raise ValueError(f"label mapping file {path} must hold a JSON object")
-    return validate_mapping(mapping)
+    return mapping
 
 
-def validate_mapping(mapping: dict) -> dict:
+def validate_mapping(mapping: dict) -> None:
     for raw, binary in mapping.items():
         if binary not in BINARY_LABELS:
             raise ValueError(
                 f"label mapping sends {raw!r} to {binary!r}; expected one of {BINARY_LABELS}"
             )
-    return dict(mapping)
 
 
 def collapse_labels(examples, mapping: dict) -> tuple[list[LabeledExample], ClassCounts]:
@@ -162,6 +195,7 @@ def combine_balanced(datasets, seed: int, per_class_cap: int | None = None):
     capped by per_class_cap). Selection is without replacement from the
     seeded generator, independent of input ordering.
     """
+    CombineConfig(per_class_cap=per_class_cap)  # refuses a cap below 1
     union = [example for dataset in datasets for example in dataset]
     if not union:
         raise ValueError("no examples to combine")
@@ -180,8 +214,6 @@ def combine_balanced(datasets, seed: int, per_class_cap: int | None = None):
         by_class[label].sort(key=lambda example: example.id)
     size = min(len(by_class[HATE]), len(by_class[NON_HATE]))
     if per_class_cap is not None:
-        if per_class_cap < 1:
-            raise ValueError(f"per_class_cap must be >= 1, got {per_class_cap}")
         size = min(size, per_class_cap)
     rng = np.random.default_rng(seed)
     selected = []
@@ -211,11 +243,7 @@ def split(dataset, ratios=DEFAULT_RATIOS, seed: int = 0, stratified: bool = True
     With stratified=True each class is split by the same ratios, so class
     balance is stable across parts. Deterministic per seed.
     """
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios):
-        raise ValueError(f"need three positive ratios, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)!r}")
+    ratios = SplitConfig(ratios, stratified).ratios
     if len(dataset) < 3:
         raise ValueError(f"dataset too small to split: {len(dataset)} examples")
     if stratified:
@@ -248,14 +276,12 @@ def write_split_manifests(bundle: SplitBundle, directory) -> None:
     """Write train/validation/test CSVs plus a JSON sidecar with seed/ratios."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    header = [f.name for f in fields(LabeledExample)]
     for name, part in zip(SPLIT_NAMES, bundle.parts()):
-        with open(directory / f"{name}.csv", "w", newline="", encoding="utf-8") as handle:
+        with atomic_write(directory / f"{name}.csv", "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["id", "text", "raw_label", "binary_label"])
-            for example in part:
-                writer.writerow(
-                    [example.id, example.text, example.raw_label, example.binary_label or ""]
-                )
+            writer.writerow(header)
+            writer.writerows(map(attrgetter(*header), part))  # a None label is written as ""
     sidecar = {
         "seed": bundle.seed,
         "ratios": list(bundle.ratios),
@@ -264,9 +290,7 @@ def write_split_manifests(bundle: SplitBundle, directory) -> None:
             name: stats(part).to_dict() for name, part in zip(SPLIT_NAMES, bundle.parts())
         },
     }
-    with open(directory / "split.json", "w", encoding="utf-8") as handle:
-        json.dump(sidecar, handle, indent=2)
-        handle.write("\n")
+    write_json(directory / "split.json", sidecar)
 
 
 def load_split_manifests(directory) -> SplitBundle:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, write_bytes
 from .textprep import PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN
 
 log = logging.getLogger(__name__)
@@ -366,7 +366,5 @@ def train_cbow(corpus, config: CbowConfig, vocab: Vocabulary | None = None):
 
 def write_training_log(history, path) -> None:
     """Line-oriented "epoch,mean_objective" records."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("epoch,mean_objective\n")
-        for epoch, value in enumerate(history):
-            handle.write(f"{epoch},{value!r}\n")
+    lines = [f"{epoch},{value!r}\n" for epoch, value in enumerate(history)]
+    write_bytes(path, ("epoch,mean_objective\n" + "".join(lines)).encode())

@@ -10,8 +10,7 @@ prediction toward hate (positive) or away from it (negative).
 from __future__ import annotations
 
 import html
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import compress
 
 import numpy as np
@@ -87,17 +86,7 @@ class Explanation:
     tokens: tuple = ()
 
     def to_dict(self) -> dict:
-        return {
-            "token_weights": [[t, w] for t, w in self.token_weights],
-            "intercept": self.intercept,
-            "fit_score": self.fit_score,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "tokens": list(self.tokens),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return asdict(self)  # JSON writes its tuples as lists
 
     def to_html(self) -> str:
         """Static rendering: hue by sign (orange toward hate, blue away),

@@ -9,14 +9,14 @@ concordance probability (ties get half credit), computed from midranks.
 from __future__ import annotations
 
 import csv
-import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .atomic import atomic_write
 from .corpus import BINARY_LABELS, HATE, NON_HATE
 
 log = logging.getLogger(__name__)
@@ -43,7 +43,7 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.fn + self.tn
 
     def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
+        return asdict(self)
 
 
 def _check_labels(labels):
@@ -157,24 +157,12 @@ class MetricsReport:
     scores: np.ndarray = field(default=None, compare=False, repr=False)  # what was scored
 
     def to_dict(self) -> dict:
-        return {
-            "per_class": {
-                label: {"precision": s.precision, "recall": s.recall, "f1": s.f1}
-                for label, s in self.per_class.items()
-            },
-            "weighted": {
-                "precision": self.weighted.precision,
-                "recall": self.weighted.recall,
-                "f1": self.weighted.f1,
-            },
-            "accuracy": self.accuracy,
-            "auc": self.auc,
-            "supports": dict(self.supports),
-            "confusion_matrix": self.confusion_matrix.to_dict(),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        """Every field but the scores, as metrics.json holds them."""
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "scores"}
+        data["per_class"] = {label: s._asdict() for label, s in self.per_class.items()}
+        data["weighted"] = self.weighted._asdict()
+        data["confusion_matrix"] = self.confusion_matrix.to_dict()
+        return data
 
     def to_text(self) -> str:
         """Aligned plain-text table plus the confusion matrix."""
@@ -241,7 +229,7 @@ def report(model, examples, threshold: float | None = None) -> MetricsReport:
 
 def write_predictions_csv(path, ids, scores) -> None:
     """CSV "id,score" with full-precision scores (round-trips exactly)."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id", "score"])
         for example_id, score in zip(ids, scores):
@@ -249,7 +237,7 @@ def write_predictions_csv(path, ids, scores) -> None:
 
 
 def write_labels_csv(path, ids, labels) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
+    with atomic_write(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["id", "label"])
         for example_id, label in zip(ids, labels):

@@ -79,6 +79,9 @@ class PipelineConfig:
     max_len: int = 50
 
     def __post_init__(self):
+        if not all(isinstance(word, str) for word in self.stopwords):
+            raise ValueError(f"stopwords must all be strings, got {self.stopwords!r}")
+        object.__setattr__(self, "stopwords", frozenset(self.stopwords))  # from a JSON list too
         if self.max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {self.max_len}")
         banned = NEGATORS & set(self.stopwords)
@@ -89,14 +92,6 @@ class PipelineConfig:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
         data["stopwords"] = sorted(self.stopwords)
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        """Inverse of to_dict; a key left out keeps its default."""
-        data = dict(data)
-        if "stopwords" in data:
-            data["stopwords"] = frozenset(data["stopwords"])
-        return cls(**data)
 
 
 def preprocess(text: str, config: PipelineConfig | None = None) -> list[str]:

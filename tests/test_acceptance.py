@@ -218,7 +218,7 @@ def test_criterion_4b_davidson_directional():
         started = time.perf_counter()
         text_col, label_col, mapping, _ = DATASET_PROFILES["davidson.csv"]
         spec = DatasetSpec("davidson", str(path), text_col, label_col)
-        collapsed, _ = collapse_labels(load_dataset(path, spec), mapping)
+        collapsed, _ = collapse_labels(load_dataset(spec), mapping)
         pipeline = PipelineConfig(max_len=30)
         bundle = split(collapsed, (0.6, 0.2, 0.2), seed=13)
         sequences = [preprocess(e.text, pipeline) for e in bundle.train]
@@ -277,7 +277,7 @@ def test_criterion_5_dataset_plumbing(tmp_path):
                 path = tmp_path / name
                 write_profile_fixture(path, text_col, label_col, mapping, counts)
             spec = DatasetSpec(name.split(".")[0], str(path), text_col, label_col)
-            examples = load_dataset(path, spec)
+            examples = load_dataset(spec)
             collapsed, class_counts = collapse_labels(examples, mapping)
             assert (class_counts.hate, class_counts.nonhate) == counts, name
             assert class_counts.total == sum(counts) == expected_totals[name]

@@ -1,5 +1,8 @@
+import builtins
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +37,7 @@ def write_config(directory, name="config.json", **overrides):
             }
         ],
         "split": {"ratios": [0.6, 0.2, 0.2], "stratified": True},
-        "combine": {"balanced": True},
+        "combine": {"balanced": True, "per_class_cap": None},
         "pipeline": {"stopwords": [], "max_len": 16},
         "cbow": {"window": 3, "dim": 8, "negative": 3, "epochs": 2, "min_count": 1,
                  "subsample": 0.0},
@@ -117,6 +120,17 @@ class TestPrepare:
         ("model", "max_len", 16),  # the pipeline's max_len is the model's
         ("model", "embedding_dim", 8),  # the vector file's width is the model's
         ("model", "pipeline", {}),
+        ("split", "ratios", "abc"),
+        ("split", "ratios", [0.5, 0.5, 0.5]),
+        ("split", "ratios", ["0.6", "0.2", "0.2"]),
+        ("split", "stratified", "false"),
+        ("split", "stratifed", True),
+        ("combine", "per_class_cap", "x"),
+        ("combine", "per_class_cap", 2.5),
+        ("combine", "per_class_cap", 0),
+        ("combine", "balanced", "false"),
+        ("pipeline", "stopwords", [1, "a"]),
+        ("pipeline", "stopwords", [[1]]),
     ])
     def test_bad_config_key_exit_validation(self, tmp_path, capsys, section, key, value):
         write_dataset(tmp_path / "toy.csv")
@@ -127,6 +141,36 @@ class TestPrepare:
         assert run_cli("prepare", "--config", str(path)) == 3
         err = capsys.readouterr().err
         assert section in err and key in err
+        assert not (tmp_path / "run").exists()
+
+    # Keys outside the dict-valued sections: top-level keys and the entries
+    # of the datasets list. A value of None deletes the key.
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "split", 5),
+        (None, "datasets", 5),
+        (None, "modle", {"hidden_size": 4}),
+        (None, "seed", 1.7),
+        (None, "seed", True),
+        ("datasets", "path", None),
+        ("datasets", "label_colum", "klass"),
+        ("datasets", "label_mapping", [1]),
+        ("datasets", "label_mapping_file", 5),
+        ("datasets", "label_mapping_file", "mapping.json"),  # beside an inline label_mapping
+    ])
+    def test_bad_config_entry_exit_validation(self, tmp_path, capsys, section, key, value):
+        write_dataset(tmp_path / "toy.csv")
+        config = json.loads(write_config(tmp_path, name="base.json").read_text())
+        entry = config if section is None else config[section][0]
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("prepare", "--config", str(path), "--dry-run") == 3
+        err = capsys.readouterr().err
+        assert (section or key) in err and key in err
+        assert run_cli("prepare", "--config", str(path)) == 3
         assert not (tmp_path / "run").exists()
 
     def test_missing_seed_rejected(self, tmp_path):
@@ -254,6 +298,33 @@ class TestPipeline:
             "--embeddings", str(tmp_path / "run" / "embeddings" / "vectors.txt"),
             "--word", "nosuchword",
         ) == 3
+
+
+class TestAtomicOutputs:
+    def test_every_output_is_replaced_in_one_rename(self, workspace, monkeypatch):
+        tmp_path, config_path = workspace
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if any(flag in mode for flag in "wax+"):
+                opened.append(Path(file))
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        run_full_pipeline(config_path)
+        assert run_cli("explain", "--config", str(config_path), "--seed", "5",
+                       "--text", "w00 scum w01", "--samples", "40") == 0
+        monkeypatch.undo()
+        names = {path.name for path in opened}
+        for output in ("config.json", "overrides.json", "train.csv", "split.json", "stats.json",
+                       "vectors.txt", "training_log.txt", "model.ckpt", "history.json",
+                       "metrics.json", "metrics.txt", "predictions.csv", "labels.csv",
+                       "explanation.json", "explanation.html"):
+            assert any(name.startswith(f".{output}.") for name in names), output
+        temp = re.compile(r"\..+\.\d+-\d+\.tmp")
+        assert [path for path in opened if not temp.fullmatch(path.name)] == []
+        assert not list((tmp_path / "run").rglob("*.tmp"))
 
 
 class TestDeterminism:

@@ -40,7 +40,7 @@ class TestLoadDataset:
     def test_three_rows(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, [["one", "a"], ["two", "b"], ["three", "a"]])
-        examples = load_dataset(path, spec_for(path))
+        examples = load_dataset(spec_for(path))
         assert len(examples) == 3
         assert [e.id for e in examples] == ["toy:0", "toy:1", "toy:2"]
         assert examples[1].raw_label == "b"
@@ -49,7 +49,7 @@ class TestLoadDataset:
         path = tmp_path / "d.csv"
         write_csv(path, [["one", "a"], ["   ", "b"], ["", "a"], ["four", "b"]])
         with caplog.at_level("INFO"):
-            examples = load_dataset(path, spec_for(path))
+            examples = load_dataset(spec_for(path))
         assert len(examples) == 2
         assert "skipped 2" in caplog.text
         # ids come from file row order, not from the surviving count
@@ -59,7 +59,7 @@ class TestLoadDataset:
         # spreadsheet exports often start with a UTF-8 BOM and end lines in CRLF
         path = tmp_path / "d.csv"
         path.write_bytes("\ufefftext,label\r\none,a\r\n\"two\r\nlines\",b\r\n".encode("utf-8"))
-        examples = load_dataset(path, spec_for(path))
+        examples = load_dataset(spec_for(path))
         assert [(e.id, e.text, e.raw_label) for e in examples] == [
             ("toy:0", "one", "a"),
             ("toy:1", "two\r\nlines", "b"),
@@ -67,19 +67,19 @@ class TestLoadDataset:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_dataset(tmp_path / "nope.csv", spec_for(tmp_path / "nope.csv"))
+            load_dataset(spec_for(tmp_path / "nope.csv"))
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, [["one", "a"]], header=("text", "klass"))
         with pytest.raises(ValueError, match="label"):
-            load_dataset(path, spec_for(path))
+            load_dataset(spec_for(path))
 
     def test_zero_usable_rows(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, [["", "a"], ["  ", "b"]])
         with pytest.raises(ValueError, match="zero usable"):
-            load_dataset(path, spec_for(path))
+            load_dataset(spec_for(path))
 
 
 class TestCollapse:
@@ -102,6 +102,8 @@ class TestCollapse:
     def test_bad_mapping_value(self):
         with pytest.raises(ValueError, match="maybe"):
             collapse_labels([], {"weird": "maybe"})
+        with pytest.raises(ValueError, match="maybe"):
+            DatasetSpec("toy", "d.csv", "text", "label", label_mapping={"weird": "maybe"})
 
     def test_count_preserved(self):
         examples = [LabeledExample(f"d:{i}", "x", "neither") for i in range(7)]
@@ -154,6 +156,8 @@ class TestCombineBalanced:
         combined = combine_balanced([dataset], seed=0, per_class_cap=7)
         counts = stats(combined)
         assert counts.hate == counts.nonhate == 7
+        with pytest.raises(ValueError, match="per_class_cap"):
+            combine_balanced([dataset], seed=0, per_class_cap=0)
 
     def test_duplicate_ids_rejected(self):
         a = [example(0, HATE), example(1, NON_HATE)]

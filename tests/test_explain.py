@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hatedetect.atomic import write_json
 from hatedetect.classifier import HateClassifier, ModelConfig
 from hatedetect.explain import (
     DEFAULT_KERNEL_WIDTH,
@@ -332,13 +333,14 @@ class TestExplain:
         assert "scum" in page
         assert "rgba(255, 127, 14" in page  # positive hue present
 
-    def test_json_rendering(self):
+    def test_json_rendering(self, tmp_path):
         import json
 
         explanation = explain(
             keyword_predictor("scum"), "scum and villainy", n_samples=60, seed=0, config=PLAIN
         )
-        parsed = json.loads(explanation.to_json())
+        write_json(tmp_path / "explanation.json", explanation.to_dict())
+        parsed = json.loads((tmp_path / "explanation.json").read_text(encoding="utf-8"))
         assert parsed["seed"] == 0
         assert parsed["n_samples"] == 60
         assert parsed["token_weights"]

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hatedetect.atomic import write_json
 from hatedetect.corpus import HATE, NON_HATE, LabeledExample
 from hatedetect.metrics import (
     PER_CLASS,
@@ -219,11 +220,17 @@ class TestReport:
         assert result.confusion_matrix.to_dict() == {"tp": 2, "fp": 0, "fn": 0, "tn": 2}
         assert report(model, examples, threshold=0.5).confusion_matrix.fp == 1
 
-    def test_renderings(self):
+    def test_renderings(self, tmp_path):
         examples = labeled([("a", H), ("b", N)])
         result = report(FakeModel(lambda t: 0.9 if t == "a" else 0.2), examples)
-        parsed = json.loads(result.to_json())
+        write_json(tmp_path / "metrics.json", result.to_dict())
+        parsed = json.loads((tmp_path / "metrics.json").read_text(encoding="utf-8"))
         assert parsed["confusion_matrix"] == {"tp": 1, "fp": 0, "fn": 0, "tn": 1}
+        # metrics.json's key order; the scores stay out of it
+        assert list(parsed) == ["per_class", "weighted", "accuracy", "auc", "supports",
+                                "confusion_matrix"]
+        assert [list(s) for s in (*parsed["per_class"].values(), parsed["weighted"])] == [
+            ["precision", "recall", "f1"]] * 3
         text = result.to_text()
         assert "weighted-F1" in text and "confusion matrix" in text
 

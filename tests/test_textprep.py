@@ -126,14 +126,14 @@ def test_config_rejects_bad_max_len():
 
 def test_config_roundtrip():
     config = PipelineConfig(lowercase=False, max_len=7, stopwords=frozenset({"the", "a"}))
-    assert PipelineConfig.from_dict(config.to_dict()) == config
+    assert PipelineConfig(**config.to_dict()) == config
 
 
 def test_config_from_partial_dict():
-    config = PipelineConfig.from_dict({"stopwords": ["the", "a"], "max_len": 7})
+    config = PipelineConfig(**{"stopwords": ["the", "a"], "max_len": 7})
     assert config == PipelineConfig(stopwords=frozenset({"the", "a"}), max_len=7)
     assert config.to_dict()["stopwords"] == ["a", "the"]
-    assert PipelineConfig.from_dict({}) == PipelineConfig()
+    assert PipelineConfig(**{}) == PipelineConfig()
 
 
 def test_encode_all_padding():
