@@ -18,7 +18,7 @@ from .corpus import (
     split,
     stats,
 )
-from .embed import CbowConfig, EmbeddingMatrix, Vocabulary, build_vocab, cosine, nearest, train_cbow
+from .embed import CbowConfig, EmbeddingMatrix, Vocabulary, build_vocab, nearest, train_cbow
 from .explain import Explanation, explain
 from .metrics import MetricsReport, confusion, prf, report, roc_auc, score_external
 from .textprep import PipelineConfig, encode, preprocess
@@ -44,7 +44,6 @@ __all__ = [
     "collapse_labels",
     "combine_balanced",
     "confusion",
-    "cosine",
     "encode",
     "explain",
     "load_dataset",

@@ -35,21 +35,6 @@ CHECKPOINT_VERSION = "1.0"
 # would first build a second copy of it as bytes.
 READ_CHUNK_BYTES = 1 << 20
 
-PARAM_NAMES = (
-    "embedding",
-    "fwd_w_in",
-    "fwd_w_rec",
-    "fwd_bias",
-    "bwd_w_in",
-    "bwd_w_rec",
-    "bwd_bias",
-    "dense1_weights",
-    "dense1_bias",
-    "dense2_weights",
-    "dense2_bias",
-)
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Layer sizes and training settings. The input length is
@@ -128,36 +113,39 @@ class TrainHistory:
         return cls(tuple(EpochRecord(**r) for r in data["records"]), data["selected_epoch"])
 
 
-def _expected_shapes(config: ModelConfig, vocab_size: int, d: int) -> dict:
-    h = config.hidden_size
-    shapes = {"embedding": (vocab_size, d)}
+def _layout(config: ModelConfig, vocab_size: int, d: int) -> dict:
+    """The model's tensors in checkpoint order: {name: (shape, init)}.
+
+    init is the bound of a uniform +-1/sqrt(fan) draw, 0 for zeros, or None
+    for the embedding table, which is copied in. init_params draws the
+    uniform tensors in this order.
+    """
+    h, dense1, features = config.hidden_size, config.dense1_size, config.feature_size
+    layout = {"embedding": ((vocab_size, d), None)}
     for direction in ("fwd", "bwd"):
-        shapes[f"{direction}_w_in"] = (4 * h, d)
-        shapes[f"{direction}_w_rec"] = (4 * h, h)
-        shapes[f"{direction}_bias"] = (4 * h,)
-    shapes["dense1_weights"] = (config.dense1_size, config.feature_size)
-    shapes["dense1_bias"] = (config.dense1_size,)
-    shapes["dense2_weights"] = (1, config.dense1_size)
-    shapes["dense2_bias"] = (1,)
-    return shapes
+        layout[f"{direction}_w_in"] = ((4 * h, d), 1.0 / math.sqrt(h))
+        layout[f"{direction}_w_rec"] = ((4 * h, h), 1.0 / math.sqrt(h))
+        layout[f"{direction}_bias"] = ((4 * h,), 0)
+    layout["dense1_weights"] = ((dense1, features), 1.0 / math.sqrt(features))
+    layout["dense1_bias"] = ((dense1,), 0)
+    layout["dense2_weights"] = ((1, dense1), 1.0 / math.sqrt(dense1))
+    layout["dense2_bias"] = ((1,), 0)
+    return layout
 
 
 def init_params(config: ModelConfig, embedding_table: np.ndarray, dtype=np.float32) -> dict:
-    """Seeded parameter dict; the embedding table is copied and sets the
-    input width, everything else is drawn uniform +-1/sqrt(fan) with zero
-    biases."""
+    """Seeded parameter dict laid out by _layout; the embedding table is
+    copied and sets the input width."""
     rng = np.random.default_rng(config.seed)
-    h = config.hidden_size
-    params = {"embedding": np.array(embedding_table, dtype=dtype, order="C")}
-    d = params["embedding"].shape[1]
-    fwd = neural.init_lstm_params(d, h, rng, dtype)
-    bwd = neural.init_lstm_params(d, h, rng, dtype)
-    params.update(fwd_w_in=fwd.w_in, fwd_w_rec=fwd.w_rec, fwd_bias=fwd.bias)
-    params.update(bwd_w_in=bwd.w_in, bwd_w_rec=bwd.w_rec, bwd_bias=bwd.bias)
-    dense1 = neural.init_dense_params(config.feature_size, config.dense1_size, rng, dtype=dtype)
-    dense2 = neural.init_dense_params(config.dense1_size, 1, rng, dtype=dtype)
-    params.update(dense1_weights=dense1.weights, dense1_bias=dense1.bias)
-    params.update(dense2_weights=dense2.weights, dense2_bias=dense2.bias)
+    embedding = np.array(embedding_table, dtype=dtype, order="C")
+    params = {}
+    for name, (shape, init) in _layout(config, *embedding.shape).items():
+        if init is None:
+            params[name] = embedding
+        elif init:
+            params[name] = rng.uniform(-init, init, shape).astype(dtype)
+        else:
+            params[name] = np.zeros(shape, dtype=dtype)
     return params
 
 
@@ -218,10 +206,11 @@ def loss_and_grads(params: dict, token_ids: np.ndarray, labels, config: ModelCon
     d_inputs, grads_fwd, grads_bwd = neural.bilstm_batch_backward(
         d_features, caches, fwd, bwd, config.sequence_repr, config.embeddings_trainable
     )
-    for direction, direction_grads in (("fwd", grads_fwd), ("bwd", grads_bwd)):
-        grads[f"{direction}_w_in"] = direction_grads["w_in"]
-        grads[f"{direction}_w_rec"] = direction_grads["w_rec"]
-        grads[f"{direction}_bias"] = direction_grads["bias"]
+    grads.update(
+        (f"{direction}_{name}", grad)
+        for direction, direction_grads in (("fwd", grads_fwd), ("bwd", grads_bwd))
+        for name, grad in direction_grads.items()
+    )
     if config.embeddings_trainable:
         d_embedding = np.zeros_like(params["embedding"])
         np.add.at(
@@ -237,19 +226,22 @@ class HateClassifier:
     """A built or loaded model: predicts hate probabilities for raw texts."""
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary, params: dict, history=None):
-        for name in PARAM_NAMES:
+        d = params["embedding"].shape[-1] if "embedding" in params else 0
+        layout = _layout(config, len(vocab), d)
+        extra = params.keys() - layout.keys()
+        if extra:
+            raise ValueError(f"checkpoint inconsistency: unexpected tensors {sorted(extra)}")
+        for name, (shape, _) in layout.items():
             if name not in params:
-                raise ValueError(f"missing parameter tensor {name!r}")
-        expected = _expected_shapes(config, len(vocab), params["embedding"].shape[-1])
-        for name in PARAM_NAMES:
-            if tuple(params[name].shape) != expected[name]:
+                raise ValueError(f"checkpoint inconsistency: missing tensor {name!r}")
+            if params[name].shape != shape:
                 raise ValueError(
                     f"checkpoint inconsistency: {name} has shape {params[name].shape}, "
-                    f"expected {expected[name]}"
+                    f"expected {shape}"
                 )
         self.config = config
         self.vocab = vocab
-        self.params = params
+        self.params = {name: params[name] for name in layout}
         self.history = history
 
     @classmethod
@@ -305,10 +297,10 @@ class HateClassifier:
             "vocabulary_counts": list(self.vocab.counts),
             "history": self.history.to_dict() if self.history else None,
             "tensors": [
-                {"name": name, "shape": list(self.params[name].shape)} for name in PARAM_NAMES
+                {"name": name, "shape": list(tensor.shape)} for name, tensor in self.params.items()
             ],
         }
-        tensors = [np.ascontiguousarray(self.params[name], dtype="<f4") for name in PARAM_NAMES]
+        tensors = [np.ascontiguousarray(tensor, dtype="<f4") for tensor in self.params.values()]
         stamp = (1980, 1, 1, 0, 0, 0)  # fixed so equal models give equal bytes
         with atomic_write(path, "wb") as handle, zipfile.ZipFile(handle, "w") as archive:
             info = zipfile.ZipInfo("manifest.json", date_time=stamp)
@@ -365,6 +357,8 @@ class HateClassifier:
         params = {}
         offset = 0
         for name, shape in shapes:
+            if name in params:
+                raise ValueError(f"checkpoint inconsistency: tensor {name!r} stored twice")
             size = math.prod(shape)
             params[name] = flat[offset : offset + size].reshape(shape)
             offset += size
@@ -399,7 +393,7 @@ def train(model: HateClassifier, splits) -> tuple:
     val_actual = [example.binary_label for example in splits.validation]
     rng = np.random.default_rng([config.seed, 1])
     state = AdamState(learning_rate=config.learning_rate)
-    trainable = [n for n in PARAM_NAMES if n != "embedding" or config.embeddings_trainable]
+    trainable = [n for n in model.params if n != "embedding" or config.embeddings_trainable]
     records = []
     best_loss = None
     best_params = None
@@ -430,7 +424,11 @@ def train(model: HateClassifier, splits) -> tuple:
         )
         if best_loss is None or val_loss < best_loss:
             best_loss = val_loss
-            best_params = {name: tensor.copy() for name, tensor in model.params.items()}
+            # A frozen embedding never changes, so best shares it.
+            best_params = {
+                name: tensor.copy() if name in trainable else tensor
+                for name, tensor in model.params.items()
+            }
             selected_epoch = epoch
     history = TrainHistory(tuple(records), selected_epoch)
     model.history = history

@@ -301,6 +301,7 @@ def load_split_manifests(directory) -> SplitBundle:
         raise FileNotFoundError(f"split sidecar not found: {sidecar_path}")
     with open(sidecar_path, encoding="utf-8") as handle:
         sidecar = json.load(handle)
+    header = [f.name for f in fields(LabeledExample)]
     parts = []
     for name in SPLIT_NAMES:
         path = directory / f"{name}.csv"
@@ -309,14 +310,9 @@ def load_split_manifests(directory) -> SplitBundle:
         part = []
         with open(path, newline="", encoding="utf-8") as handle:
             for row in csv.DictReader(handle):
-                part.append(
-                    LabeledExample(
-                        id=row["id"],
-                        text=row["text"],
-                        raw_label=row["raw_label"],
-                        binary_label=row["binary_label"] or None,
-                    )
-                )
+                row = {column: row[column] for column in header}
+                row["binary_label"] = row["binary_label"] or None  # written as ""
+                part.append(LabeledExample(**row))
         parts.append(part)
     return SplitBundle(
         *parts,

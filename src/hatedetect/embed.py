@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write, write_bytes
+from .neural import sigmoid
 from .textprep import PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN
 
 log = logging.getLogger(__name__)
@@ -125,11 +126,6 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def vector(self, token) -> np.ndarray:
-        if token not in self.vocab:
-            raise KeyError(f"token {token!r} not in vocabulary")
-        return self.vectors[self.vocab.index[token]]
-
     def save_text(self, path) -> None:
         """Write the standard text format: "V dim" header, then one token
         per line followed by its components. The file is replaced in one
@@ -208,22 +204,6 @@ def _parse_values(path, rows: list, dim: int) -> np.ndarray:
     raise ValueError(f"{path}: a value is not a plain decimal number")
 
 
-def cosine(u, v) -> float:
-    """Cosine similarity in [-1, 1]; 0 (with a warning) if a vector is zero."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise ValueError("cosine requires finite vectors")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        log.warning("cosine of a zero vector is defined as 0")
-        return 0.0
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
-
-
 def nearest(word, k: int, matrix: EmbeddingMatrix) -> list:
     """Top-k neighbors by cosine, excluding the query, PAD, and UNK.
 
@@ -262,8 +242,7 @@ def _pair_grads(input_vectors, output_vectors, context, center, negatives):
     targets = np.concatenate(([center], negatives))
     scores = output_vectors[targets] @ h
     loss = float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
-    z = np.exp(-np.abs(scores))  # overflow-free sigmoid
-    grad_scores = np.where(scores >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    grad_scores = sigmoid(scores)
     grad_scores[0] -= 1.0
     d_target_rows = grad_scores[:, None] * h[None, :]
     dh = grad_scores @ output_vectors[targets]

@@ -165,13 +165,16 @@ def explain(predictor, text: str, n_samples: int = DEFAULT_N_SAMPLES,
             ridge: float = DEFAULT_RIDGE) -> Explanation:
     """Full pipeline: preprocess, perturb, query the predictor on the batch
     of distinct kept token sequences, kernel-weight, and fit the surrogate.
+    Only the first config.max_len tokens are explained: the model reads no
+    further.
 
     `predictor` takes a list of token tuples and returns their hate
     probabilities; a text predictor `predict` takes them as
     `lambda seqs: predict([" ".join(s) for s in seqs])`. The returned
     Explanation records seed and sample count for replay.
     """
-    tokens = preprocess(text, config or PipelineConfig())
+    config = config or PipelineConfig()
+    tokens = preprocess(text, config)[: config.max_len]
     if not tokens:
         raise ValueError("text preprocesses to zero tokens; nothing to explain")
     instance = InterpretableInstance.from_tokens(tokens)

@@ -8,7 +8,7 @@ verification (tests/oracles.py) runs the same code in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -76,15 +76,6 @@ class LstmCellParams:
     @property
     def input_size(self) -> int:
         return self.w_in.shape[1]
-
-
-def init_lstm_params(input_size, hidden_size, rng, dtype=np.float32) -> LstmCellParams:
-    """Uniform +-1/sqrt(h) weights, zero biases."""
-    bound = 1.0 / np.sqrt(hidden_size)
-    w_in = rng.uniform(-bound, bound, (4 * hidden_size, input_size)).astype(dtype)
-    w_rec = rng.uniform(-bound, bound, (4 * hidden_size, hidden_size)).astype(dtype)
-    bias = np.zeros(4 * hidden_size, dtype=dtype)
-    return LstmCellParams(w_in, w_rec, bias)
 
 
 def _gate_constants(h, dtype):
@@ -332,13 +323,6 @@ class DenseParams:
             )
 
 
-def init_dense_params(input_size, output_size, rng, activation="identity", dtype=np.float32):
-    bound = 1.0 / np.sqrt(input_size)
-    weights = rng.uniform(-bound, bound, (output_size, input_size)).astype(dtype)
-    bias = np.zeros(output_size, dtype=dtype)
-    return DenseParams(weights, bias, activation)
-
-
 def dense_forward(x, params: DenseParams):
     x = np.asarray(x)
     if x.shape[-1] != params.weights.shape[1]:
@@ -378,14 +362,8 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    first_moment: dict = None
-    second_moment: dict = None
-
-    def __post_init__(self):
-        if self.first_moment is None:
-            self.first_moment = {}
-        if self.second_moment is None:
-            self.second_moment = {}
+    first_moment: dict = field(default_factory=dict)
+    second_moment: dict = field(default_factory=dict)
 
 
 def adam_step(params: dict, grads: dict, state: AdamState):

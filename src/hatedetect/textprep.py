@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from importlib import resources
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -126,7 +127,7 @@ def encode(tokens: Iterable[str], vocab: "Vocabulary", max_len: int) -> np.ndarr
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
-    ids = [vocab.index_of(t) for t in tokens][:max_len]
+    ids = [vocab.index_of(t) for t in islice(tokens, max_len)]
     ids.extend([PAD_INDEX] * (max_len - len(ids)))
     return np.asarray(ids, dtype=np.int64)
 

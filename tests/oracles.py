@@ -6,6 +6,8 @@ loss oracles are forward-only losses whose central finite differences
 (finite_diff_grad) check the analytic gradients.
 """
 
+import math
+
 import numpy as np
 
 from hatedetect import neural
@@ -26,6 +28,15 @@ def pair_loss(input_vectors, output_vectors, context, center, negatives) -> floa
     return float(np.logaddexp(0.0, -s_pos) + np.logaddexp(0.0, s_neg).sum())
 
 
+def cosine(u, v) -> float:
+    """Cosine similarity in [-1, 1], 0 when either vector is zero."""
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    dot = sum(float(a) * float(b) for a, b in zip(u, v))
+    norms = math.sqrt(sum(float(a) ** 2 for a in u)) * math.sqrt(sum(float(b) ** 2 for b in v))
+    return 0.0 if norms == 0.0 else max(-1.0, min(1.0, dot / norms))
+
+
 def brute_force_auc(scores, labels) -> float:
     """Exhaustive pairwise concordance with half credit for ties."""
     positives = [s for s, label in zip(scores, labels) if label == HATE]
@@ -38,6 +49,16 @@ def brute_force_auc(scores, labels) -> float:
             elif p == q:
                 total += 0.5
     return total / (len(positives) * len(negatives))
+
+
+def midranks(values) -> list:
+    """1-based rank of each value, tied values sharing the mean of their ranks."""
+    ranks = []
+    for v in values:
+        below = sum(1 for w in values if w < v)
+        tied = sum(1 for w in values if w == v)
+        ranks.append(below + (tied + 1) / 2.0)
+    return ranks
 
 
 def brute_force_prf(predicted, actual) -> dict:

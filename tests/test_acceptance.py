@@ -27,13 +27,13 @@ from hatedetect.corpus import (
     split,
     stats,
 )
-from hatedetect.embed import CbowConfig, cosine, train_cbow
+from hatedetect.embed import CbowConfig, train_cbow
 from hatedetect.explain import explain
 from hatedetect.metrics import PER_CLASS, WEIGHTED, prf, report, roc_auc
 from hatedetect.textprep import PipelineConfig, expand_contractions, preprocess
 
 from conftest import make_keyword_examples
-from oracles import batch_loss, brute_force_auc, brute_force_prf, finite_diff_grad
+from oracles import batch_loss, brute_force_auc, brute_force_prf, cosine, finite_diff_grad
 
 H, N = HATE, NON_HATE
 

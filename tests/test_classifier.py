@@ -212,8 +212,12 @@ class TestTrain:
                               pipeline=PipelineConfig(stopwords=frozenset(), max_len=20))
         model = HateClassifier.build(config, matrix)
         before = model.params["embedding"].copy()
-        train(model, split(examples, seed=0))
+        _, best = train(model, split(examples, seed=0))
         assert np.array_equal(model.params["embedding"], before)
+        # best shares the frozen table and owns copies of the trained tensors
+        assert best.params["embedding"] is model.params["embedding"]
+        assert not any(np.shares_memory(best.params[n], model.params[n])
+                       for n in model.params if n != "embedding")
 
     def test_first_batch_loss_decreases_after_one_step(self):
         examples = make_keyword_examples(64, seed=6)
@@ -429,6 +433,71 @@ class TestCheckpoint:
         assert loaded.config == best.config
         texts = [" ".join(FILLER_TOKENS[i : i + 12]) + " scum" for i in range(4)] + ["vermin", ""]
         assert loaded.predict(texts).tobytes() == best.predict(texts).tobytes()
+
+    @staticmethod
+    def doctored(tmp_path, model, edit):
+        """model's checkpoint with its tensor list and params.bin rewritten
+        by edit(tensors, blob) -> blob."""
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        with zipfile.ZipFile(path) as archive:
+            manifest = json.loads(archive.read("manifest.json"))
+            blob = archive.read("params.bin")
+        blob = edit(manifest["tensors"], blob)
+        doctored = tmp_path / "doctored.ckpt"
+        with zipfile.ZipFile(doctored, "w") as archive:
+            archive.writestr("manifest.json", json.dumps(manifest))
+            archive.writestr("params.bin", blob)
+        return doctored
+
+    def test_tensors_stored_in_layout_order(self, tmp_path):
+        best = small_model(seed=2)
+
+        def reverse(tensors, blob):
+            tensors.reverse()
+            return b"".join(
+                best.params[entry["name"]].astype("<f4").tobytes() for entry in tensors
+            )
+
+        loaded = HateClassifier.load(self.doctored(tmp_path, best, reverse))
+        assert list(loaded.params) == list(best.params)
+        for name, tensor in best.params.items():
+            assert loaded.params[name].tobytes() == tensor.tobytes()
+        loaded.save(tmp_path / "again.ckpt")
+        best.save(tmp_path / "model.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == (tmp_path / "model.ckpt").read_bytes()
+
+    def test_missing_tensor_refused(self, tmp_path):
+        def drop_last(tensors, blob):
+            assert tensors.pop() == {"name": "dense2_bias", "shape": [1]}
+            return blob[:-4]
+
+        path = self.doctored(tmp_path, small_model(), drop_last)
+        with pytest.raises(ValueError, match="inconsistency: missing tensor 'dense2_bias'"):
+            HateClassifier.load(path)
+
+    @pytest.mark.parametrize("name, message", [
+        ("dense3_bias", r"unexpected tensors \['dense3_bias'\]"),
+        ("dense2_bias", "tensor 'dense2_bias' stored twice"),
+    ])
+    def test_extra_tensor_refused(self, tmp_path, name, message):
+        def add(tensors, blob):
+            tensors.append({"name": name, "shape": [1]})
+            return blob + bytes(4)
+
+        path = self.doctored(tmp_path, small_model(), add)
+        with pytest.raises(ValueError, match="inconsistency: " + message):
+            HateClassifier.load(path)
+
+    def test_misshapen_tensor_refused(self, tmp_path):
+        def transpose(tensors, blob):
+            entry = next(e for e in tensors if e["name"] == "dense2_weights")
+            entry["shape"].reverse()  # same size, so params.bin still fits
+            return blob
+
+        path = self.doctored(tmp_path, small_model(), transpose)
+        with pytest.raises(ValueError, match=r"dense2_weights has shape \(4, 1\), expected \(1, 4\)"):
+            HateClassifier.load(path)
 
     def test_vocabulary_embedding_mismatch_rejected(self):
         model = small_model()

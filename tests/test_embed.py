@@ -9,14 +9,13 @@ from hatedetect.embed import (
     Vocabulary,
     _pair_grads,
     build_vocab,
-    cosine,
     nearest,
     train_cbow,
 )
 from hatedetect.textprep import PAD_INDEX, PAD_TOKEN, UNK_TOKEN
 
 from conftest import make_random_matrix, make_vocab
-from oracles import finite_diff_grad, pair_loss
+from oracles import cosine, finite_diff_grad, pair_loss
 
 
 class TestVocabulary:
@@ -53,26 +52,40 @@ class TestVocabulary:
         assert vocab.index_of("missing") == 1
 
 
+def similarities(*rows):
+    """nearest's similarity of each of rows[1:] to rows[0], in row order."""
+    tokens = [f"t{i}" for i in range(len(rows))]
+    matrix = EmbeddingMatrix(np.array([[0.0] * len(rows[0])] * 2 + list(rows)), make_vocab(tokens))
+    scores = dict(nearest("t0", len(tokens), matrix))
+    return [scores[token] for token in tokens[1:]]
+
+
 class TestCosine:
+    """Cosine similarity as nearest reports it."""
+
     def test_identity(self):
-        x = np.array([0.3, -1.2, 2.0])
-        assert cosine(x, x) == pytest.approx(1.0, abs=1e-12)
+        x = [0.3, -1.2, 2.0]
+        assert similarities(x, x) == [pytest.approx(1.0, abs=1e-12)]
 
     def test_antipodal(self):
         x = np.array([0.5, 2.0, -1.0])
-        assert cosine(x, -x) == pytest.approx(-1.0, abs=1e-12)
+        assert similarities(x, -x) == [pytest.approx(-1.0, abs=1e-12)]
 
     def test_orthogonal(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
+        assert similarities([1.0, 0.0], [0.0, 1.0]) == [0.0]
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine([1.0, 2.0], [1.0, 2.0, 3.0])
+    def test_zero_vector_scores_zero(self):
+        assert similarities([0.0, 0.0], [1.0, 1.0], [-2.0, 0.5]) == [0.0, 0.0]
+        assert similarities([1.0, 1.0], [0.0, 0.0], [-2.0, 0.5])[0] == 0.0
 
-    def test_zero_vector_warns(self, caplog):
-        with caplog.at_level("WARNING"):
-            assert cosine([0.0, 0.0], [1.0, 1.0]) == 0.0
-        assert "zero vector" in caplog.text
+    def test_matches_oracle(self):
+        matrix = make_random_matrix([f"t{i}" for i in range(12)], dim=6, seed=4)
+        matrix.vectors[5] = 0.0
+        for query in ("t0", "t3", "t9"):
+            q = matrix.vectors[matrix.vocab.index[query]]
+            for token, score in nearest(query, 11, matrix):
+                expected = cosine(q, matrix.vectors[matrix.vocab.index[token]])
+                assert score == pytest.approx(expected, abs=1e-12)
 
 
 class TestNearest:

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,15 @@ def kept_tokens(instance, mask):
     """Oracle: the instance tokens whose feature the mask keeps, in order."""
     keep = {f for f, bit in zip(instance.features, mask) if bit}
     return tuple(t for t in instance.tokens if t in keep)
+
+
+def traced_peak(run):
+    """run()'s result and the peak bytes it allocated, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tiny_model(pipeline, words, seed=0):
@@ -387,3 +397,24 @@ class TestModelPredictor:
 
         explain(predict, text, n_samples=20, seed=0, config=pipeline)
         assert scored[tuple(tokens)] == model.predict([text])[0]
+
+    def test_long_text_costs_only_its_first_max_len_tokens(self):
+        # A ~100k-token text (about 0.5 MB) with 1,000 distinct tokens. The
+        # model reads the first max_len tokens; past preprocessing, neither
+        # predict nor explain may pay for the rest.
+        pipeline = PipelineConfig(stopwords=frozenset(), max_len=50)
+        words = [f"w{i}" for i in range(1000)]
+        model = tiny_model(pipeline, words[:50])
+        text = " ".join(words[i % len(words)] for i in range(100_000))
+        head = " ".join(words[:50])
+        probs, peak = traced_peak(lambda: model.predict([text]))
+        assert peak < 16e6
+        assert probs.tobytes() == model.predict([head]).tobytes()
+        explanation, peak = traced_peak(
+            lambda: explain(model.predict_tokens, text, n_samples=20, seed=0, config=pipeline)
+        )
+        assert peak < 16e6
+        assert explanation.tokens == tuple(words[:50])
+        assert explanation == explain(
+            model.predict_tokens, head, n_samples=20, seed=0, config=pipeline
+        )

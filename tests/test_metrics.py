@@ -9,6 +9,7 @@ from hatedetect.metrics import (
     PER_CLASS,
     WEIGHTED,
     ConfusionMatrix,
+    _midranks,
     confusion,
     evaluate_predictions,
     prf,
@@ -19,7 +20,7 @@ from hatedetect.metrics import (
     write_predictions_csv,
 )
 
-from oracles import brute_force_auc, brute_force_prf
+from oracles import brute_force_auc, brute_force_prf, midranks
 
 H, N = HATE, NON_HATE
 
@@ -154,6 +155,14 @@ class TestRocAuc:
         for _ in range(100):
             scores, labels = random_label_set(rng, int(rng.integers(2, 64)))
             assert abs(roc_auc(scores, labels) - brute_force_auc(scores, labels)) < 1e-9
+
+    def test_midranks_match_loop_reference(self):
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 7, 64, 301):
+            values = rng.integers(-3, max(1, n // 3), n) / 4.0  # mostly ties
+            assert _midranks(values).tolist() == midranks(values.tolist())
+        infinite = [np.inf, 0.5, -np.inf, np.inf]
+        assert _midranks(np.array(infinite)).tolist() == midranks(infinite) == [3.5, 2.0, 1.0, 3.5]
 
 
 class FakeModel:

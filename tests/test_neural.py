@@ -14,8 +14,6 @@ from hatedetect.neural import (
     bilstm_batch_forward,
     dense_backward,
     dense_forward,
-    init_dense_params,
-    init_lstm_params,
     lstm_backward,
     lstm_forward,
     sigmoid,
@@ -81,9 +79,17 @@ class TestBce:
 MIXED_LENGTHS = np.array([3, 0, 5, 3, 1, 5, 2])
 
 
-def random_cell(input_size, hidden_size, seed, dtype=np.float64):
+def uniform(rng, fan, shape):
+    """Weights drawn uniform +-1/sqrt(fan), as the classifier initializes them."""
+    bound = 1.0 / np.sqrt(fan)
+    return rng.uniform(-bound, bound, shape)
+
+
+def random_cell(input_size, hidden_size, seed):
     rng = np.random.default_rng(seed)
-    return init_lstm_params(input_size, hidden_size, rng, dtype)
+    w_in = uniform(rng, hidden_size, (4 * hidden_size, input_size))
+    w_rec = uniform(rng, hidden_size, (4 * hidden_size, hidden_size))
+    return LstmCellParams(w_in, w_rec, np.zeros(4 * hidden_size))
 
 
 def identity_input_cell(h):
@@ -410,7 +416,7 @@ class TestDense:
         rng = np.random.default_rng(31)
         x = rng.normal(0, 1, (4, 5))
         probe = rng.normal(0, 1, (4, 3))
-        dense = init_dense_params(5, 3, rng, activation, dtype=np.float64)
+        dense = DenseParams(uniform(rng, 5, (3, 5)), np.zeros(3), activation)
         params = {"w": dense.weights, "b": dense.bias}
 
         def loss(p):
