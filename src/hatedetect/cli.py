@@ -9,7 +9,9 @@ config. Exit codes: 0 success, 2 I/O, 3 validation, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
@@ -418,14 +420,38 @@ _HANDLERS = {
 }
 
 
+@contextlib.contextmanager
+def _stderr_logging():
+    """INFO records to the current stderr for one verb, unless the root
+    logger already has a handler: a program that calls main keeps its own
+    logging. The handler goes when the verb returns, so a later call in
+    the same process logs to its own stderr."""
+    root = logging.getLogger()
+    if root.handlers:
+        yield
+        return
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = root.level
+    root.addHandler(handler)
+    root.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
+
+
 def main(argv=None) -> int:
-    """Parse argv and run its verb, mapping error families to exit codes."""
+    """Parse argv and run its verb, mapping error families to exit codes.
+    Log records at INFO and above go to stderr."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _HANDLERS[args.verb](args)
+        with _stderr_logging():
+            return _HANDLERS[args.verb](args)
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

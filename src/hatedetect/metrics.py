@@ -122,12 +122,16 @@ def _midranks(values: np.ndarray) -> np.ndarray:
 
 def roc_auc(scores, labels) -> float:
     """Probability that a random hate example outscores a random non-hate
-    example, ties counted half. Equals the trapezoidal ROC area."""
+    example, ties counted half. Equals the trapezoidal ROC area. Every
+    score must be finite."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = list(labels)
     if len(scores) != len(labels):
         raise ValueError(f"length mismatch: {len(scores)} scores, {len(labels)} labels")
     _check_labels(labels)
+    non_finite = int(np.count_nonzero(~np.isfinite(scores)))
+    if non_finite:
+        raise ValueError(f"{non_finite} of {len(scores)} scores are not finite")
     positive = np.array([label == HATE for label in labels])
     n_pos = int(positive.sum())
     n_neg = len(labels) - n_pos

@@ -88,12 +88,12 @@ def _gate_constants(h, dtype):
 
 
 class LstmCache(NamedTuple):
-    """What lstm_backward needs from a forward scan.
+    """What lstm_backward needs from a forward scan with keep_cache.
 
     The per-position arrays are packed time-major: step t holds the
     counts[t] rows still running, in order of decreasing length, and
     position p of the pack is row rows[p], time position cols[p] of the
-    padded (B, L) layout.
+    padded (B, L) layout. A scan without keep_cache holds none of them.
     """
 
     inputs: np.ndarray  # (B, L, d), the padded batch as passed in
@@ -105,6 +105,9 @@ class LstmCache(NamedTuple):
     rows: np.ndarray  # (P,)
     cols: np.ndarray  # (P,)
     counts: np.ndarray  # (T,) running rows per step, T the longest length
+
+
+BLOCK_STEPS = 8  # steps per input GEMM in a scan without keep_cache
 
 
 def _check_lengths(lengths, batch, length):
@@ -144,10 +147,18 @@ def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, 
     first. Each step is c' = f*c + i*g, h' = o*tanh(c') from a zero state,
     and runs only the rows that have not ended, so padding costs no work.
     The state after reading position t is written at position t; it is
-    zero past each row's length. The input-side products of all real
-    positions come from one GEMM before the scan; only the recurrent
-    product stays in the loop. With keep_cache=False (inference) nothing
-    is kept for backward and the cache is None.
+    zero past each row's length.
+
+    The scan runs in blocks of steps. Each block gathers its real
+    positions' inputs and projects them in one GEMM; only the recurrent
+    product stays in the step loop. With keep_cache the block is the
+    whole schedule, and the packed inputs, gates, cells and states of
+    every position are kept for lstm_backward. With keep_cache=False
+    (inference) a block is BLOCK_STEPS steps, each block's gates
+    overwrite one buffer, each step overwrites one set of state rows,
+    and the cache is None. A last block shorter than BLOCK_STEPS joins
+    the one before it, because a BLAS may round a GEMM of a few rows
+    differently from a large one; so both modes give the same bits.
     """
     inputs = np.asarray(inputs)
     batch, length, d = inputs.shape
@@ -159,34 +170,44 @@ def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, 
     dtype = inputs.dtype
     scale, offset = _gate_constants(h, dtype)
     # The weights carry the pre-activation scale; a power of two, it is exact.
+    w_in_t = (params.w_in * scale[:, None]).T
     w_rec_t = (params.w_rec * scale[:, None]).T
-    # Scaled pre-activations of every real position; activated in place,
-    # they become the gates.
-    packed = inputs[rows, cols]
-    gates = packed @ (params.w_in * scale[:, None]).T
-    gates += params.bias * scale
-    if not keep_cache:
-        del packed
-    hs = np.empty((len(rows), h), dtype=dtype)
+    bias = params.bias * scale
+    steps = counts.tolist()
+    starts = [0, *np.cumsum(counts).tolist()]  # step t is positions starts[t]:starts[t+1]
+    block = len(steps) if keep_cache else BLOCK_STEPS
+    # The first step of each block; the last block takes the remainder too.
+    firsts = list(range(0, max(len(steps) - block, 0) + 1, max(block, 1)))
+    blocks = list(zip(firsts, firsts[1:] + [len(steps)]))
+    # The gates of the largest block; with keep_cache the state rows of
+    # every position, at its own row, else one step's, reused.
+    gates = np.empty((max(starts[t1] - starts[t0] for t0, t1 in blocks), 4 * h), dtype=dtype)
+    hs = np.empty((len(rows) if keep_cache else max(steps, default=0), h), dtype=dtype)
     cells = np.empty_like(hs)
-    tanh_cells = np.empty_like(hs) if keep_cache else None
-    start = previous = 0
-    for t, n in enumerate(counts.tolist()):
-        now = slice(start, start + n)
-        z = gates[now]
-        if t:
-            z += hs[previous : previous + n] @ w_rec_t
-        np.tanh(z, out=z)
-        z *= scale
-        z += offset
-        c = cells[now]
-        np.multiply(z[:, h : 2 * h], cells[previous : previous + n] if t else 0.0, out=c)
-        c += z[:, :h] * z[:, 2 * h : 3 * h]
-        tanh_c = np.tanh(c, out=tanh_cells[now] if keep_cache else None)
-        np.multiply(z[:, 3 * h :], tanh_c, out=hs[now])
-        previous, start = start, start + n
+    tanh_cells = np.empty_like(hs)
     states = np.zeros((batch, length, h), dtype=dtype)
-    states[rows, cols] = hs
+    for t0, t1 in blocks:
+        begin, end = starts[t0], starts[t1]
+        # Scaled pre-activations of the block's positions; activated in
+        # place, they become the gates.
+        packed = inputs[rows[begin:end], cols[begin:end]]
+        np.matmul(packed, w_in_t, out=gates[: end - begin])
+        gates[: end - begin] += bias
+        for t in range(t0, t1):
+            start, n = starts[t], steps[t]
+            now, previous = (start, starts[t - 1]) if keep_cache else (0, 0)
+            z = gates[start - begin : start - begin + n]
+            if t:
+                z += hs[previous : previous + n] @ w_rec_t
+            np.tanh(z, out=z)
+            z *= scale
+            z += offset
+            c = cells[now : now + n]
+            np.multiply(z[:, h : 2 * h], cells[previous : previous + n] if t else 0.0, out=c)
+            c += z[:, :h] * z[:, 2 * h : 3 * h]
+            tanh_c = np.tanh(c, out=tanh_cells[now : now + n])
+            h_now = np.multiply(z[:, 3 * h :], tanh_c, out=hs[now : now + n])
+            states[rows[start : start + n], cols[start : start + n]] = h_now
     if not keep_cache:
         return states, None
     return states, LstmCache(inputs, packed, gates, cells, tanh_cells, hs, rows, cols, counts)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,15 @@ from hatedetect.textprep import PAD_TOKEN, UNK_TOKEN, PipelineConfig
 
 TRIGGER_TOKENS = ("scum", "vermin", "trash", "filth", "parasite")
 FILLER_TOKENS = tuple(f"w{i:02d}" for i in range(40))
+
+
+def traced_peak(run):
+    """run()'s result and the peak bytes it allocated, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_keyword_examples(n: int, seed: int = 5):

@@ -7,11 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hatedetect import neural
+from hatedetect import classifier, neural
 from hatedetect.classifier import (
     HateClassifier,
     ModelConfig,
     TrainHistory,
+    forward_probs,
+    init_params,
     loss_and_grads,
     train,
 )
@@ -20,7 +22,13 @@ from hatedetect.metrics import threshold_labels
 from hatedetect.neural import AdamState, adam_step
 from hatedetect.textprep import PipelineConfig
 
-from conftest import FILLER_TOKENS, TRIGGER_TOKENS, make_keyword_examples, make_random_matrix
+from conftest import (
+    FILLER_TOKENS,
+    TRIGGER_TOKENS,
+    make_keyword_examples,
+    make_random_matrix,
+    traced_peak,
+)
 from oracles import batch_loss
 
 
@@ -328,6 +336,52 @@ class TestLstmCallShapes:
             assert np.shape(inputs) == (4, longest, model.params["embedding"].shape[1])
             assert hidden == cache_hidden == model.config.hidden_size
             assert cache[0] is inputs
+
+    @pytest.mark.parametrize("entry", ["predict", "predict_encoded"])
+    def test_forward_only_calls(self, monkeypatch, entry):
+        model = small_model(seed=1)
+        texts = ["tok1 tok2 tok3", "tok4", "", "tok5 tok6"]
+        token_ids = model.encode_texts(texts)
+        forward_calls, probs_calls = [], []
+        lstm_forward, probs = neural.lstm_forward, classifier.forward_probs
+
+        def traced_forward(*args, **kwargs):
+            forward_calls.append((args[0], args[1].hidden_size, args[2]))
+            return lstm_forward(*args, **kwargs)
+
+        def traced_probs(*args, **kwargs):
+            probs_calls.append(args[1])
+            return probs(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "lstm_forward", traced_forward)
+        monkeypatch.setattr(classifier, "forward_probs", traced_probs)
+        result = model.predict(texts) if entry == "predict" else model.predict_encoded(token_ids)
+        assert result.shape == (4,)
+        assert len(probs_calls) == 1
+        assert np.array_equal(probs_calls[0], token_ids)  # (B, L), untrimmed
+        assert len(forward_calls) == 2
+        longest = 3  # the batch is trimmed to its longest row
+        for inputs, hidden, keep_cache in forward_calls:
+            assert np.shape(inputs) == (4, longest, model.params["embedding"].shape[1])
+            assert hidden == model.config.hidden_size
+            assert keep_cache is False
+
+
+class TestForwardMemory:
+    def test_paper_shape_batch_peak_is_bounded(self):
+        """A forward-only 256x50 batch at d=300, h=128 holds the (B, L, d)
+        embedding gather, both directions' (B, L, h) states and one block
+        of gates, not every position's gates and packed inputs."""
+        config = ModelConfig(hidden_size=128, dense1_size=64, batch_size=256, seed=0,
+                             pipeline=PipelineConfig(stopwords=frozenset(), max_len=50))
+        rng = np.random.default_rng(0)
+        table = rng.normal(0, 0.1, (20_000, 300)).astype(np.float32)
+        table[0] = 0.0
+        params = init_params(config, table)
+        token_ids = rng.integers(2, 20_000, (256, 50))
+        probs, peak = traced_peak(lambda: forward_probs(params, token_ids, config))
+        assert probs.shape == (256,)
+        assert peak < 45e6
 
 
 class TestCheckpoint:

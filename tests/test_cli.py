@@ -1,7 +1,10 @@
 import builtins
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +190,27 @@ def run_full_pipeline(config_path):
     assert run_cli("embed-train", "--config", str(config_path)) == 0
     assert run_cli("train", "--config", str(config_path)) == 0
     assert run_cli("evaluate", "--config", str(config_path)) == 0
+
+
+class TestLogging:
+    def test_cli_logs_progress_to_stderr(self, workspace):
+        """Run as a program, the CLI sets up logging itself: the per-epoch
+        CBOW lines reach stderr."""
+        tmp_path, config_path = workspace
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("w01 w02 w03 w04\nw02 w03 w05 w01\n", encoding="utf-8")
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "hatedetect.cli", "embed-train", "--config", str(config_path),
+             "--corpus", str(corpus)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "cbow epoch 0" in done.stderr
+        assert "cbow epoch 1" in done.stderr
+        assert "trained" in done.stdout
 
 
 class TestPipeline:

@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from hatedetect.explain import (
 )
 from hatedetect.textprep import PipelineConfig, preprocess
 
-from conftest import make_random_matrix
+from conftest import make_random_matrix, traced_peak
 
 PLAIN = PipelineConfig(stopwords=frozenset())
 
@@ -36,15 +35,6 @@ def kept_tokens(instance, mask):
     """Oracle: the instance tokens whose feature the mask keeps, in order."""
     keep = {f for f, bit in zip(instance.features, mask) if bit}
     return tuple(t for t in instance.tokens if t in keep)
-
-
-def traced_peak(run):
-    """run()'s result and the peak bytes it allocated, as tracemalloc sees them."""
-    tracemalloc.start()
-    try:
-        return run(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def tiny_model(pipeline, words, seed=0):

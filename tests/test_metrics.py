@@ -144,6 +144,12 @@ class TestRocAuc:
         with pytest.raises(ValueError):
             roc_auc([0.5], [H, N])
 
+    def test_non_finite_scores_rejected(self):
+        with pytest.raises(ValueError, match="2 of 4 scores are not finite"):
+            roc_auc([np.nan, 0.2, np.nan, 0.9], [H, N, N, H])
+        with pytest.raises(ValueError, match="1 of 2"):
+            roc_auc([np.inf, 0.2], [H, N])
+
     def test_increasing_transform_invariance(self):
         rng = np.random.default_rng(4)
         for _ in range(30):

@@ -1,9 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hatedetect.classifier import ModelConfig, _forward_parts, forward_probs, init_params
 from hatedetect.neural import (
+    BLOCK_STEPS,
+    SEQUENCE_REPRS,
     AdamState,
     DenseParams,
     LstmCellParams,
@@ -299,6 +303,45 @@ class TestPackedScan:
             lstm_forward(np.ones((2, 5, 3)), params, lengths=np.array(lengths))
         with pytest.raises(ValueError, match="lengths"):
             bilstm_batch_forward(np.ones((2, 5, 3)), params, params, lengths=np.array(lengths))
+
+
+class TestBlockedScan:
+    """Without keep_cache the scan projects its inputs BLOCK_STEPS steps at
+    a time into one reused buffer; block edges must change no bit."""
+
+    LENGTH = 3 * BLOCK_STEPS + 1
+    # Empty, one step, a block edge either side, the longest, and between.
+    LENGTHS = np.array([0, 1, BLOCK_STEPS, BLOCK_STEPS + 1, 2 * BLOCK_STEPS,
+                        LENGTH, LENGTH - 1, 5, LENGTH])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_states_equal_the_cached_scan(self, dtype, reverse):
+        cell = random_cell(8, 6, 50)
+        params = LstmCellParams(*(w.astype(dtype) for w in (cell.w_in, cell.w_rec, cell.bias)))
+        inputs = np.random.default_rng(51).normal(0, 1, (len(self.LENGTHS), self.LENGTH, 8))
+        inputs = inputs.astype(dtype)
+        # Mixed lengths, all full, a lone row, and no real position at all.
+        for batch, lengths in ((inputs, self.LENGTHS), (inputs, None), (inputs[:1], None),
+                               (inputs, np.zeros(len(inputs), dtype=int))):
+            states, cache = lstm_forward(batch, params, False, lengths, reverse)
+            assert cache is None
+            cached, _ = lstm_forward(batch, params, True, lengths, reverse)
+            assert states.dtype == dtype
+            assert states.tobytes() == cached.tobytes()
+
+    @pytest.mark.parametrize("sequence_repr", SEQUENCE_REPRS)
+    def test_forward_probs_equal_the_cached_forward(self, sequence_repr, plain_pipeline):
+        config = ModelConfig(hidden_size=6, dense1_size=4, sequence_repr=sequence_repr,
+                             pipeline=replace(plain_pipeline, max_len=self.LENGTH + 3))
+        table = np.random.default_rng(52).normal(0, 1, (40, 8)).astype(np.float32)
+        table[0] = 0.0
+        params = init_params(config, table)
+        token_ids = np.random.default_rng(53).integers(1, 40, (len(self.LENGTHS), self.LENGTH + 3))
+        token_ids[np.arange(self.LENGTH + 3) >= self.LENGTHS[:, None]] = 0
+        probs = forward_probs(params, token_ids, config)
+        cached, _ = _forward_parts(params, token_ids, config, keep_cache=True)
+        assert probs.tobytes() == cached.tobytes()
 
 
 class TestBilstm:
