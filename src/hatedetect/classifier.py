@@ -4,7 +4,8 @@ dense layer (identity activation by default), and a single sigmoid unit.
 Training is mini-batch Adam on binary cross-entropy with seeded shuffling;
 the checkpoint with the lowest validation loss is retained. Given the same
 seed, initialization, training, and the saved checkpoint are all
-bit-for-bit reproducible.
+bit-for-bit reproducible on the same numpy and BLAS build with the same
+BLAS thread count; a threaded GEMM splits its sums by thread count.
 """
 
 from __future__ import annotations
@@ -251,7 +252,9 @@ class HateClassifier:
         return cls(config, embeddings.vocab, params)
 
     def encode_texts(self, texts) -> np.ndarray:
-        return self._encode_tokens(preprocess(text, self.config.pipeline) for text in texts)
+        pipeline = self.config.pipeline
+        return self._encode_tokens(preprocess(text, pipeline, limit=pipeline.max_len)
+                                   for text in texts)
 
     def _encode_tokens(self, sequences) -> np.ndarray:
         max_len = self.config.pipeline.max_len

@@ -201,8 +201,8 @@ def _load_config(args) -> RunConfig:
     return RunConfig.load(args.config, overrides)
 
 
-def _load_prepared(config: RunConfig):
-    return corpus_mod.load_split_manifests(config.output_dir / "prepared")
+def _load_prepared(config: RunConfig, parts=corpus_mod.SPLIT_NAMES):
+    return corpus_mod.load_split_manifests(config.output_dir / "prepared", parts)
 
 
 def _load_embeddings(config: RunConfig) -> EmbeddingMatrix:
@@ -256,7 +256,7 @@ def _cmd_embed_train(args) -> int:
         with open(corpus_path, encoding="utf-8") as handle:
             texts = [line.rstrip("\n") for line in handle if line.strip()]
     else:
-        texts = [example.text for example in _load_prepared(config).train]
+        texts = [example.text for example in _load_prepared(config, ("train",)).train]
     sequences = [preprocess(text, config.model.pipeline) for text in texts]
     if args.dry_run:
         print(f"dry run: would train {config.cbow.dim}-dim vectors on "
@@ -327,7 +327,7 @@ def _cmd_evaluate(args) -> int:
         out = _write_report(config, report, "metrics")
     else:
         model = HateClassifier.load(_checkpoint_path(config, args))
-        bundle = _load_prepared(config)
+        bundle = _load_prepared(config, ("test",))
         if args.dry_run:
             print(f"dry run: checkpoint and {len(bundle.test)} test examples validated")
             return EXIT_OK

@@ -10,8 +10,8 @@ import csv
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from dataclasses import dataclass, fields
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -95,9 +95,12 @@ class ClassCounts:
 
 @dataclass(frozen=True)
 class SplitBundle:
-    train: list
-    validation: list
-    test: list
+    """The three parts of a split. A part that load_split_manifests was not
+    asked to read is None, not an empty list."""
+
+    train: list | None
+    validation: list | None
+    test: list | None
     ratios: tuple
     seed: int
     stratified: bool
@@ -118,26 +121,47 @@ def load_dataset(spec: DatasetSpec) -> list[LabeledExample]:
         raise FileNotFoundError(f"dataset file not found: {path}")
     examples = []
     skipped = 0
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        for column in (spec.text_column, spec.label_column):
-            if column not in fields:
-                raise ValueError(f"dataset {path} is missing column {column!r} (has {fields})")
-        for row_number, row in enumerate(reader):
-            text = row.get(spec.text_column) or ""
-            if not text.strip():
-                skipped += 1
-                continue
-            raw_label = (row.get(spec.label_column) or "").strip()
-            examples.append(
-                LabeledExample(id=f"{spec.name}:{row_number}", text=text, raw_label=raw_label)
-            )
+    rows = _read_columns(path, (spec.text_column, spec.label_column), "dataset")
+    for row_number, (text, raw_label) in enumerate(rows):
+        if not text.strip():
+            skipped += 1
+            continue
+        examples.append(
+            LabeledExample(id=f"{spec.name}:{row_number}", text=text, raw_label=raw_label.strip())
+        )
     if skipped:
         log.info("skipped %d empty-text rows while loading %s", skipped, path)
     if not examples:
         raise ValueError(f"dataset {path} has zero usable rows")
     return examples
+
+
+def _read_columns(path: Path, columns, what: str) -> list[tuple]:
+    """The named columns (two or more) of each row of a CSV file, as tuples.
+
+    Rows read as csv.DictReader reads them: a UTF-8 byte-order mark is
+    dropped, blank lines are skipped (so they take no row number), a name
+    the header repeats reads its last column, and a field past the end of
+    a short row reads as "". A column the header lacks is a ValueError
+    that names it.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        position = {name: i for i, name in enumerate(header)}
+        for column in columns:
+            if column not in position:
+                raise ValueError(f"{what} {path} is missing column {column!r} (has {header})")
+        wanted = [position[column] for column in columns]
+        pick = itemgetter(*wanted)
+        width = max(wanted) + 1
+        rows = []
+        for row in reader:
+            if len(row) >= width:
+                rows.append(pick(row))
+            elif row:
+                rows.append(tuple(row[i] if i < len(row) else "" for i in wanted))
+    return rows
 
 
 def read_label_mapping(path) -> dict:
@@ -174,7 +198,7 @@ def collapse_labels(examples, mapping: dict) -> tuple[list[LabeledExample], Clas
             hate += 1
         else:
             nonhate += 1
-        collapsed.append(replace(example, binary_label=binary))
+        collapsed.append(LabeledExample(example.id, example.text, example.raw_label, binary))
     return collapsed, ClassCounts(hate, nonhate)
 
 
@@ -293,8 +317,11 @@ def write_split_manifests(bundle: SplitBundle, directory) -> None:
     write_json(directory / "split.json", sidecar)
 
 
-def load_split_manifests(directory) -> SplitBundle:
-    """Rebuild a SplitBundle from manifests written by write_split_manifests."""
+def load_split_manifests(directory, parts=SPLIT_NAMES) -> SplitBundle:
+    """Rebuild a SplitBundle from manifests written by write_split_manifests.
+
+    Only the named parts are read; the bundle's other parts are None.
+    """
     directory = Path(directory)
     sidecar_path = directory / "split.json"
     if not sidecar_path.exists():
@@ -302,20 +329,17 @@ def load_split_manifests(directory) -> SplitBundle:
     with open(sidecar_path, encoding="utf-8") as handle:
         sidecar = json.load(handle)
     header = [f.name for f in fields(LabeledExample)]
-    parts = []
-    for name in SPLIT_NAMES:
+    loaded = {}
+    for name in parts:
         path = directory / f"{name}.csv"
         if not path.exists():
             raise FileNotFoundError(f"split manifest not found: {path}")
-        part = []
-        with open(path, newline="", encoding="utf-8") as handle:
-            for row in csv.DictReader(handle):
-                row = {column: row[column] for column in header}
-                row["binary_label"] = row["binary_label"] or None  # written as ""
-                part.append(LabeledExample(**row))
-        parts.append(part)
+        loaded[name] = [
+            LabeledExample(id_, text, raw_label, binary_label or None)  # None is written as ""
+            for id_, text, raw_label, binary_label in _read_columns(path, header, "split manifest")
+        ]
     return SplitBundle(
-        *parts,
+        *(loaded.get(name) for name in SPLIT_NAMES),
         ratios=tuple(sidecar["ratios"]),
         seed=sidecar["seed"],
         stratified=sidecar["stratified"],

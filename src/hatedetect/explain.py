@@ -165,8 +165,8 @@ def explain(predictor, text: str, n_samples: int = DEFAULT_N_SAMPLES,
             ridge: float = DEFAULT_RIDGE) -> Explanation:
     """Full pipeline: preprocess, perturb, query the predictor on the batch
     of distinct kept token sequences, kernel-weight, and fit the surrogate.
-    Only the first config.max_len tokens are explained: the model reads no
-    further.
+    Only the first config.max_len tokens are explained, and only as much of
+    the text is preprocessed as they need: the model reads no further.
 
     `predictor` takes a list of token tuples and returns their hate
     probabilities; a text predictor `predict` takes them as
@@ -174,7 +174,7 @@ def explain(predictor, text: str, n_samples: int = DEFAULT_N_SAMPLES,
     Explanation records seed and sample count for replay.
     """
     config = config or PipelineConfig()
-    tokens = preprocess(text, config)[: config.max_len]
+    tokens = preprocess(text, config, limit=config.max_len)
     if not tokens:
         raise ValueError("text preprocesses to zero tokens; nothing to explain")
     instance = InterpretableInstance.from_tokens(tokens)

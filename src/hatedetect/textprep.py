@@ -32,6 +32,15 @@ NEGATORS = frozenset({"no", "not", "never"})
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
 _PUNCT_RE = re.compile(r"[^A-Za-z0-9\s]")
+# A whole whitespace-delimited chunk holding an apostrophe. The lookbehind
+# starts a match only at a chunk's first character, so a long chunk without
+# one is scanned once, not once per starting position.
+_APOSTROPHE_CHUNK_RE = re.compile(r"(?<!\S)\S*'\S*")
+_SPACE_RE = re.compile(r"\s")
+
+# A bounded preprocess first reads about this many characters per token it
+# must return, then twice as many more each time too few tokens come out.
+CHARS_PER_TOKEN = 32
 
 
 def _resource_lines(name: str) -> list[str]:
@@ -53,16 +62,32 @@ def _contractions() -> tuple[re.Pattern, dict[str, str]]:
         table[short.lower()] = expansion
     # Longest alternative first so "can't've" is not eaten by "can't".
     alternatives = sorted(table, key=len, reverse=True)
+    # Case folding inside (?a:...) is ASCII only, so a match is always a
+    # key of the ASCII table: under Unicode folding "İ" and "ı" would match
+    # "i" and "ſ" would match "s". The outer \b stays Unicode.
     pattern = re.compile(
-        r"\b(" + "|".join(re.escape(c) for c in alternatives) + r")\b",
+        r"\b(?a:(" + "|".join(re.escape(c) for c in alternatives) + r"))\b",
         re.IGNORECASE,
     )
     return pattern, table
 
 
 def expand_contractions(text: str) -> str:
+    """Replace each contraction in the table by its expansion.
+
+    Every contraction holds an apostrophe and no whitespace, so the
+    pattern runs only on the whitespace-delimited chunks that hold one;
+    a word boundary at a chunk's edge sees the same non-word neighbour it
+    would see in the whole text.
+    """
+    if "'" not in text:
+        return text
     pattern, table = _contractions()
-    return pattern.sub(lambda m: table[m.group(0).lower()], text)
+
+    def expand(match):
+        return table[match.group(0).lower()]
+
+    return _APOSTROPHE_CHUNK_RE.sub(lambda chunk: pattern.sub(expand, chunk.group(0)), text)
 
 
 @dataclass(frozen=True)
@@ -95,22 +120,47 @@ class PipelineConfig:
         return data
 
 
-def preprocess(text: str, config: PipelineConfig | None = None) -> list[str]:
+def preprocess(text: str, config: PipelineConfig | None = None,
+               limit: int | None = None) -> list[str]:
     """Normalize raw text into a token sequence.
 
     Step order is fixed: contractions -> lowercase -> punctuation -> split
     -> stopwords. URLs and @-mentions are dropped with the punctuation;
     a hashtag loses its "#" but keeps its body.
+
+    With a limit, the result is the first `limit` tokens of the whole
+    text's, and only as much of the text is normalized as they need: a
+    prefix cut at whitespace, widened while fewer than `limit` tokens come
+    out. Every step acts within whitespace-delimited chunks, so the tokens
+    of a text are those of its pieces cut at whitespace, in order.
     """
     if config is None:
         config = PipelineConfig()
+    if limit is None:
+        return _normalize(text, config)
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    tokens = []
+    start = 0
+    width = limit * CHARS_PER_TOKEN
+    while start < len(text) and len(tokens) < limit:
+        space = _SPACE_RE.search(text, start + width)
+        end = space.start() if space else len(text)
+        tokens += _normalize(text[start:end], config)
+        start = end
+        width *= 2
+    return tokens[:limit]
+
+
+def _normalize(text: str, config: PipelineConfig) -> list[str]:
     s = text.replace("’", "'")  # curly apostrophes fold into ASCII
     if config.expand_contractions:
         s = expand_contractions(s)
     if config.lowercase:
         s = s.lower()
     if config.strip_punctuation:
-        s = _URL_RE.sub(" ", s)
+        if "://" in s or "www." in s.lower():  # what every URL match holds, ignoring case
+            s = _URL_RE.sub(" ", s)
         s = _MENTION_RE.sub(" ", s)
         s = _PUNCT_RE.sub(" ", s)
     tokens = s.split()

@@ -3,10 +3,14 @@
 The metric oracles are deliberately written with plain Python loops,
 separate from the library's vectorized/rank-based implementations. The
 loss oracles are forward-only losses whose central finite differences
-(finite_diff_grad) check the analytic gradients.
+(finite_diff_grad) check the analytic gradients. The contraction oracle
+runs the table's pattern over the whole text.
 """
 
 import math
+import re
+from functools import lru_cache
+from importlib import resources
 
 import numpy as np
 
@@ -18,6 +22,33 @@ from hatedetect.corpus import HATE, NON_HATE
 def batch_loss(params: dict, token_ids: np.ndarray, labels, config: ModelConfig) -> float:
     """Mean BCE of the full model on one batch (forward only)."""
     return neural.bce(forward_probs(params, token_ids, config), labels)
+
+
+@lru_cache(maxsize=1)
+def contractions():
+    """The bundled table as (whole-text pattern, lowercase key -> expansion)."""
+    table = {}
+    lines = resources.files("hatedetect.resources").joinpath("contractions.txt").read_text("utf-8")
+    for line in lines.splitlines():
+        if line.strip() and not line.startswith("#"):
+            short, _, expansion = line.strip().partition("\t")
+            table[short.lower()] = expansion
+    alternatives = sorted(table, key=len, reverse=True)
+    pattern = re.compile(
+        r"\b(" + "|".join(re.escape(c) for c in alternatives) + r")\b",
+        re.IGNORECASE,
+    )
+    return pattern, table
+
+
+def expand_contractions(text: str) -> str:
+    """One case-insensitive pass of every contraction over the whole text.
+
+    A match holding a character that only Unicode case folding maps to
+    ASCII ("İ", "ı", "ſ") raises KeyError: the table's keys are ASCII.
+    """
+    pattern, table = contractions()
+    return pattern.sub(lambda m: table[m.group(0).lower()], text)
 
 
 def pair_loss(input_vectors, output_vectors, context, center, negatives) -> float:

@@ -246,6 +246,12 @@ class TestPipeline:
         rescored = json.loads((run_dir / "reports" / "metrics.json").read_text())
         assert rescored == report
 
+        # evaluate reads only the test split
+        for name in ("train", "validation"):
+            (run_dir / "prepared" / f"{name}.csv").unlink()
+        assert run_cli("evaluate", "--config", str(config_path)) == 0
+        assert json.loads((run_dir / "reports" / "metrics.json").read_text()) == report
+
     def test_explain_and_nearest(self, workspace, capsys, monkeypatch):
         tmp_path, config_path = workspace
         run_full_pipeline(config_path)

@@ -65,6 +65,18 @@ class TestLoadDataset:
             ("toy:1", "two\r\nlines", "b"),
         ]
 
+    def test_rows_read_as_a_dict_reader_reads_them(self, tmp_path):
+        # Blank lines take no row number, a short row's missing field reads
+        # as "", extra fields are ignored, and a repeated header name reads
+        # its last column.
+        path = tmp_path / "d.csv"
+        path.write_text("label,text,label\n\nL0,one,a\n\n\nL1,two\nL2,three,b,extra\n,,c\n",
+                        encoding="utf-8")
+        examples = load_dataset(spec_for(path))
+        assert [(e.id, e.text, e.raw_label) for e in examples] == [
+            ("toy:0", "one", "a"), ("toy:1", "two", ""), ("toy:2", "three", "b"),
+        ]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_dataset(spec_for(tmp_path / "nope.csv"))
@@ -258,4 +270,21 @@ class TestManifests:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
+            load_split_manifests(tmp_path)
+
+    def test_reads_only_the_named_parts(self, tmp_path):
+        dataset = [example(i, HATE if i % 2 else NON_HATE) for i in range(20)]
+        bundle = split(dataset, seed=4)
+        write_split_manifests(bundle, tmp_path)
+        (tmp_path / "train.csv").unlink()
+        loaded = load_split_manifests(tmp_path, ("test",))
+        assert loaded.train is None and loaded.validation is None  # not read, not empty
+        assert loaded.test == bundle.test
+        with pytest.raises(FileNotFoundError, match="train.csv"):
+            load_split_manifests(tmp_path, ("train", "test"))
+
+    def test_manifest_missing_column_named(self, tmp_path):
+        write_split_manifests(split([example(i) for i in range(10)], seed=1), tmp_path)
+        write_csv(tmp_path / "test.csv", [["t:0", "text 0", "x"]], header=("id", "text", "raw_label"))
+        with pytest.raises(ValueError, match="binary_label"):
             load_split_manifests(tmp_path)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import oracles
+from hatedetect import textprep
 from hatedetect.textprep import (
     NEGATORS,
     PAD_INDEX,
@@ -106,6 +108,128 @@ def test_preprocess_keeps_any_subsequence_of_its_output():
             for _ in range(3):
                 sub = [t for t in tokens if rng.random() < 0.6]
                 assert preprocess(" ".join(sub), config) == sub, (text, config)
+
+
+# Characters that Unicode case folding, and only it, maps to an ASCII
+# letter of some contraction: "İ" and "ı" to "i", "ſ" to "s".
+UNICODE_FOLDS = ("İ", "ı", "ſ")
+WORD_CHARS = ("é", "ß", "日本", "ǅ", "x\u0307", "_", "7", *UNICODE_FOLDS)
+GAPS = (" ", " ", " ", "", "\t", "\n", "\r\n", "\u00a0", "\u2028", "\u3000", "\x1c", ",")
+
+
+def _random_case(rng, word):
+    return "".join(c.upper() if rng.random() < 0.5 else c for c in word)
+
+
+def hostile_text(rng, n_pieces):
+    """Contractions in mixed case, curly and doubled apostrophes, apostrophes
+    beside punctuation and at chunk edges, non-ASCII word characters glued
+    on, URLs and mentions holding an apostrophe, and plain words, joined by
+    assorted whitespace (tabs, newlines, NBSP) or glued together."""
+    keys = sorted(oracles.contractions()[1])
+    text = ""
+    for _ in range(n_pieces):
+        key = _random_case(rng, keys[int(rng.integers(0, len(keys)))])
+        kind = int(rng.integers(0, 10))
+        if kind == 0:
+            piece = key.replace("'", "’" if rng.random() < 0.5 else "''")
+        elif kind == 1:
+            left, right = [("(", ")"), ("'", "'"), ('"', '."'), ("", "'s"), ("-", "!"), ("", "")][
+                int(rng.integers(0, 6))]
+            piece = left + key + right
+        elif kind == 2:
+            piece = ["'", "''", "'t", key.split("'")[0] + "'", "'" + key.split("'")[1]][
+                int(rng.integers(0, 5))]
+        elif kind == 3:
+            glue = WORD_CHARS[int(rng.integers(0, len(WORD_CHARS)))]
+            piece = glue + key if rng.random() < 0.5 else key + glue
+        elif kind == 4:
+            piece = key.replace(key[int(rng.integers(0, len(key)))],
+                                UNICODE_FOLDS[int(rng.integers(0, 3))], 1)
+        elif kind == 5:
+            piece = ["https://x.co/", "www.", "@", "HTTP://t.co/a?q=", "#"][
+                int(rng.integers(0, 5))] + key
+        elif kind in (6, 7):
+            piece = ["the", "a", "IS", "not", "i", "idiots", "scum", "w07", "123", "&amp;"][
+                int(rng.integers(0, 10))]
+        else:
+            piece = key
+        text += piece + GAPS[int(rng.integers(0, len(GAPS)))]
+    return text
+
+
+@pytest.fixture(scope="module")
+def hostile_texts():
+    rng = np.random.default_rng(17)
+    sizes = (1, 4, 12, 60, 400)  # long enough to outgrow a bounded read
+    return [hostile_text(rng, int(rng.integers(1, sizes[i % len(sizes)] + 1)))
+            for i in range(600)]
+
+
+def test_contractions_match_the_whole_text_oracle(hostile_texts):
+    crashed = 0
+    for text in hostile_texts:
+        folded = text.replace("’", "'")
+        try:
+            expected = oracles.expand_contractions(folded)
+        except KeyError:
+            # The whole-text pass only fails on a Unicode case variant,
+            # which the ASCII-folding pattern leaves as written.
+            assert any(c in folded for c in UNICODE_FOLDS), text
+            crashed += 1
+            continue
+        assert expand_contractions(folded) == expected, text
+    assert 0 < crashed < len(hostile_texts) // 2
+
+
+@pytest.mark.parametrize("text", ["İ'm here", "let'ſ go", "ı'm", "IT'ſ", "İsn't"])
+def test_unicode_case_variants_are_left_as_written(text):
+    assert expand_contractions(text) == text
+    assert preprocess(text, PipelineConfig(stopwords=frozenset()))  # no KeyError
+
+
+def test_contraction_case_folding_is_ascii_only():
+    assert expand_contractions("I'M here") == "i am here"
+    assert expand_contractions("IT's, Let'S") == "it is, let us"
+    assert expand_contractions("éI'm") == "éI'm"  # no word boundary before the I
+
+
+@pytest.mark.parametrize("chars_per_token", [textprep.CHARS_PER_TOKEN, 1])
+def test_bounded_preprocess_is_a_prefix_of_the_whole(hostile_texts, monkeypatch, chars_per_token):
+    # One character per token cuts the text at many more places.
+    monkeypatch.setattr(textprep, "CHARS_PER_TOKEN", chars_per_token)
+    configs = [PipelineConfig(), PipelineConfig(lowercase=False, stopwords=frozenset()),
+               PipelineConfig(expand_contractions=False, strip_punctuation=False)]
+    for text in hostile_texts:
+        for config in configs:
+            try:
+                whole = preprocess(text, config)
+            except KeyError:
+                pytest.fail(f"preprocess raised on {text!r}")
+            for limit in (1, 7, 50):
+                assert preprocess(text, config, limit=limit) == whole[:limit], (text, limit)
+
+
+def test_bounded_preprocess_rejects_a_bad_limit():
+    with pytest.raises(ValueError, match="limit"):
+        preprocess("some words", PipelineConfig(), limit=0)
+
+
+def test_text_without_apostrophe_never_reaches_the_contraction_pattern(hostile_texts, monkeypatch):
+    config = PipelineConfig()
+    plain = [t for t in hostile_texts if "'" not in t and "’" not in t]
+    expected = [preprocess(text, config) for text in plain]
+
+    class Refusing:
+        def sub(self, *args):
+            raise AssertionError("the contraction pattern ran")
+
+    table = oracles.contractions()[1]
+    monkeypatch.setattr(textprep, "_contractions", lambda: (Refusing(), table))
+    assert len(plain) >= 20
+    assert [preprocess(text, config) for text in plain] == expected
+    with pytest.raises(AssertionError, match="pattern ran"):
+        preprocess("can't", config)
 
 
 def test_default_stopwords_exclude_negators():
