@@ -1,12 +1,27 @@
-"""Crash-safe artifact writes: write beside the target, then rename over it."""
+"""Crash-safe artifact writes (write beside the target, then rename over
+it) and checked reads of the JSON that configs and sidecars hold."""
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import threading
 from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from pathlib import Path
+
+# What a JSON file, or a to_dict (a tuple), may give for a config field of each
+# annotation, and how an error says it. An annotation "X | None" allows null.
+_JSON_TYPES = {
+    "bool": (bool, "true or false"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "frozenset": (list, "a list"),
+    "tuple": ((list, tuple), "a list"),
+    "dict": (dict, "an object"),
+}
 
 
 @contextmanager
@@ -40,3 +55,58 @@ def write_bytes(path, data: bytes) -> None:
 def write_json(path, data) -> None:
     """write_bytes of `data` as UTF-8 JSON indented by 2, plus a newline."""
     write_bytes(path, (json.dumps(data, indent=2) + "\n").encode())
+
+
+def write_csv(path, header, rows) -> None:
+    """Replace `path` with a UTF-8 CSV of the header row, then `rows`."""
+    with atomic_write(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at `path`; errors name the file as `what`."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"{what} not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+        if not isinstance(data, dict):
+            raise ValueError("not a JSON object")
+    except ValueError as exc:  # also bad JSON and bad UTF-8
+        raise ValueError(f"{what} {path}: {exc}") from None
+    return data
+
+
+def _check(value, annotation: str, key: str):
+    """`value`, if a JSON file may give it for a field annotated
+    `annotation`; otherwise an error that names `key`. A bool is not a
+    number."""
+    kind, _, optional = annotation.partition(" | ")
+    expected, wanted = _JSON_TYPES[kind]
+    if value is None and optional:
+        return value
+    if not isinstance(value, expected) or isinstance(value, bool) != (expected is bool):
+        raise ValueError(f"config key {key} must be {wanted}, got {value!r}")
+    return value
+
+
+def _section(section, name: str, config_class, **kwargs):
+    """JSON object `name` as a config_class, over `kwargs`. A key that is
+    not a field of config_class, a value of the wrong type, a field without
+    a default left unset, or a value config_class refuses is an error that
+    names the section."""
+    _check(section, "dict", name)
+    annotations = {f.name: f.type for f in fields(config_class)}
+    for key, value in section.items():
+        if annotations.get(key, "").partition(" | ")[0] not in _JSON_TYPES:
+            raise ValueError(f"config section {name!r} has no key {key!r}")
+        kwargs[key] = _check(value, annotations[key], f"{name}.{key}")
+    for f in fields(config_class):
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"config section {name!r} is missing key {f.name!r}")
+    try:
+        return config_class(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"config section {name!r}: {exc}") from None

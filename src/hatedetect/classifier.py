@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import neural
-from .atomic import atomic_write
+from .atomic import _check, _section, atomic_write
 from .corpus import HATE
 from .embed import EmbeddingMatrix, Vocabulary
 from .metrics import WEIGHTED, prf, threshold_labels
@@ -78,19 +78,16 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        """Inverse of to_dict; a key left out keeps its default.
-
-        Older format 1.0 manifests also state the input width, which the
-        tensors carry, and a top-level max_len, the length the model
-        encoded at, which becomes the pipeline's. Keys that are not fields
-        are dropped.
-        """
-        pipeline = dict(data.get("pipeline", {}))
+        """Inverse of to_dict, checked as a run config's model section is.
+        Format 1.0 manifests also state the input width, which the tensors
+        carry, and a top-level max_len, which becomes the pipeline's."""
+        data = dict(_check(data, "dict", "model_config"))
+        data.pop("embedding_dim", None)
+        pipeline = dict(_check(data.pop("pipeline", {}), "dict", "model_config.pipeline"))
         if "max_len" in data:
-            pipeline["max_len"] = data["max_len"]
-        kwargs = {f.name: data[f.name] for f in fields(cls) if f.name in data}
-        kwargs["pipeline"] = PipelineConfig(**pipeline)
-        return cls(**kwargs)
+            pipeline["max_len"] = data.pop("max_len")
+        pipeline = _section(pipeline, "model_config.pipeline", PipelineConfig)
+        return _section(data, "model_config", cls, pipeline=pipeline)
 
 
 @dataclass(frozen=True)
@@ -111,7 +108,9 @@ class TrainHistory:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainHistory":
-        return cls(tuple(EpochRecord(**r) for r in data["records"]), data["selected_epoch"])
+        history = _section(data, "history", cls)
+        return replace(history, records=tuple(_section(r, f"history.records[{i}]", EpochRecord)
+                                              for i, r in enumerate(history.records)))
 
 
 def _layout(config: ModelConfig, vocab_size: int, d: int) -> dict:
@@ -329,32 +328,29 @@ class HateClassifier:
         try:
             with zipfile.ZipFile(path) as archive:
                 manifest = json.loads(archive.read("manifest.json"))
-                version = str(manifest.get("format_version", ""))
+                version = str(manifest.get("format_version") if isinstance(manifest, dict) else "")
                 major = version.split(".")[0]
-                if not major.isdigit():
-                    raise ValueError(
-                        f"corrupt checkpoint file {path}: bad format version {version!r}"
-                    )
-                if int(major) > int(CHECKPOINT_VERSION.split(".")[0]):
-                    raise ValueError(
-                        f"checkpoint format version {version} is newer than "
-                        f"supported {CHECKPOINT_VERSION}"
-                    )
-                shapes = [(entry["name"], tuple(entry["shape"])) for entry in manifest["tensors"]]
-                count = sum(math.prod(shape) for _, shape in shapes)
-                stored_bytes = archive.getinfo("params.bin").file_size
-                if stored_bytes != 4 * count:
-                    problem = "truncated" if stored_bytes < 4 * count else "has trailing bytes"
-                    raise ValueError(f"corrupt checkpoint file {path}: parameter blob {problem}")
-                flat = np.empty(count, dtype="<f4")
-                view = memoryview(flat).cast("B")
-                with archive.open("params.bin") as blob:
-                    for start in range(0, view.nbytes, READ_CHUNK_BYTES):
-                        chunk = view[start : start + READ_CHUNK_BYTES]
-                        if blob.readinto(chunk) != len(chunk):
-                            raise ValueError(
-                                f"corrupt checkpoint file {path}: parameter blob truncated"
-                            )
+                if major.isdigit() and int(major) > int(CHECKPOINT_VERSION.split(".")[0]):
+                    raise ValueError(f"checkpoint format version {version} is newer than "
+                                     f"supported {CHECKPOINT_VERSION}")
+                try:
+                    if not major.isdigit():
+                        raise ValueError(f"bad format version {version!r}")
+                    config, vocab, history, shapes = _read_manifest(manifest)
+                    count = sum(math.prod(shape) for _, shape in shapes)
+                    stored_bytes = archive.getinfo("params.bin").file_size
+                    if stored_bytes != 4 * count:
+                        problem = "truncated" if stored_bytes < 4 * count else "has trailing bytes"
+                        raise ValueError(f"parameter blob {problem}")
+                    flat = np.empty(count, dtype="<f4")
+                    view = memoryview(flat).cast("B")
+                    with archive.open("params.bin") as blob:
+                        for start in range(0, view.nbytes, READ_CHUNK_BYTES):
+                            chunk = view[start : start + READ_CHUNK_BYTES]
+                            if blob.readinto(chunk) != len(chunk):
+                                raise ValueError("parameter blob truncated")
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"corrupt checkpoint file {path}: {exc}") from exc
         except (zipfile.BadZipFile, KeyError, json.JSONDecodeError, EOFError, zlib.error) as exc:
             raise ValueError(f"corrupt checkpoint file {path}: {exc}") from exc
         params = {}
@@ -365,13 +361,28 @@ class HateClassifier:
             size = math.prod(shape)
             params[name] = flat[offset : offset + size].reshape(shape)
             offset += size
-        config = ModelConfig.from_dict(manifest["model_config"])
-        vocab = Vocabulary(manifest["vocabulary"], manifest["vocabulary_counts"])
-        history = TrainHistory.from_dict(manifest["history"]) if manifest.get("history") else None
         return cls(config, vocab, params, history)
 
 
+def _read_manifest(manifest: dict) -> tuple:
+    """A checkpoint manifest's checked config, vocabulary, history and tensor shapes."""
+    shapes = []
+    for i, entry in enumerate(_check(manifest["tensors"], "tuple", "tensors")):
+        key = f"tensors[{i}]"
+        name = _check(_check(entry, "dict", key).get("name"), "str", f"{key}.name")
+        shape = tuple(_check(n, "int", f"{key}.shape")
+                      for n in _check(entry.get("shape"), "tuple", f"{key}.shape"))
+        if min(shape, default=0) < 0:
+            raise ValueError(f"{key} has shape {shape} with a negative size")
+        shapes.append((name, shape))
+    history = TrainHistory.from_dict(manifest["history"]) if manifest.get("history") else None
+    vocab = Vocabulary(manifest["vocabulary"], manifest["vocabulary_counts"])
+    return ModelConfig.from_dict(manifest["model_config"]), vocab, history, shapes
+
+
 def _encode_split(model: HateClassifier, part, part_name: str):
+    if part is None:
+        raise ValueError(f"the {part_name} split was not loaded")
     if not part:
         raise ValueError(f"empty {part_name} split")
     labels = np.zeros(len(part), dtype=np.float32)

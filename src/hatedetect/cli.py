@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import logging
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import embed as embed_mod
 from . import metrics as metrics_mod
-from .atomic import write_bytes, write_json
+from .atomic import _check, _section, read_json_object, write_bytes, write_json
 from .classifier import HateClassifier, ModelConfig, train, sweep_dense1_activation
 from .corpus import CombineConfig, DatasetSpec, SplitConfig
 from .embed import CbowConfig, EmbeddingMatrix
@@ -35,54 +34,9 @@ EXIT_IO = 2
 EXIT_VALIDATION = 3
 EXIT_NUMERIC = 4
 
-# What a run config may give for a config field of each annotation, and how
-# that is said in an error message. An annotation "X | None" also allows null.
-_JSON_TYPES = {
-    "bool": (bool, "true or false"),
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
-    "str": (str, "a string"),
-    "frozenset": (list, "a list"),
-    "tuple": (list, "a list"),
-    "dict": (dict, "an object"),
-}
-
 # The top-level keys of a run config besides `seed`, with their defaults.
 _RUN_CONFIG_DEFAULTS = {"output_dir": "run", "datasets": [], "split": {}, "combine": {},
                         "pipeline": {}, "cbow": {}, "model": {}}
-
-
-def _check(value, annotation: str, key: str):
-    """`value`, if a run config may give it for a field annotated
-    `annotation`; otherwise an error that names `key`. A bool is not a
-    number."""
-    kind, _, optional = annotation.partition(" | ")
-    expected, wanted = _JSON_TYPES[kind]
-    if value is None and optional:
-        return value
-    if not isinstance(value, expected) or isinstance(value, bool) != (expected is bool):
-        raise ValueError(f"config key {key} must be {wanted}, got {value!r}")
-    return value
-
-
-def _section(section, name: str, config_class, **kwargs):
-    """Section `name` of a run config as a config_class, over `kwargs`.
-    A key that is not a field of config_class, a value of the wrong type, a
-    field without a default left unset, or a value config_class refuses is
-    an error that names the section."""
-    _check(section, "dict", name)
-    annotations = {f.name: f.type for f in fields(config_class)}
-    for key, value in section.items():
-        if annotations.get(key, "").partition(" | ")[0] not in _JSON_TYPES:
-            raise ValueError(f"config section {name!r} has no key {key!r}")
-        kwargs[key] = _check(value, annotations[key], f"{name}.{key}")
-    for f in fields(config_class):
-        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError(f"config section {name!r} is missing key {f.name!r}")
-    try:
-        return config_class(**kwargs)
-    except ValueError as exc:
-        raise ValueError(f"config section {name!r}: {exc}") from None
 
 
 @dataclass
@@ -100,12 +54,7 @@ class RunConfig:
     @classmethod
     def load(cls, path, overrides: dict | None = None) -> "RunConfig":
         path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise ValueError(f"run config {path} must hold a JSON object")
+        data = read_json_object(path, "run config")
         overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
         data = {**_RUN_CONFIG_DEFAULTS, **data, **overrides}
         unknown = sorted(data.keys() - _RUN_CONFIG_DEFAULTS.keys() - {"seed"})
@@ -129,7 +78,7 @@ class RunConfig:
                                      "and 'label_mapping_file'")
                 mapping_file = path.parent / _check(entry.pop("label_mapping_file"), "str",
                                                     f"{name}.label_mapping_file")
-                entry["label_mapping"] = corpus_mod.read_label_mapping(mapping_file)
+                entry["label_mapping"] = read_json_object(mapping_file, "label mapping file")
             spec = _section(entry, name, DatasetSpec)
             datasets.append(replace(spec, path=str(path.parent / spec.path)))
 
@@ -162,9 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
 
-    def common(p, config_required=True):
-        if config_required:
-            p.add_argument("--config", required=True, help="run config JSON file")
+    def common(p):
+        p.add_argument("--config", required=True, help="run config JSON file")
         p.add_argument("--out", help="override the config's output directory")
         p.add_argument("--seed", type=int, help="override the config's seed")
         p.add_argument("--dry-run", action="store_true", help="validate inputs, write nothing")
@@ -318,11 +266,10 @@ def _cmd_evaluate(args) -> int:
     if external and not (args.predictions and args.labels):
         raise ValueError("external scoring needs both --predictions and --labels")
     if external:
+        report = metrics_mod.score_external(args.predictions, args.labels)
         if args.dry_run:
-            metrics_mod.score_external(args.predictions, args.labels)
             print("dry run: external predictions validated")
             return EXIT_OK
-        report = metrics_mod.score_external(args.predictions, args.labels)
         config.record()
         out = _write_report(config, report, "metrics")
     else:
@@ -350,10 +297,10 @@ def _cmd_explain(args) -> int:
     config = _load_config(args)
     model = HateClassifier.load(_checkpoint_path(config, args))
     if args.dry_run:
-        tokens = preprocess(args.text, model.config.pipeline)
+        tokens = preprocess(args.text, model.config.pipeline, limit=model.config.pipeline.max_len)
         if not tokens:
             raise ValueError("text preprocesses to zero tokens; nothing to explain")
-        print(f"dry run: checkpoint loaded, text has {len(tokens)} tokens")
+        print(f"dry run: checkpoint loaded, explain would read {len(tokens)} tokens")
         return EXIT_OK
     explanation = explain(
         model.predict_tokens,

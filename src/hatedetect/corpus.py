@@ -7,7 +7,6 @@ pure computation over its inputs, so repeated runs are reproducible.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -16,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write, write_json
+from .atomic import _check, _section, read_json_object, write_csv, write_json
 
 log = logging.getLogger(__name__)
 
@@ -117,8 +116,6 @@ def load_dataset(spec: DatasetSpec) -> list[LabeledExample]:
     logged.
     """
     path = Path(spec.path)
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file not found: {path}")
     examples = []
     skipped = 0
     rows = _read_columns(path, (spec.text_column, spec.label_column), "dataset")
@@ -139,38 +136,34 @@ def load_dataset(spec: DatasetSpec) -> list[LabeledExample]:
 def _read_columns(path: Path, columns, what: str) -> list[tuple]:
     """The named columns (two or more) of each row of a CSV file, as tuples.
 
-    Rows read as csv.DictReader reads them: a UTF-8 byte-order mark is
-    dropped, blank lines are skipped (so they take no row number), a name
-    the header repeats reads its last column, and a field past the end of
-    a short row reads as "". A column the header lacks is a ValueError
-    that names it.
+    A UTF-8 byte-order mark is dropped, blank lines are skipped (so they
+    take no row number), a name the header repeats reads its last column,
+    and a field past the end of a short row reads as "". A missing file, a
+    column the header lacks, or a row the csv module cannot read (a field
+    over its size limit) is an error that names the file as `what`.
     """
+    if not path.exists():
+        raise FileNotFoundError(f"{what} not found: {path}")
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
-        position = {name: i for i, name in enumerate(header)}
-        for column in columns:
-            if column not in position:
-                raise ValueError(f"{what} {path} is missing column {column!r} (has {header})")
-        wanted = [position[column] for column in columns]
-        pick = itemgetter(*wanted)
-        width = max(wanted) + 1
-        rows = []
-        for row in reader:
-            if len(row) >= width:
-                rows.append(pick(row))
-            elif row:
-                rows.append(tuple(row[i] if i < len(row) else "" for i in wanted))
+        try:
+            header = next(reader, [])
+            position = {name: i for i, name in enumerate(header)}
+            for column in columns:
+                if column not in position:
+                    raise ValueError(f"{what} {path} is missing column {column!r} (has {header})")
+            wanted = [position[column] for column in columns]
+            pick = itemgetter(*wanted)
+            width = max(wanted) + 1
+            rows = []
+            for row in reader:
+                if len(row) >= width:
+                    rows.append(pick(row))
+                elif row:
+                    rows.append(tuple(row[i] if i < len(row) else "" for i in wanted))
+        except csv.Error as exc:
+            raise ValueError(f"{what} {path}:{reader.line_num}: {exc}") from None
     return rows
-
-
-def read_label_mapping(path) -> dict:
-    """Load a raw-label -> binary-label mapping from a JSON config file."""
-    with open(path, encoding="utf-8") as handle:
-        mapping = json.load(handle)
-    if not isinstance(mapping, dict):
-        raise ValueError(f"label mapping file {path} must hold a JSON object")
-    return mapping
 
 
 def validate_mapping(mapping: dict) -> None:
@@ -302,10 +295,8 @@ def write_split_manifests(bundle: SplitBundle, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     header = [f.name for f in fields(LabeledExample)]
     for name, part in zip(SPLIT_NAMES, bundle.parts()):
-        with atomic_write(directory / f"{name}.csv", "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(map(attrgetter(*header), part))  # a None label is written as ""
+        # a None label is written as ""
+        write_csv(directory / f"{name}.csv", header, map(attrgetter(*header), part))
     sidecar = {
         "seed": bundle.seed,
         "ratios": list(bundle.ratios),
@@ -320,27 +311,25 @@ def write_split_manifests(bundle: SplitBundle, directory) -> None:
 def load_split_manifests(directory, parts=SPLIT_NAMES) -> SplitBundle:
     """Rebuild a SplitBundle from manifests written by write_split_manifests.
 
-    Only the named parts are read; the bundle's other parts are None.
+    Only the named parts are read; the bundle's other parts are None. A
+    binary label other than the two classes or "" is refused.
     """
     directory = Path(directory)
     sidecar_path = directory / "split.json"
-    if not sidecar_path.exists():
-        raise FileNotFoundError(f"split sidecar not found: {sidecar_path}")
-    with open(sidecar_path, encoding="utf-8") as handle:
-        sidecar = json.load(handle)
+    sidecar = read_json_object(sidecar_path, "split sidecar")
+    seed = _check(sidecar.pop("seed", None), "int", f"{sidecar_path}: seed")
+    sidecar.pop("counts", None)
+    config = _section(sidecar, str(sidecar_path), SplitConfig)
     header = [f.name for f in fields(LabeledExample)]
     loaded = {}
     for name in parts:
         path = directory / f"{name}.csv"
-        if not path.exists():
-            raise FileNotFoundError(f"split manifest not found: {path}")
-        loaded[name] = [
-            LabeledExample(id_, text, raw_label, binary_label or None)  # None is written as ""
-            for id_, text, raw_label, binary_label in _read_columns(path, header, "split manifest")
-        ]
-    return SplitBundle(
-        *(loaded.get(name) for name in SPLIT_NAMES),
-        ratios=tuple(sidecar["ratios"]),
-        seed=sidecar["seed"],
-        stratified=sidecar["stratified"],
-    )
+        examples = loaded[name] = []
+        rows = _read_columns(path, header, "split manifest")
+        for row, (id_, text, raw_label, binary_label) in enumerate(rows, 1):
+            if binary_label and binary_label not in BINARY_LABELS:
+                raise ValueError(f"split manifest {path} row {row}: binary_label "
+                                 f"{binary_label!r} is not one of {BINARY_LABELS} or empty")
+            examples.append(LabeledExample(id_, text, raw_label, binary_label or None))
+    return SplitBundle(*(loaded.get(name) for name in SPLIT_NAMES), ratios=config.ratios,
+                       seed=seed, stratified=config.stratified)

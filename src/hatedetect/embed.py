@@ -259,7 +259,7 @@ def _draw_negatives(rng, cumulative, count, center):
         negatives[clash] = np.searchsorted(cumulative, rng.random(int(clash.sum())), side="right")
 
 
-def train_cbow(corpus, config: CbowConfig, vocab: Vocabulary | None = None):
+def train_cbow(corpus, config: CbowConfig):
     """Train CBOW input vectors over a tokenized corpus.
 
     Per center position a context radius is drawn uniformly in 1..window,
@@ -269,8 +269,7 @@ def train_cbow(corpus, config: CbowConfig, vocab: Vocabulary | None = None):
     vectors are kept; the output table is discarded.
     """
     sentences = [list(s) for s in corpus]
-    if vocab is None:
-        vocab = build_vocab(sentences, config.min_count)
+    vocab = build_vocab(sentences, config.min_count)
     v = len(vocab)
     encoded = []
     for sentence in sentences:
@@ -288,22 +287,13 @@ def train_cbow(corpus, config: CbowConfig, vocab: Vocabulary | None = None):
     output_vectors = np.zeros((v, config.dim))
 
     counts = np.asarray(vocab.counts, dtype=np.float64)
-    total_tokens = counts.sum()
-    subsample = config.subsample
-    if subsample > 0 and total_tokens == 0:
-        # vocabularies loaded from vector files carry no counts
-        log.warning("vocabulary has no frequency counts; subsampling disabled")
-        subsample = 0.0
     keep_prob = np.ones(v)
-    if subsample > 0:
+    if config.subsample > 0:
         with np.errstate(divide="ignore", invalid="ignore"):
-            frequency = counts / total_tokens
-            keep_prob = np.sqrt(subsample / frequency) + subsample / frequency
+            frequency = counts / counts.sum()
+            keep_prob = np.sqrt(config.subsample / frequency) + config.subsample / frequency
         keep_prob = np.where(counts > 0, np.minimum(keep_prob, 1.0), 0.0)
     noise = counts**0.75
-    if noise.sum() == 0:
-        noise = np.ones(v)  # uniform over real tokens when counts are unknown
-        noise[:2] = 0.0
     cumulative = np.cumsum(noise / noise.sum())
 
     total_words = sum(len(ids) for ids in encoded) * config.epochs
@@ -315,7 +305,7 @@ def train_cbow(corpus, config: CbowConfig, vocab: Vocabulary | None = None):
         for sentence in encoded:
             lr = max(config.min_lr, config.initial_lr * (1.0 - processed / total_words))
             processed += len(sentence)
-            if subsample > 0:
+            if config.subsample > 0:
                 sentence = sentence[rng.random(len(sentence)) < keep_prob[sentence]]
             if len(sentence) < 2:
                 continue

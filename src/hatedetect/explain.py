@@ -15,7 +15,7 @@ from itertools import compress
 
 import numpy as np
 
-from .textprep import PipelineConfig, preprocess
+from .textprep import PipelineConfig, default_pipeline, preprocess
 
 DEFAULT_N_SAMPLES = 1000
 DEFAULT_KERNEL_WIDTH = 25.0
@@ -173,7 +173,7 @@ def explain(predictor, text: str, n_samples: int = DEFAULT_N_SAMPLES,
     `lambda seqs: predict([" ".join(s) for s in seqs])`. The returned
     Explanation records seed and sample count for replay.
     """
-    config = config or PipelineConfig()
+    config = config or default_pipeline()
     tokens = preprocess(text, config, limit=config.max_len)
     if not tokens:
         raise ValueError("text preprocesses to zero tokens; nothing to explain")

@@ -8,7 +8,6 @@ concordance probability (ties get half credit), computed from midranks.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -16,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .atomic import atomic_write
-from .corpus import BINARY_LABELS, HATE, NON_HATE
+from .atomic import write_csv
+from .corpus import BINARY_LABELS, HATE, NON_HATE, _read_columns
 
 log = logging.getLogger(__name__)
 
@@ -225,35 +224,19 @@ def report(model, examples, threshold: float | None = None) -> MetricsReport:
 
 def write_predictions_csv(path, ids, scores) -> None:
     """CSV "id,score" with full-precision scores (round-trips exactly)."""
-    with atomic_write(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "score"])
-        for example_id, score in zip(ids, scores):
-            writer.writerow([example_id, repr(float(score))])
+    write_csv(path, ["id", "score"], ((i, repr(float(s))) for i, s in zip(ids, scores)))
 
 
 def write_labels_csv(path, ids, labels) -> None:
-    with atomic_write(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "label"])
-        for example_id, label in zip(ids, labels):
-            writer.writerow([example_id, label])
+    write_csv(path, ["id", "label"], zip(ids, labels))
 
 
 def _read_two_column_csv(path, value_column):
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"file not found: {path}")
     rows = {}
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        if "id" not in fields or value_column not in fields:
-            raise ValueError(f"{path} must have columns 'id' and {value_column!r}, has {fields}")
-        for row in reader:
-            if row["id"] in rows:
-                raise ValueError(f"{path}: duplicate id {row['id']!r}")
-            rows[row["id"]] = row[value_column]
+    for example_id, value in _read_columns(Path(path), ("id", value_column), "file"):
+        if example_id in rows:
+            raise ValueError(f"{path}: duplicate id {example_id!r}")
+        rows[example_id] = value
     if not rows:
         raise ValueError(f"{path} has no data rows")
     return rows
@@ -273,7 +256,11 @@ def score_external(predictions_path, labels_path, threshold: float = 0.5) -> Met
     ids = sorted(score_rows)
     scores = []
     for example_id in ids:
-        score = float(score_rows[example_id])
+        try:
+            score = float(score_rows[example_id])
+        except ValueError:
+            raise ValueError(f"{predictions_path}: score {score_rows[example_id]!r} for id "
+                             f"{example_id!r} is not a number") from None
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score out of range for id {example_id!r}: {score!r}")
         scores.append(score)

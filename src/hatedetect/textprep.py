@@ -120,6 +120,13 @@ class PipelineConfig:
         return data
 
 
+@lru_cache(maxsize=1)
+def default_pipeline() -> PipelineConfig:
+    """PipelineConfig(), built once: it is frozen, and building one costs
+    more than normalizing a short text."""
+    return PipelineConfig()
+
+
 def preprocess(text: str, config: PipelineConfig | None = None,
                limit: int | None = None) -> list[str]:
     """Normalize raw text into a token sequence.
@@ -134,8 +141,7 @@ def preprocess(text: str, config: PipelineConfig | None = None,
     out. Every step acts within whitespace-delimited chunks, so the tokens
     of a text are those of its pieces cut at whitespace, in order.
     """
-    if config is None:
-        config = PipelineConfig()
+    config = config or default_pipeline()
     if limit is None:
         return _normalize(text, config)
     if limit < 1:

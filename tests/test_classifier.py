@@ -256,6 +256,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="training"):
             train(model, empty)
 
+    def test_split_that_was_not_loaded_is_named_as_such(self, trained_setup):
+        bundle, config, matrix, _, _ = trained_setup
+        model = HateClassifier.build(config, matrix)
+        for part in ("train", "validation"):
+            partial = replace(bundle, **{part: None})
+            with pytest.raises(ValueError, match="split was not loaded"):
+                train(model, partial)
+
 
 class TestLengthAware:
     """Padding must not change a score: the recurrence stops at each text's
@@ -488,6 +496,47 @@ class TestCheckpoint:
         texts = [" ".join(FILLER_TOKENS[i : i + 12]) + " scum" for i in range(4)] + ["vermin", ""]
         assert loaded.predict(texts).tobytes() == best.predict(texts).tobytes()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m["model_config"].update(hidden_size="4"),
+         "model_config.hidden_size must be an integer"),
+        (lambda m: m["model_config"].update(hiden_size=4), "no key 'hiden_size'"),
+        (lambda m: m["model_config"]["pipeline"].update(stop_words=[]), "no key 'stop_words'"),
+        (lambda m: m["model_config"].update(pipeline=[]), "model_config.pipeline must be an object"),
+        (lambda m: m.update(model_config=[1]), "model_config must be an object"),
+        (lambda m: m["history"]["records"][0].pop("train_loss"), "missing key 'train_loss'"),
+        (lambda m: m["history"].update(selected_epoch="0"), "selected_epoch must be an integer"),
+        (lambda m: m["tensors"][0].update(shape=5), r"tensors\[0\]\.shape must be a list"),
+        (lambda m: m["tensors"][0].update(shape=[2.0, 3]), r"tensors\[0\]\.shape must be an integer"),
+        (lambda m: m["tensors"][0].update(shape=[-2, -3]), "negative size"),
+        (lambda m: m["tensors"][0].update(name=7), r"tensors\[0\]\.name must be a string"),
+        (lambda m: m["tensors"].append(5), r"tensors\[11\] must be an object"),
+        (lambda m: m.update(vocabulary=5), "not subscriptable"),
+        (lambda m: m.pop("format_version"), "bad format version"),
+    ])
+    def test_corrupt_manifest_refused_with_its_path(self, tmp_path, trained_setup, edit, message):
+        _, _, _, _, best = trained_setup
+        path = tmp_path / "model.ckpt"
+        best.save(path)
+        with zipfile.ZipFile(path) as archive:
+            manifest = json.loads(archive.read("manifest.json"))
+            blob = archive.read("params.bin")
+        edit(manifest)
+        doctored = tmp_path / "doctored.ckpt"
+        with zipfile.ZipFile(doctored, "w") as archive:
+            archive.writestr("manifest.json", json.dumps(manifest))
+            archive.writestr("params.bin", blob)
+        with pytest.raises(ValueError, match=message) as caught:
+            HateClassifier.load(doctored)
+        assert f"corrupt checkpoint file {doctored}" in str(caught.value)
+
+    def test_manifest_that_is_not_an_object_is_corrupt(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("manifest.json", "[1, 2]")
+            archive.writestr("params.bin", b"")
+        with pytest.raises(ValueError, match="corrupt checkpoint file"):
+            HateClassifier.load(path)
+
     @staticmethod
     def doctored(tmp_path, model, edit):
         """model's checkpoint with its tensor list and params.bin rewritten
@@ -597,3 +646,23 @@ class TestModelConfig:
     def test_history_roundtrip(self, trained_setup):
         _, _, _, history, _ = trained_setup
         assert TrainHistory.from_dict(history.to_dict()) == history
+
+    def test_unknown_key_refused(self):
+        # An unknown key is refused, as in a run config's model section,
+        # not dropped: a checkpoint holding one was not written by this code.
+        data = {**small_config().to_dict(), "dropout": 0.5}
+        with pytest.raises(ValueError, match="section 'model_config' has no key 'dropout'"):
+            ModelConfig.from_dict(data)
+
+    def test_format_1_0_keys_are_mapped_not_refused(self):
+        config = small_config()
+        data = {**config.to_dict(), "embedding_dim": 3, "max_len": 9}
+        assert ModelConfig.from_dict(data) == replace(
+            config, pipeline=replace(config.pipeline, max_len=9))
+
+    def test_history_record_types_checked(self, trained_setup):
+        _, _, _, history, _ = trained_setup
+        data = history.to_dict()
+        data["records"][0]["epoch"] = "0"
+        with pytest.raises(ValueError, match=r"history\.records\[0\]\.epoch must be an integer"):
+            TrainHistory.from_dict(data)

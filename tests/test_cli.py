@@ -3,8 +3,10 @@ import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +194,88 @@ def run_full_pipeline(config_path):
     assert run_cli("evaluate", "--config", str(config_path)) == 0
 
 
+def doctored_checkpoint(edit):
+    """A probe that rewrites the trained checkpoint's manifest by edit(manifest)."""
+    def probe(tmp_path, run_dir, config_path):
+        path = run_dir / "models" / "model.ckpt"
+        with zipfile.ZipFile(path) as archive:
+            manifest = json.loads(archive.read("manifest.json"))
+            blob = archive.read("params.bin")
+        edit(manifest)
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("manifest.json", json.dumps(manifest))
+            archive.writestr("params.bin", blob)
+        return ["explain", "--config", str(config_path), "--out", str(run_dir),
+                "--text", "w00 scum"], path
+    return probe
+
+
+def doctored_sidecar(edit):
+    """A probe that replaces the prepared split.json by edit(sidecar)."""
+    def probe(tmp_path, run_dir, config_path):
+        path = run_dir / "prepared" / "split.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        return ["evaluate", "--config", str(config_path), "--out", str(run_dir)], path
+    return probe
+
+
+def short_prediction_row(tmp_path, run_dir, config_path):
+    predictions, labels = tmp_path / "p.csv", tmp_path / "l.csv"
+    predictions.write_text("id,score\na,0.5\nb\n")
+    labels.write_text("id,label\na,hate\nb,nonhate\n")
+    return ["evaluate", "--config", str(config_path), "--out", str(run_dir),
+            "--predictions", str(predictions), "--labels", str(labels)], predictions
+
+
+def oversized_dataset_field(tmp_path, run_dir, config_path):
+    dataset = tmp_path / "toy.csv"
+    write_dataset(dataset)
+    with open(dataset, "a", encoding="utf-8") as handle:
+        handle.write("x" * (129 * 1024) + ",clean\n")  # over the csv module's 128 KiB limit
+    return ["prepare", "--config", str(write_config(tmp_path))], dataset
+
+
+MALFORMED_INPUTS = {
+    "hidden_size_a_string": doctored_checkpoint(
+        lambda m: m["model_config"].update(hidden_size="4")),
+    "unknown_pipeline_key": doctored_checkpoint(
+        lambda m: m["model_config"]["pipeline"].update(stop_words=[])),
+    "history_record_missing_keys": doctored_checkpoint(
+        lambda m: m["history"]["records"][0].clear()),
+    "model_config_not_an_object": doctored_checkpoint(
+        lambda m: m.update(model_config=[4, 4])),
+    "tensor_shape_not_a_list": doctored_checkpoint(
+        lambda m: m["tensors"][0].update(shape=5)),
+    "split_json_not_an_object": doctored_sidecar(lambda sidecar: [sidecar]),
+    "split_json_ratios_not_a_list": doctored_sidecar(lambda sidecar: {**sidecar, "ratios": 0.6}),
+    "prediction_row_without_score": short_prediction_row,
+    "dataset_field_over_128_kib": oversized_dataset_field,
+}
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A prepared, embedded and trained run, shared read-only by the probes."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    write_dataset(tmp_path / "toy.csv")
+    config_path = write_config(tmp_path)
+    for verb in ("prepare", "embed-train", "train"):
+        assert run_cli(verb, "--config", str(config_path)) == 0
+    return tmp_path / "run", config_path
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("probe", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+    def test_exits_validation_naming_the_file(self, trained_run, tmp_path, capsys, probe):
+        source, config_path = trained_run
+        run_dir = tmp_path / "run"
+        shutil.copytree(source, run_dir)
+        argv, named = probe(tmp_path, run_dir, config_path)
+        capsys.readouterr()
+        assert run_cli(*argv) == 3
+        assert str(named) in capsys.readouterr().err
+
+
 class TestLogging:
     def test_cli_logs_progress_to_stderr(self, workspace):
         """Run as a program, the CLI sets up logging itself: the per-epoch
@@ -263,6 +347,13 @@ class TestPipeline:
         ) == 0
         assert (run_dir / "explanations" / "explanation.json").exists()
         assert (run_dir / "explanations" / "explanation.html").exists()
+
+        # the dry run reports what explain reads: at most max_len (16) tokens
+        capsys.readouterr()
+        long_text = " ".join(f"w{i % 20:02d}" for i in range(40))
+        assert run_cli("explain", "--config", str(config_path), "--text", long_text,
+                       "--dry-run") == 0
+        assert "explain would read 16 tokens" in capsys.readouterr().out
 
         # a model that scores NaN is refused before anything is written
         written = (run_dir / "explanations" / "explanation.json").read_bytes()

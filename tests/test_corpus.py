@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hatedetect.atomic import read_json_object
 from hatedetect.corpus import (
     HATE,
     NON_HATE,
@@ -12,7 +13,6 @@ from hatedetect.corpus import (
     combine_balanced,
     load_dataset,
     load_split_manifests,
-    read_label_mapping,
     split,
     stats,
     write_split_manifests,
@@ -81,6 +81,13 @@ class TestLoadDataset:
         with pytest.raises(FileNotFoundError):
             load_dataset(spec_for(tmp_path / "nope.csv"))
 
+    def test_oversized_field_names_file_and_line(self, tmp_path):
+        # the csv module refuses a field over 128 KiB
+        path = tmp_path / "d.csv"
+        write_csv(path, [["one", "a"], ["x" * (129 * 1024), "b"]])
+        with pytest.raises(ValueError, match=r"d\.csv:3: field larger than field limit"):
+            load_dataset(spec_for(path))
+
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, [["one", "a"]], header=("text", "klass"))
@@ -127,7 +134,7 @@ class TestCollapse:
     def test_mapping_file_roundtrip(self, tmp_path):
         path = tmp_path / "mapping.json"
         path.write_text(json.dumps(DAVIDSON_STYLE_MAPPING), encoding="utf-8")
-        assert read_label_mapping(path) == DAVIDSON_STYLE_MAPPING
+        assert read_json_object(path, "label mapping file") == DAVIDSON_STYLE_MAPPING
 
 
 class TestCombineBalanced:
@@ -282,6 +289,42 @@ class TestManifests:
         assert loaded.test == bundle.test
         with pytest.raises(FileNotFoundError, match="train.csv"):
             load_split_manifests(tmp_path, ("train", "test"))
+
+    @pytest.mark.parametrize("label", ["Hate", "foo", " hate"])
+    def test_manifest_label_outside_the_classes_refused(self, tmp_path, label):
+        write_split_manifests(split([example(i) for i in range(10)], seed=1), tmp_path)
+        write_csv(tmp_path / "train.csv", [["t:0", "text 0", "x", HATE], ["t:1", "text 1", "x", label]],
+                  header=("id", "text", "raw_label", "binary_label"))
+        with pytest.raises(ValueError, match=r"train\.csv row 2: binary_label") as caught:
+            load_split_manifests(tmp_path)
+        assert repr(label) in str(caught.value)
+
+    def test_manifest_empty_label_reads_as_none(self, tmp_path):
+        write_split_manifests(split([example(i) for i in range(10)], seed=1), tmp_path)
+        write_csv(tmp_path / "test.csv", [["t:0", "text 0", "x", ""]],
+                  header=("id", "text", "raw_label", "binary_label"))
+        assert load_split_manifests(tmp_path, ("test",)).test[0].binary_label is None
+
+    @pytest.mark.parametrize("sidecar, message", [
+        ([1, 2], "not a JSON object"),
+        ({"ratios": 5, "stratified": True, "seed": 1}, "ratios must be a list"),
+        ({"ratios": [0.6, 0.2, 0.2], "stratified": True}, "seed must be an integer"),
+        ({"ratios": [0.6, 0.2, 0.2], "stratified": "yes", "seed": 1}, "stratified"),
+        ({"ratios": [0.6, 0.2, 0.2], "seed": 1, "sorted": True}, "no key 'sorted'"),
+    ])
+    def test_bad_sidecar_refused_with_its_path(self, tmp_path, sidecar, message):
+        write_split_manifests(split([example(i) for i in range(10)], seed=1), tmp_path)
+        (tmp_path / "split.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError, match=message) as caught:
+            load_split_manifests(tmp_path)
+        assert "split.json" in str(caught.value)
+
+    def test_sidecar_counts_are_not_read_back(self, tmp_path):
+        write_split_manifests(split([example(i) for i in range(10)], seed=1), tmp_path)
+        sidecar = json.loads((tmp_path / "split.json").read_text())
+        del sidecar["counts"]
+        (tmp_path / "split.json").write_text(json.dumps(sidecar))
+        assert load_split_manifests(tmp_path).seed == 1
 
     def test_manifest_missing_column_named(self, tmp_path):
         write_split_manifests(split([example(i) for i in range(10)], seed=1), tmp_path)

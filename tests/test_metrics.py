@@ -290,6 +290,23 @@ class TestScoreExternal:
         expected = score_external(tmp_path / "p2.csv", tmp_path / "l2.csv")
         assert score_external(tmp_path / "p.csv", tmp_path / "l.csv") == expected
 
+    @pytest.mark.parametrize("row", ["b", "b,", "b,high", "b,0.5x"])
+    def test_score_that_is_not_a_number_names_file_and_id(self, tmp_path, row):
+        # a short row's score reads as ""
+        (tmp_path / "p.csv").write_text(f"id,score\na,0.5\n{row}\n")
+        write_labels_csv(tmp_path / "l.csv", ["a", "b"], [H, N])
+        with pytest.raises(ValueError, match=r"p\.csv: score .* for id 'b' is not a number"):
+            score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+
+    def test_duplicate_id_and_no_rows(self, tmp_path):
+        (tmp_path / "p.csv").write_text("id,score\na,0.5\na,0.6\n")
+        (tmp_path / "l.csv").write_text("id,label\n")
+        with pytest.raises(ValueError, match="duplicate id 'a'"):
+            score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+        write_predictions_csv(tmp_path / "p.csv", ["a"], [0.5])
+        with pytest.raises(ValueError, match="no data rows"):
+            score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+
     def test_bad_header(self, tmp_path):
         (tmp_path / "p.csv").write_text("identifier,value\na,0.5\n")
         write_labels_csv(tmp_path / "l.csv", ["a"], [H])

@@ -8,6 +8,7 @@ from hatedetect.textprep import (
     PAD_INDEX,
     UNK_INDEX,
     PipelineConfig,
+    default_pipeline,
     default_stopwords,
     encode,
     expand_contractions,
@@ -230,6 +231,14 @@ def test_text_without_apostrophe_never_reaches_the_contraction_pattern(hostile_t
     assert [preprocess(text, config) for text in plain] == expected
     with pytest.raises(AssertionError, match="pattern ran"):
         preprocess("can't", config)
+
+
+def test_default_pipeline_is_built_once(monkeypatch):
+    assert default_pipeline() is default_pipeline() == PipelineConfig()
+    built = []
+    monkeypatch.setattr(PipelineConfig, "__post_init__", lambda self: built.append(self))
+    assert preprocess("They are IDIOTS!!!") == ["idiots"]
+    assert built == []
 
 
 def test_default_stopwords_exclude_negators():
