@@ -349,19 +349,19 @@ class HateClassifier:
                             chunk = view[start : start + READ_CHUNK_BYTES]
                             if blob.readinto(chunk) != len(chunk):
                                 raise ValueError("parameter blob truncated")
+                    params = {}
+                    offset = 0
+                    for name, shape in shapes:
+                        if name in params:
+                            raise ValueError(f"checkpoint inconsistency: tensor {name!r} stored twice")
+                        size = math.prod(shape)
+                        params[name] = flat[offset : offset + size].reshape(shape)
+                        offset += size
+                    return cls(config, vocab, params, history)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"corrupt checkpoint file {path}: {exc}") from exc
         except (zipfile.BadZipFile, KeyError, json.JSONDecodeError, EOFError, zlib.error) as exc:
             raise ValueError(f"corrupt checkpoint file {path}: {exc}") from exc
-        params = {}
-        offset = 0
-        for name, shape in shapes:
-            if name in params:
-                raise ValueError(f"checkpoint inconsistency: tensor {name!r} stored twice")
-            size = math.prod(shape)
-            params[name] = flat[offset : offset + size].reshape(shape)
-            offset += size
-        return cls(config, vocab, params, history)
 
 
 def _read_manifest(manifest: dict) -> tuple:
@@ -377,6 +377,14 @@ def _read_manifest(manifest: dict) -> tuple:
         shapes.append((name, shape))
     history = TrainHistory.from_dict(manifest["history"]) if manifest.get("history") else None
     vocab = Vocabulary(manifest["vocabulary"], manifest["vocabulary_counts"])
+    # Both checks run in C, with no Python pass over a large vocabulary.
+    try:
+        "".join(vocab.tokens)  # raises unless every token is a str
+        typed = type(sum(vocab.counts)) is int  # a float count makes the sum a float
+    except TypeError:
+        typed = False
+    if not typed:
+        raise ValueError("vocabulary tokens must be strings and vocabulary_counts integers")
     return ModelConfig.from_dict(manifest["model_config"]), vocab, history, shapes
 
 

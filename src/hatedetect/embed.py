@@ -3,7 +3,10 @@ cosine neighbor probes, and the plain-text vector format.
 
 The trainer predicts each center word from the average of its context
 vectors, contrasting the observed center against noise words drawn from a
-unigram^0.75 distribution. Training is single-threaded and fully
+unigram^0.75 distribution. It works one sentence at a time: the radii and
+noise words of all its positions are drawn at once, every position reads
+the tables as of the sentence's start, and each table's distinct rows are
+updated once, by a matrix product. Training is single-threaded and fully
 deterministic for a given seed.
 """
 
@@ -21,6 +24,10 @@ from .neural import sigmoid
 from .textprep import PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN
 
 log = logging.getLogger(__name__)
+
+# Longer lines train as pieces of this many tokens, as word2vec.c cuts them
+# at 1000: a sentence's update matrices grow with its length squared.
+MAX_SENTENCE = 256
 
 
 @dataclass
@@ -229,34 +236,55 @@ def nearest(word, k: int, matrix: EmbeddingMatrix) -> list:
     return candidates[:k]
 
 
-def _pair_grads(input_vectors, output_vectors, context, center, negatives):
-    """Loss and analytic gradients of the negative-sampling loss for one
-    center position, for the rows it touches (oracle: tests/oracles.py
-    pair_loss).
+def _sentence_grads(input_vectors, output_vectors, sentence, radii, negatives):
+    """Loss and analytic gradients of the negative-sampling loss summed over
+    the positions of one sentence of at least two tokens, at fixed tables
+    (oracle: tests/oracles.py sentence_loss).
 
-    Returns (loss, d_context_row, d_target_rows, targets): every context
-    row receives d_context_row; output row targets[i] receives
-    d_target_rows[i]. Duplicate indices accumulate.
+    Position i predicts sentence[i] from the mean of the input rows of the
+    other positions within radii[i] of it, against the noise words
+    negatives[i]. Returns (loss, input_rows, d_input, output_rows,
+    d_output): the distinct rows of each table the loss reads, and their
+    gradients with the contributions of repeated rows summed.
     """
-    h = input_vectors[context].mean(axis=0)
-    targets = np.concatenate(([center], negatives))
-    scores = output_vectors[targets] @ h
-    loss = float(np.logaddexp(0.0, -scores[0]) + np.logaddexp(0.0, scores[1:]).sum())
+    n = len(sentence)
+    window = int(radii.max())
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    neighbours = np.arange(n)[:, None] + offsets
+    mask = (np.abs(offsets) <= radii[:, None]) & (neighbours >= 0) & (neighbours < n)
+    input_rows, inverse = np.unique(sentence, return_inverse=True)
+    # Clipped neighbours weigh 0, so any row will do for them.
+    context = inverse.reshape(n)[neighbours.clip(0, n - 1)]
+    input_coef = _coefficients(context, mask / mask.sum(axis=1, keepdims=True), len(input_rows))
+    h = input_coef.T @ input_vectors[input_rows]
+    targets = np.concatenate((sentence[:, None], negatives), axis=1)
+    output_rows, inverse = np.unique(targets, return_inverse=True)
+    target_vectors = output_vectors[targets]
+    scores = np.einsum("nkd,nd->nk", target_vectors, h)
+    loss = float(np.logaddexp(0.0, -scores[:, 0]).sum() + np.logaddexp(0.0, scores[:, 1:]).sum())
     grad_scores = sigmoid(scores)
-    grad_scores[0] -= 1.0
-    d_target_rows = grad_scores[:, None] * h[None, :]
-    dh = grad_scores @ output_vectors[targets]
-    d_context_row = dh / len(context)
-    return loss, d_context_row, d_target_rows, targets
+    grad_scores[:, 0] -= 1.0
+    output_coef = _coefficients(inverse, grad_scores, len(output_rows))
+    dh = np.einsum("nk,nkd->nd", grad_scores, target_vectors)
+    return loss, input_rows, input_coef @ dh, output_rows, output_coef @ h
 
 
-def _draw_negatives(rng, cumulative, count, center):
-    negatives = np.searchsorted(cumulative, rng.random(count), side="right")
-    while True:
-        clash = negatives == center
-        if not clash.any():
-            return negatives
+def _coefficients(inverse, weights, n_rows):
+    """(n_rows, n) matrix whose [u, i] entry sums weights[i, j] over the j
+    with inverse[i, j] == u: what position i reads of distinct row u, so
+    that one product applies each row's summed update."""
+    n = len(weights)
+    flat = inverse.reshape(weights.shape) * n + np.arange(n)[:, None]
+    return np.bincount(flat.ravel(), weights.ravel(), n_rows * n).reshape(n_rows, n)
+
+
+def _draw_negatives(rng, cumulative, centers, count):
+    """(len(centers), count) noise words in one draw; a noise word equal to
+    its own center is drawn again."""
+    negatives = np.searchsorted(cumulative, rng.random((len(centers), count)), side="right")
+    while (clash := negatives == centers[:, None]).any():
         negatives[clash] = np.searchsorted(cumulative, rng.random(int(clash.sum())), side="right")
+    return negatives
 
 
 def train_cbow(corpus, config: CbowConfig):
@@ -264,9 +292,12 @@ def train_cbow(corpus, config: CbowConfig):
 
     Per center position a context radius is drawn uniformly in 1..window,
     the context vectors are averaged, and one observed target plus
-    `negative` noise words are updated through the sigmoid objective.
-    Returns (EmbeddingMatrix, per-epoch mean objective). Only the input
-    vectors are kept; the output table is discarded.
+    `negative` noise words are scored through the sigmoid objective.
+    Updates are per sentence (after subsampling): one draw gives all its
+    radii, one all its noise words, and the gradients of all its positions,
+    taken at the tables as they were at the sentence's start, are applied
+    together. Returns (EmbeddingMatrix, per-epoch mean objective). Only the
+    input vectors are kept; the output table is discarded.
     """
     sentences = [list(s) for s in corpus]
     vocab = build_vocab(sentences, config.min_count)
@@ -274,8 +305,8 @@ def train_cbow(corpus, config: CbowConfig):
     encoded = []
     for sentence in sentences:
         ids = [vocab.index[t] for t in sentence if t in vocab]
-        if ids:
-            encoded.append(np.asarray(ids, dtype=np.int64))
+        encoded.extend(np.asarray(ids[i : i + MAX_SENTENCE], dtype=np.int64)
+                       for i in range(0, len(ids), MAX_SENTENCE))
     if not any(len(ids) >= 2 for ids in encoded):
         raise ValueError("no trainable (center, context) pair in the corpus")
     if v < 4:
@@ -293,8 +324,8 @@ def train_cbow(corpus, config: CbowConfig):
             frequency = counts / counts.sum()
             keep_prob = np.sqrt(config.subsample / frequency) + config.subsample / frequency
         keep_prob = np.where(counts > 0, np.minimum(keep_prob, 1.0), 0.0)
-    noise = counts**0.75
-    cumulative = np.cumsum(noise / noise.sum())
+    cumulative = np.cumsum(counts**0.75)
+    cumulative /= cumulative[-1]  # ends at exactly 1, above every draw
 
     total_words = sum(len(ids) for ids in encoded) * config.epochs
     processed = 0
@@ -309,25 +340,15 @@ def train_cbow(corpus, config: CbowConfig):
                 sentence = sentence[rng.random(len(sentence)) < keep_prob[sentence]]
             if len(sentence) < 2:
                 continue
-            for position in range(len(sentence)):
-                radius = int(rng.integers(1, config.window + 1))
-                lo = max(0, position - radius)
-                context = np.concatenate(
-                    (sentence[lo:position], sentence[position + 1 : position + 1 + radius])
-                )
-                if context.size == 0:
-                    continue
-                center = int(sentence[position])
-                negatives = _draw_negatives(rng, cumulative, config.negative, center)
-                loss, d_context, d_targets, targets = _pair_grads(
-                    input_vectors, output_vectors, context, center, negatives
-                )
-                loss_sum += loss
-                np.subtract.at(output_vectors, targets, lr * d_targets)
-                np.subtract.at(
-                    input_vectors, context, lr * np.broadcast_to(d_context, (len(context), config.dim))
-                )
-                n_updates += 1
+            radii = rng.integers(1, config.window + 1, size=len(sentence))
+            negatives = _draw_negatives(rng, cumulative, sentence, config.negative)
+            loss, input_rows, d_input, output_rows, d_output = _sentence_grads(
+                input_vectors, output_vectors, sentence, radii, negatives
+            )
+            loss_sum += loss
+            n_updates += len(sentence)
+            input_vectors[input_rows] -= lr * d_input
+            output_vectors[output_rows] -= lr * d_output
         history.append(loss_sum / max(1, n_updates))
         log.info("cbow epoch %d mean objective %.6f", _epoch, history[-1])
     return EmbeddingMatrix(input_vectors, vocab), history

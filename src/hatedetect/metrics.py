@@ -263,7 +263,9 @@ def score_external(predictions_path, labels_path, threshold: float = 0.5) -> Met
                              f"{example_id!r} is not a number") from None
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"score out of range for id {example_id!r}: {score!r}")
+        if label_rows[example_id] not in BINARY_LABELS:
+            raise ValueError(f"{labels_path}: label {label_rows[example_id]!r} for id "
+                             f"{example_id!r} is not one of {BINARY_LABELS}")
         scores.append(score)
     actual = [label_rows[example_id] for example_id in ids]
-    _check_labels(actual)
     return evaluate_predictions(np.asarray(scores), threshold_labels(scores, threshold), actual)

@@ -59,6 +59,17 @@ def pair_loss(input_vectors, output_vectors, context, center, negatives) -> floa
     return float(np.logaddexp(0.0, -s_pos) + np.logaddexp(0.0, s_neg).sum())
 
 
+def sentence_loss(input_vectors, output_vectors, sentence, radii, negatives) -> float:
+    """pair_loss summed over a sentence's positions: position i's context is
+    the other positions within radii[i] of it, its noise words negatives[i]."""
+    total = 0.0
+    for i, center in enumerate(sentence):
+        context = [sentence[j] for j in range(i - radii[i], i + radii[i] + 1)
+                   if j != i and 0 <= j < len(sentence)]
+        total += pair_loss(input_vectors, output_vectors, context, center, negatives[i])
+    return total
+
+
 def cosine(u, v) -> float:
     """Cosine similarity in [-1, 1], 0 when either vector is zero."""
     if len(u) != len(v):

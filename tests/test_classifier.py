@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import zipfile
 from dataclasses import replace
@@ -512,6 +513,10 @@ class TestCheckpoint:
         (lambda m: m["tensors"].append(5), r"tensors\[11\] must be an object"),
         (lambda m: m.update(vocabulary=5), "not subscriptable"),
         (lambda m: m.pop("format_version"), "bad format version"),
+        (lambda m: m["vocabulary"].__setitem__(2, 7), "tokens must be strings"),
+        (lambda m: m["vocabulary"].__setitem__(3, None), "tokens must be strings"),
+        (lambda m: m["vocabulary_counts"].__setitem__(2, "x"), "vocabulary_counts integers"),
+        (lambda m: m["vocabulary_counts"].__setitem__(2, 2.5), "vocabulary_counts integers"),
     ])
     def test_corrupt_manifest_refused_with_its_path(self, tmp_path, trained_setup, edit, message):
         _, _, _, _, best = trained_setup
@@ -576,7 +581,8 @@ class TestCheckpoint:
             return blob[:-4]
 
         path = self.doctored(tmp_path, small_model(), drop_last)
-        with pytest.raises(ValueError, match="inconsistency: missing tensor 'dense2_bias'"):
+        with pytest.raises(ValueError, match=re.escape(f"corrupt checkpoint file {path}: checkpoint "
+                                                       "inconsistency: missing tensor 'dense2_bias'")):
             HateClassifier.load(path)
 
     @pytest.mark.parametrize("name, message", [
@@ -589,7 +595,8 @@ class TestCheckpoint:
             return blob + bytes(4)
 
         path = self.doctored(tmp_path, small_model(), add)
-        with pytest.raises(ValueError, match="inconsistency: " + message):
+        with pytest.raises(ValueError, match=re.escape(f"corrupt checkpoint file {path}: "
+                                                       "checkpoint inconsistency: ") + message):
             HateClassifier.load(path)
 
     def test_misshapen_tensor_refused(self, tmp_path):
@@ -599,7 +606,8 @@ class TestCheckpoint:
             return blob
 
         path = self.doctored(tmp_path, small_model(), transpose)
-        with pytest.raises(ValueError, match=r"dense2_weights has shape \(4, 1\), expected \(1, 4\)"):
+        with pytest.raises(ValueError, match=re.escape(f"corrupt checkpoint file {path}: ")
+                           + r"checkpoint inconsistency: dense2_weights has shape \(4, 1\), expected \(1, 4\)"):
             HateClassifier.load(path)
 
     def test_vocabulary_embedding_mismatch_rejected(self):

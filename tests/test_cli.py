@@ -227,6 +227,14 @@ def short_prediction_row(tmp_path, run_dir, config_path):
             "--predictions", str(predictions), "--labels", str(labels)], predictions
 
 
+def short_label_row(tmp_path, run_dir, config_path):
+    predictions, labels = tmp_path / "p.csv", tmp_path / "l.csv"
+    predictions.write_text("id,score\na,0.5\nb,0.2\n")
+    labels.write_text("id,label\na,hate\nb\n")
+    return ["evaluate", "--config", str(config_path), "--out", str(run_dir),
+            "--predictions", str(predictions), "--labels", str(labels)], labels
+
+
 def oversized_dataset_field(tmp_path, run_dir, config_path):
     dataset = tmp_path / "toy.csv"
     write_dataset(dataset)
@@ -246,9 +254,14 @@ MALFORMED_INPUTS = {
         lambda m: m.update(model_config=[4, 4])),
     "tensor_shape_not_a_list": doctored_checkpoint(
         lambda m: m["tensors"][0].update(shape=5)),
+    "vocabulary_token_not_a_string": doctored_checkpoint(
+        lambda m: m["vocabulary"].__setitem__(2, 7)),
+    "vocabulary_count_not_an_integer": doctored_checkpoint(
+        lambda m: m["vocabulary_counts"].__setitem__(2, "x")),
     "split_json_not_an_object": doctored_sidecar(lambda sidecar: [sidecar]),
     "split_json_ratios_not_a_list": doctored_sidecar(lambda sidecar: {**sidecar, "ratios": 0.6}),
     "prediction_row_without_score": short_prediction_row,
+    "label_row_without_label": short_label_row,
     "dataset_field_over_128_kib": oversized_dataset_field,
 }
 

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,9 @@ from hatedetect.embed import (
     CbowConfig,
     EmbeddingMatrix,
     Vocabulary,
-    _pair_grads,
+    MAX_SENTENCE,
+    _draw_negatives,
+    _sentence_grads,
     build_vocab,
     nearest,
     train_cbow,
@@ -15,7 +21,7 @@ from hatedetect.embed import (
 from hatedetect.textprep import PAD_INDEX, PAD_TOKEN, UNK_TOKEN
 
 from conftest import make_random_matrix, make_vocab
-from oracles import cosine, finite_diff_grad, pair_loss
+from oracles import cosine, finite_diff_grad, sentence_loss
 
 
 class TestVocabulary:
@@ -256,59 +262,67 @@ class TestHostileTextFormat:
         assert loaded.vectors.tobytes() == reference.tobytes()
 
 
-class TestPairObjective:
+def assert_sentence_grads_match(sentence, radii, negatives, v=9, dim=5, seed=0):
+    """_sentence_grads against central finite differences of sentence_loss,
+    within 1e-4 relative error, on random tables."""
+    rng = np.random.default_rng(seed)
+    sentence, radii, negatives = np.array(sentence), np.array(radii), np.array(negatives)
+    tables = {
+        "input": rng.normal(0.0, 0.5, (v, dim)),
+        "output": rng.normal(0.0, 0.5, (v, dim)),
+    }
+
+    def loss(t):
+        return sentence_loss(t["input"], t["output"], sentence, radii, negatives)
+
+    numeric = finite_diff_grad(loss, tables, step=1e-5)
+    loss_value, input_rows, d_input, output_rows, d_output = _sentence_grads(
+        tables["input"], tables["output"], sentence, radii, negatives
+    )
+    assert loss_value == pytest.approx(loss(tables), abs=1e-12)
+    for rows in (input_rows, output_rows):
+        assert len(np.unique(rows)) == len(rows)  # each row is written once
+    analytic = {"input": np.zeros((v, dim)), "output": np.zeros((v, dim))}
+    analytic["input"][input_rows] = d_input
+    analytic["output"][output_rows] = d_output
+    for name in ("input", "output"):
+        denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(numeric[name])), 1e-6)
+        assert np.max(np.abs(analytic[name] - numeric[name]) / denom) < 1e-4
+
+
+class TestSentenceObjective:
     def test_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(0)
-        v, dim = 9, 5
-        context = np.array([2, 3, 5])
-        center = 4
-        negatives = np.array([6, 7, 8])
         for trial in range(5):
-            tables = {
-                "input": rng.normal(0.0, 0.5, (v, dim)),
-                "output": rng.normal(0.0, 0.5, (v, dim)),
-            }
-
-            def loss(t):
-                return pair_loss(t["input"], t["output"], context, center, negatives)
-
-            numeric = finite_diff_grad(loss, tables, step=1e-5)
-            loss_value, d_context, d_targets, targets = _pair_grads(
-                tables["input"], tables["output"], context, center, negatives
+            assert_sentence_grads_match(
+                sentence=[2, 3, 5, 4, 6],
+                radii=[1, 3, 2, 1, 5],
+                negatives=[[6, 7, 8], [7, 8, 2], [8, 6, 7], [2, 3, 7], [8, 5, 4]],
+                seed=trial,
             )
-            assert loss_value == pytest.approx(loss(tables), abs=1e-12)
-            analytic_in = np.zeros((v, dim))
-            np.add.at(analytic_in, context, np.broadcast_to(d_context, (len(context), dim)))
-            analytic_out = np.zeros((v, dim))
-            np.add.at(analytic_out, targets, d_targets)
-            for analytic, numeric_grad in ((analytic_in, numeric["input"]), (analytic_out, numeric["output"])):
-                denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric_grad)), 1e-6)
-                assert np.max(np.abs(analytic - numeric_grad) / denom) < 1e-4
 
-    def test_overlapping_rows_accumulate(self):
-        # a word appearing both in the context and among the negatives must
-        # collect both gradient contributions
-        rng = np.random.default_rng(1)
-        v, dim = 6, 4
-        context = np.array([2, 3])
-        center = 4
-        negatives = np.array([3, 5])  # index 3 overlaps the context
-        tables = {
-            "input": rng.normal(0.0, 0.5, (v, dim)),
-            "output": rng.normal(0.0, 0.5, (v, dim)),
-        }
+    @pytest.mark.parametrize("sentence, radii, negatives", [
+        # a token that occurs twice in the sentence, as center and as context
+        ([2, 3, 2, 4], [2, 1, 3, 1], [[5, 6], [7, 8], [6, 5], [8, 7]]),
+        # a negative that is also a context word of its own position
+        ([2, 3, 4], [1, 2, 1], [[3, 5], [6, 7], [3, 8]]),
+        # the same negative drawn for two positions, and twice for one
+        ([2, 3, 4, 5], [1, 1, 2, 3], [[7, 7], [7, 6], [8, 6], [7, 8]]),
+    ], ids=["token_twice", "negative_in_context", "negative_twice"])
+    def test_repeated_rows_accumulate(self, sentence, radii, negatives):
+        # a row read at several places must collect every contribution
+        assert_sentence_grads_match(sentence, radii, negatives, seed=1)
 
-        def loss(t):
-            return pair_loss(t["input"], t["output"], context, center, negatives)
 
-        numeric = finite_diff_grad(loss, tables, step=1e-5)
-        _, d_context, d_targets, targets = _pair_grads(
-            tables["input"], tables["output"], context, center, negatives
-        )
-        analytic_out = np.zeros((v, dim))
-        np.add.at(analytic_out, targets, d_targets)
-        denom = np.maximum(np.maximum(np.abs(analytic_out), np.abs(numeric["output"])), 1e-6)
-        assert np.max(np.abs(analytic_out - numeric["output"]) / denom) < 1e-4
+class TestDrawNegatives:
+    def test_never_a_positions_own_center(self):
+        # nearly all the noise mass sits on the centers, so clashes are common
+        rng = np.random.default_rng(3)
+        cumulative = np.cumsum([0.0, 0.0, 0.45, 0.45, 0.1])
+        centers = np.array([2, 3, 2, 4, 3] * 20)
+        negatives = _draw_negatives(rng, cumulative, centers, 4)
+        assert negatives.shape == (100, 4)
+        assert not np.any(negatives == centers[:, None])
+        assert set(np.unique(negatives)) <= {2, 3, 4}
 
 
 def tiny_corpus(seed=0, sentences=120, sentence_length=6):
@@ -355,6 +369,39 @@ class TestTrainCbow:
     def test_vectors_finite(self):
         matrix, _ = train_cbow(tiny_corpus(), self.CONFIG)
         assert np.all(np.isfinite(matrix.vectors))
+
+    def test_long_line_trains_as_pieces(self):
+        line = tiny_corpus(sentences=1, sentence_length=2 * MAX_SENTENCE + 7)[0]
+        pieces = [line[i : i + MAX_SENTENCE] for i in range(0, len(line), MAX_SENTENCE)]
+        whole, whole_history = train_cbow([line], self.CONFIG)
+        cut, cut_history = train_cbow(pieces, self.CONFIG)
+        assert whole.vectors.tobytes() == cut.vectors.tobytes()
+        assert whole_history == cut_history
+
+    def test_bits_independent_of_blas_threads(self):
+        """The per-sentence updates are matrix products, here a few hundred
+        rows each, a size OpenBLAS splits across threads; their bits must
+        not depend on how many threads BLAS runs them on."""
+        code = (
+            "import hashlib, numpy as np\n"
+            "from hatedetect.embed import CbowConfig, train_cbow\n"
+            "rng = np.random.default_rng(4)\n"
+            "corpus = [[f'w{j}' for j in rng.zipf(1.5, 256) % 400] for _ in range(12)]\n"
+            "config = CbowConfig(window=5, dim=256, negative=5, epochs=1, min_count=1,\n"
+            "                    subsample=0.0, seed=2)\n"
+            "matrix, _ = train_cbow(corpus, config)\n"
+            "print(hashlib.sha256(matrix.vectors.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(train_cbow.__code__.co_filename).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestCbowConfig:

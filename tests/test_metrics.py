@@ -298,6 +298,14 @@ class TestScoreExternal:
         with pytest.raises(ValueError, match=r"p\.csv: score .* for id 'b' is not a number"):
             score_external(tmp_path / "p.csv", tmp_path / "l.csv")
 
+    @pytest.mark.parametrize("row", ["b", "b,", "b,Hate", "b,spam"])
+    def test_label_outside_the_two_classes_names_file_and_id(self, tmp_path, row):
+        # a short row's label reads as ""
+        write_predictions_csv(tmp_path / "p.csv", ["a", "b"], [0.5, 0.2])
+        (tmp_path / "l.csv").write_text(f"id,label\na,hate\n{row}\n")
+        with pytest.raises(ValueError, match=r"l\.csv: label .* for id 'b' is not one of"):
+            score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+
     def test_duplicate_id_and_no_rows(self, tmp_path):
         (tmp_path / "p.csv").write_text("id,score\na,0.5\na,0.6\n")
         (tmp_path / "l.csv").write_text("id,label\n")
