@@ -152,13 +152,15 @@ def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, 
     The scan runs in blocks of steps. Each block gathers its real
     positions' inputs and projects them in one GEMM; only the recurrent
     product stays in the step loop. With keep_cache the block is the
-    whole schedule, and the packed inputs, gates, cells and states of
-    every position are kept for lstm_backward. With keep_cache=False
+    whole schedule, the packed inputs, gates, cells and states of every
+    position are kept for lstm_backward, and the states are scattered
+    into the padded output once, after the loop. With keep_cache=False
     (inference) a block is BLOCK_STEPS steps, each block's gates
-    overwrite one buffer, each step overwrites one set of state rows,
-    and the cache is None. A last block shorter than BLOCK_STEPS joins
-    the one before it, because a BLAS may round a GEMM of a few rows
-    differently from a large one; so both modes give the same bits.
+    overwrite one buffer, each step writes its state rows out before
+    the next step overwrites them, and the cache is None. A last block
+    shorter than BLOCK_STEPS joins the one before it, because a BLAS may
+    round a GEMM of a few rows differently from a large one; so both
+    modes give the same bits.
     """
     inputs = np.asarray(inputs)
     batch, length, d = inputs.shape
@@ -207,9 +209,11 @@ def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, 
             c += z[:, :h] * z[:, 2 * h : 3 * h]
             tanh_c = np.tanh(c, out=tanh_cells[now : now + n])
             h_now = np.multiply(z[:, 3 * h :], tanh_c, out=hs[now : now + n])
-            states[rows[start : start + n], cols[start : start + n]] = h_now
+            if not keep_cache:  # the next step overwrites these rows
+                states[rows[start : start + n], cols[start : start + n]] = h_now
     if not keep_cache:
         return states, None
+    states[rows, cols] = hs
     return states, LstmCache(inputs, packed, gates, cells, tanh_cells, hs, rows, cols, counts)
 
 

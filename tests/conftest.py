@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -54,6 +56,55 @@ def make_random_matrix(tokens, dim: int, seed: int = 0) -> EmbeddingMatrix:
     vectors = rng.normal(0.0, 0.3, (len(vocab), dim))
     vectors[0] = 0.0
     return EmbeddingMatrix(vectors, vocab)
+
+
+def checkpoint_entries(path) -> dict:
+    """Every entry of a checkpoint archive: {name: bytes}, in archive order."""
+    with zipfile.ZipFile(path) as archive:
+        return {name: archive.read(name) for name in archive.namelist()}
+
+
+def write_entries(path, entries: dict) -> None:
+    """An archive of the given entries, each stored as zipfile's default."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in entries.items():
+            archive.writestr(name, data)
+
+
+def edited_manifest(path, target, edit):
+    """Copy the checkpoint at path to target with every entry kept but the
+    manifest, which edit(manifest) changes in place."""
+    entries = checkpoint_entries(path)
+    manifest = json.loads(entries["manifest.json"])
+    edit(manifest)
+    entries["manifest.json"] = json.dumps(manifest)
+    write_entries(target, entries)
+
+
+def format_1_0(path, target, edit=None):
+    """Copy the format 1.1 checkpoint at path to target as format 1.0 wrote
+    it: a deflated indent=2 manifest that holds the vocabulary as two lists,
+    then a stored params.bin. edit(manifest), if given, changes the manifest
+    first. Returns target."""
+    entries = checkpoint_entries(path)
+    manifest = json.loads(entries["manifest.json"])
+    legacy = {
+        "format_version": "1.0",
+        "model_config": manifest["model_config"],
+        "vocabulary": entries["vocabulary.txt"].decode("utf-8").split("\n"),
+        "vocabulary_counts": np.frombuffer(entries["vocabulary_counts.bin"], "<i8").tolist(),
+        "history": manifest["history"],
+        "tensors": manifest["tensors"],
+    }
+    if edit is not None:
+        edit(legacy)
+    stamp = (1980, 1, 1, 0, 0, 0)
+    with zipfile.ZipFile(target, "w") as archive:
+        info = zipfile.ZipInfo("manifest.json", date_time=stamp)
+        info.compress_type = zipfile.ZIP_DEFLATED
+        archive.writestr(info, json.dumps(legacy, indent=2))
+        archive.writestr(zipfile.ZipInfo("params.bin", date_time=stamp), entries["params.bin"])
+    return target
 
 
 @pytest.fixture(scope="session")

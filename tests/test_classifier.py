@@ -1,9 +1,14 @@
+import gc
+import hashlib
 import json
 import math
+import mmap
+import os
 import re
 import struct
 import zipfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from hatedetect.classifier import (
     train,
 )
 from hatedetect.corpus import HATE, NON_HATE, split
+from hatedetect.embed import Vocabulary
 from hatedetect.metrics import threshold_labels
 from hatedetect.neural import AdamState, adam_step
 from hatedetect.textprep import PipelineConfig
@@ -26,9 +32,13 @@ from hatedetect.textprep import PipelineConfig
 from conftest import (
     FILLER_TOKENS,
     TRIGGER_TOKENS,
+    checkpoint_entries,
+    edited_manifest,
+    format_1_0,
     make_keyword_examples,
     make_random_matrix,
     traced_peak,
+    write_entries,
 )
 from oracles import batch_loss
 
@@ -393,6 +403,22 @@ class TestForwardMemory:
         assert peak < 45e6
 
 
+# Manifest edits of the vocabulary lists that format 1.0 checkpoints hold.
+VOCABULARY_LIST_EDITS = [
+    (lambda m: m.update(vocabulary=5), "not subscriptable"),
+    (lambda m: m["vocabulary"].__setitem__(2, 7), "tokens must be strings"),
+    (lambda m: m["vocabulary"].__setitem__(3, None), "tokens must be strings"),
+    (lambda m: m["vocabulary_counts"].__setitem__(2, "x"), "vocabulary_counts integers"),
+    (lambda m: m["vocabulary_counts"].__setitem__(2, 2.5), "vocabulary_counts integers"),
+]
+
+
+def _duplicate_token(entries):
+    tokens = entries["vocabulary.txt"].split(b"\n")
+    tokens[3] = tokens[2]
+    entries["vocabulary.txt"] = b"\n".join(tokens)
+
+
 class TestCheckpoint:
     def test_roundtrip_predictions_bitwise(self, tmp_path, trained_setup):
         _, _, _, _, best = trained_setup
@@ -480,18 +506,14 @@ class TestCheckpoint:
         _, _, _, _, best = trained_setup
         path = tmp_path / "model.ckpt"
         best.save(path)
-        with zipfile.ZipFile(path) as archive:
-            manifest = json.loads(archive.read("manifest.json"))
-            blob = archive.read("params.bin")
-        legacy = {"embedding_dim": best.params["embedding"].shape[1],
-                  "max_len": best.config.pipeline.max_len, **manifest["model_config"]}
-        legacy["pipeline"] = {**legacy["pipeline"], "max_len": 7}
-        manifest["model_config"] = legacy
-        old = tmp_path / "old.ckpt"
-        with zipfile.ZipFile(old, "w") as archive:
-            archive.writestr("manifest.json", json.dumps(manifest, indent=2))
-            archive.writestr("params.bin", blob)
-        loaded = HateClassifier.load(old)
+
+        def widen(manifest):
+            legacy = {"embedding_dim": best.params["embedding"].shape[1],
+                      "max_len": best.config.pipeline.max_len, **manifest["model_config"]}
+            legacy["pipeline"] = {**legacy["pipeline"], "max_len": 7}
+            manifest["model_config"] = legacy
+
+        loaded = HateClassifier.load(format_1_0(path, tmp_path / "old.ckpt", widen))
         assert loaded.config.pipeline.max_len == best.config.pipeline.max_len == 20
         assert loaded.config == best.config
         texts = [" ".join(FILLER_TOKENS[i : i + 12]) + " scum" for i in range(4)] + ["vermin", ""]
@@ -511,25 +533,18 @@ class TestCheckpoint:
         (lambda m: m["tensors"][0].update(shape=[-2, -3]), "negative size"),
         (lambda m: m["tensors"][0].update(name=7), r"tensors\[0\]\.name must be a string"),
         (lambda m: m["tensors"].append(5), r"tensors\[11\] must be an object"),
-        (lambda m: m.update(vocabulary=5), "not subscriptable"),
         (lambda m: m.pop("format_version"), "bad format version"),
-        (lambda m: m["vocabulary"].__setitem__(2, 7), "tokens must be strings"),
-        (lambda m: m["vocabulary"].__setitem__(3, None), "tokens must be strings"),
-        (lambda m: m["vocabulary_counts"].__setitem__(2, "x"), "vocabulary_counts integers"),
-        (lambda m: m["vocabulary_counts"].__setitem__(2, 2.5), "vocabulary_counts integers"),
+        *VOCABULARY_LIST_EDITS,
     ])
     def test_corrupt_manifest_refused_with_its_path(self, tmp_path, trained_setup, edit, message):
         _, _, _, _, best = trained_setup
         path = tmp_path / "model.ckpt"
         best.save(path)
-        with zipfile.ZipFile(path) as archive:
-            manifest = json.loads(archive.read("manifest.json"))
-            blob = archive.read("params.bin")
-        edit(manifest)
         doctored = tmp_path / "doctored.ckpt"
-        with zipfile.ZipFile(doctored, "w") as archive:
-            archive.writestr("manifest.json", json.dumps(manifest))
-            archive.writestr("params.bin", blob)
+        if (edit, message) in VOCABULARY_LIST_EDITS:  # only format 1.0 keeps these lists
+            format_1_0(path, doctored, edit)
+        else:
+            edited_manifest(path, doctored, edit)
         with pytest.raises(ValueError, match=message) as caught:
             HateClassifier.load(doctored)
         assert f"corrupt checkpoint file {doctored}" in str(caught.value)
@@ -548,14 +563,12 @@ class TestCheckpoint:
         by edit(tensors, blob) -> blob."""
         path = tmp_path / "model.ckpt"
         model.save(path)
-        with zipfile.ZipFile(path) as archive:
-            manifest = json.loads(archive.read("manifest.json"))
-            blob = archive.read("params.bin")
-        blob = edit(manifest["tensors"], blob)
+        entries = checkpoint_entries(path)
+        manifest = json.loads(entries["manifest.json"])
+        entries["params.bin"] = edit(manifest["tensors"], entries["params.bin"])
+        entries["manifest.json"] = json.dumps(manifest)
         doctored = tmp_path / "doctored.ckpt"
-        with zipfile.ZipFile(doctored, "w") as archive:
-            archive.writestr("manifest.json", json.dumps(manifest))
-            archive.writestr("params.bin", blob)
+        write_entries(doctored, entries)
         return doctored
 
     def test_tensors_stored_in_layout_order(self, tmp_path):
@@ -616,6 +629,130 @@ class TestCheckpoint:
         params["embedding"] = params["embedding"][:-1]
         with pytest.raises(ValueError, match="inconsistency"):
             HateClassifier(model.config, model.vocab, params)
+
+    def test_format_1_0_loads_bitwise_equal_to_1_1(self, tmp_path, trained_setup):
+        _, _, _, _, best = trained_setup
+        path = tmp_path / "model.ckpt"
+        best.save(path)
+        with zipfile.ZipFile(path) as archive:
+            assert archive.namelist() == [
+                "params.bin", "manifest.json", "vocabulary.txt", "vocabulary_counts.bin"]
+            assert "vocabulary" not in json.loads(archive.read("manifest.json"))
+        new = HateClassifier.load(path)
+        old = HateClassifier.load(format_1_0(path, tmp_path / "old.ckpt"))
+        assert (old.config, old.history) == (new.config, new.history) == (best.config, best.history)
+        assert old.vocab.tokens == new.vocab.tokens == best.vocab.tokens
+        assert old.vocab.counts == new.vocab.counts == best.vocab.counts
+        for name, tensor in best.params.items():
+            assert old.params[name].tobytes() == new.params[name].tobytes() == tensor.tobytes()
+        texts = ["scum w00 w01", "w02 w03", "", "vermin trash"]
+        assert old.predict(texts).tobytes() == new.predict(texts).tobytes()
+
+    def test_odd_tokens_round_trip(self, tmp_path):
+        tokens = ["\r", "a\rb", " ", "\x85", "\u2028", "naïve", "日本語", "", "\t\v\f"]
+        model = HateClassifier.build(small_config(), make_random_matrix(tokens, dim=8))
+        model.save(tmp_path / "model.ckpt")
+        loaded = HateClassifier.load(tmp_path / "model.ckpt")
+        assert loaded.vocab.tokens == model.vocab.tokens
+        assert loaded.vocab.counts == model.vocab.counts
+
+    def test_token_with_newline_refused_naming_its_index(self, tmp_path):
+        model = small_model()
+        tokens = list(model.vocab.tokens)
+        tokens[5] = "two\nlines"
+        model.vocab = Vocabulary(tokens, model.vocab.counts)
+        with pytest.raises(ValueError, match=r"vocabulary token 5 contains a newline: 'two\\nlines'"):
+            model.save(tmp_path / "model.ckpt")
+        assert not (tmp_path / "model.ckpt").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda e: e.pop("vocabulary.txt"), "no item named 'vocabulary.txt'"),
+        (lambda e: e.pop("vocabulary_counts.bin"), "no item named 'vocabulary_counts.bin'"),
+        (lambda e: e.update({"vocabulary.txt": e["vocabulary.txt"] + b"\nextra"}),
+         "tokens and counts length mismatch"),
+        (lambda e: e.update({"vocabulary_counts.bin": e["vocabulary_counts.bin"][:-1]}),
+         "vocabulary_counts.bin holds 95 bytes, not a multiple of 8"),
+        (_duplicate_token, "duplicate token in vocabulary"),
+        (lambda e: e.update({"vocabulary.txt": b"\xff" + e["vocabulary.txt"]}), "can't decode"),
+    ])
+    def test_corrupt_vocabulary_entries_refused_with_its_path(self, tmp_path, edit, message):
+        path = tmp_path / "model.ckpt"
+        small_model().save(path)
+        entries = checkpoint_entries(path)
+        edit(entries)
+        write_entries(path, entries)
+        with pytest.raises(ValueError, match=message) as caught:
+            HateClassifier.load(path)
+        assert f"corrupt checkpoint file {path}" in str(caught.value)
+
+    @pytest.mark.parametrize("offset, message", [
+        (0, "Bad magic number for file header"),
+        (30, "File name in directory 'params.bin' and header b'qarams.bin' differ"),
+    ])
+    def test_bad_local_header_of_mapped_params_is_corrupt(self, tmp_path, offset, message):
+        path = tmp_path / "model.ckpt"
+        small_model().save(path)
+        data = bytearray(path.read_bytes())
+        data[offset] += 1
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=re.escape(f"corrupt checkpoint file {path}: {message}")):
+            HateClassifier.load(path)
+
+
+class TestMappedLoad:
+    """A stored params.bin is mapped copy-on-write, not read into memory."""
+
+    def test_tensors_are_aligned_writable_views_of_one_mapping(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        small_model().save(path)
+        loaded = HateClassifier.load(path)
+        bases = {id(tensor.base) for tensor in loaded.params.values()}
+        assert len(bases) == 1
+        flat = loaded.params["embedding"].base  # np.frombuffer's array over the mapping
+        assert not flat.flags.owndata and isinstance(flat.base.obj, mmap.mmap)
+        for tensor in loaded.params.values():
+            assert tensor.flags.aligned and tensor.flags.writeable
+
+    def test_writing_a_loaded_tensor_leaves_the_file_as_it_was(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        model = small_model()
+        model.save(path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        loaded = HateClassifier.load(path)
+        for tensor in loaded.params.values():
+            tensor += 1.0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        del loaded
+        gc.collect()
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        again = HateClassifier.load(path)
+        for name, tensor in model.params.items():
+            assert again.params[name].tobytes() == tensor.tobytes()
+
+    def test_predictions_unchanged_when_save_replaces_the_path(self, tmp_path, trained_setup):
+        _, _, _, _, best = trained_setup
+        path = tmp_path / "model.ckpt"
+        best.save(path)
+        loaded = HateClassifier.load(path)
+        texts = ["scum w00 w01", "w02 w03", "", "vermin trash"]
+        before = loaded.predict(texts).tobytes()
+        loaded.save(path)
+        assert loaded.predict(texts).tobytes() == before
+        small_model(seed=3).save(path)
+        assert loaded.predict(texts).tobytes() == before
+        assert HateClassifier.load(path).params["embedding"].shape != best.params["embedding"].shape
+
+    def test_repeated_loads_hold_no_descriptors(self, tmp_path):
+        descriptors = Path("/proc/self/fd")
+        if not descriptors.is_dir():
+            pytest.skip("needs /proc/self/fd")
+        path = tmp_path / "model.ckpt"
+        small_model().save(path)
+        loaded = HateClassifier.load(path)  # one live mapping holds one descriptor
+        before = len(os.listdir(descriptors))
+        for _ in range(300):
+            loaded = HateClassifier.load(path)
+        assert len(os.listdir(descriptors)) == before
 
 
 class TestModelConfig:

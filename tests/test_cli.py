@@ -6,7 +6,6 @@ import re
 import shutil
 import subprocess
 import sys
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ from hatedetect import cli
 from hatedetect.classifier import HateClassifier
 from hatedetect.corpus import HATE, NON_HATE, load_split_manifests
 
-from conftest import make_keyword_examples, make_random_matrix
+from conftest import edited_manifest, format_1_0, make_keyword_examples, make_random_matrix
 
 
 def write_dataset(path, n=80, seed=0):
@@ -194,17 +193,12 @@ def run_full_pipeline(config_path):
     assert run_cli("evaluate", "--config", str(config_path)) == 0
 
 
-def doctored_checkpoint(edit):
-    """A probe that rewrites the trained checkpoint's manifest by edit(manifest)."""
+def doctored_checkpoint(edit, rewrite=edited_manifest):
+    """A probe that rewrites the trained checkpoint's manifest by edit(manifest),
+    through rewrite(path, target, edit): in place, or as format 1.0."""
     def probe(tmp_path, run_dir, config_path):
         path = run_dir / "models" / "model.ckpt"
-        with zipfile.ZipFile(path) as archive:
-            manifest = json.loads(archive.read("manifest.json"))
-            blob = archive.read("params.bin")
-        edit(manifest)
-        with zipfile.ZipFile(path, "w") as archive:
-            archive.writestr("manifest.json", json.dumps(manifest))
-            archive.writestr("params.bin", blob)
+        rewrite(path, path, edit)
         return ["explain", "--config", str(config_path), "--out", str(run_dir),
                 "--text", "w00 scum"], path
     return probe
@@ -255,9 +249,9 @@ MALFORMED_INPUTS = {
     "tensor_shape_not_a_list": doctored_checkpoint(
         lambda m: m["tensors"][0].update(shape=5)),
     "vocabulary_token_not_a_string": doctored_checkpoint(
-        lambda m: m["vocabulary"].__setitem__(2, 7)),
+        lambda m: m["vocabulary"].__setitem__(2, 7), format_1_0),
     "vocabulary_count_not_an_integer": doctored_checkpoint(
-        lambda m: m["vocabulary_counts"].__setitem__(2, "x")),
+        lambda m: m["vocabulary_counts"].__setitem__(2, "x"), format_1_0),
     "split_json_not_an_object": doctored_sidecar(lambda sidecar: [sidecar]),
     "split_json_ratios_not_a_list": doctored_sidecar(lambda sidecar: {**sidecar, "ratios": 0.6}),
     "prediction_row_without_score": short_prediction_row,
