@@ -6,6 +6,15 @@ the checkpoint with the lowest validation loss is retained. Given the same
 seed, initialization, training, and the saved checkpoint are all
 bit-for-bit reproducible on the same numpy and BLAS build with the same
 BLAS thread count; a threaded GEMM splits its sums by thread count.
+
+Above neural.PARALLEL_MIN_WORK the BiLSTM runs its backward direction on
+a worker thread while the forward direction runs in the caller's (see
+neural.bilstm_batch_forward). That changes no bit, but it does use a
+second core: run BLAS with one thread. 2 BLAS threads plus the worker
+oversubscribe a 2-core machine: a B=256 training step took 130-146 ms
+that way on a shared 2-core Xeon, against 84-112 ms with 1 BLAS thread
+and the worker. Before the worker starts, glibc is told to keep one
+malloc arena for the whole process.
 """
 
 from __future__ import annotations

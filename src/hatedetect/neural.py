@@ -3,11 +3,17 @@ exact backpropagation through time, bidirectional composition, dense
 layers and Adam.
 
 Everything is plain numpy. Training runs in float32 by default; gradient
-verification (tests/oracles.py) runs the same code in float64.
+verification (tests/oracles.py) runs the same code in float64. The
+BiLSTM's backward direction runs on one worker thread, beside the
+forward direction, when a batch is large enough (PARALLEL_MIN_WORK).
 """
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -138,16 +144,19 @@ def _schedule(lengths, reverse):
     return order[j], cols, np.count_nonzero(running, axis=1)
 
 
-def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, reverse=False):
-    """Scan a batch of right-padded sequences; returns (states (B,L,h),
-    cache for backward).
+def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, reverse=False,
+                 final=False):
+    """Scan a batch of right-padded sequences; returns (states, cache for
+    backward).
 
     Row b holds lengths[b] real positions (all L when lengths is None);
     with reverse it is read from its last real position back to its
     first. Each step is c' = f*c + i*g, h' = o*tanh(c') from a zero state,
     and runs only the rows that have not ended, so padding costs no work.
-    The state after reading position t is written at position t; it is
-    zero past each row's length.
+    The states are (B, L, h): the state after reading position t is
+    written at position t, and is zero past each row's length. With final
+    they are (B, h): each row's state after its last step, zero for a row
+    of length 0, and no (B, L, h) array is made.
 
     The scan runs in blocks of steps. Each block gathers its real
     positions' inputs and projects them in one GEMM; only the recurrent
@@ -157,10 +166,12 @@ def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, 
     into the padded output once, after the loop. With keep_cache=False
     (inference) a block is BLOCK_STEPS steps, each block's gates
     overwrite one buffer, each step writes its state rows out before
-    the next step overwrites them, and the cache is None. A last block
-    shorter than BLOCK_STEPS joins the one before it, because a BLAS may
-    round a GEMM of a few rows differently from a large one; so both
-    modes give the same bits.
+    the next step overwrites them, and the cache is None. With final, in
+    either mode, each step writes out only the rows whose last step it
+    is: the tail of the running prefix. A last block shorter than
+    BLOCK_STEPS joins the one before it, because a BLAS may round a GEMM
+    of a few rows differently from a large one; so both modes give the
+    same bits.
     """
     inputs = np.asarray(inputs)
     batch, length, d = inputs.shape
@@ -187,7 +198,8 @@ def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, 
     hs = np.empty((len(rows) if keep_cache else max(steps, default=0), h), dtype=dtype)
     cells = np.empty_like(hs)
     tanh_cells = np.empty_like(hs)
-    states = np.zeros((batch, length, h), dtype=dtype)
+    states = np.zeros((batch, h) if final else (batch, length, h), dtype=dtype)
+    running_on = steps[1:] + [0]  # rows past running_on[t] end at step t
     for t0, t1 in blocks:
         begin, end = starts[t0], starts[t1]
         # Scaled pre-activations of the block's positions; activated in
@@ -209,17 +221,22 @@ def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, 
             c += z[:, :h] * z[:, 2 * h : 3 * h]
             tanh_c = np.tanh(c, out=tanh_cells[now : now + n])
             h_now = np.multiply(z[:, 3 * h :], tanh_c, out=hs[now : now + n])
-            if not keep_cache:  # the next step overwrites these rows
+            if final:
+                if running_on[t] < n:
+                    states[rows[start + running_on[t] : start + n]] = h_now[running_on[t] :]
+            elif not keep_cache:  # the next step overwrites these rows
                 states[rows[start : start + n], cols[start : start + n]] = h_now
     if not keep_cache:
         return states, None
-    states[rows, cols] = hs
+    if not final:
+        states[rows, cols] = hs
     return states, LstmCache(inputs, packed, gates, cells, tanh_cells, hs, rows, cols, counts)
 
 
 def lstm_backward(d_states, cache: LstmCache, params: LstmCellParams, input_grad=True):
-    """Exact BPTT given dLoss/d h_t for every timestep; entries past a
-    row's length are ignored.
+    """Exact BPTT given dLoss/dh as lstm_forward returned the states: for
+    every timestep, (B, L, h), where entries past a row's length are
+    ignored, or for each row's final state, (B, h).
 
     The loop carries only the recurrence, over the same packed schedule
     as the forward scan: going back in time, the running rows grow. The
@@ -249,16 +266,23 @@ def lstm_backward(d_states, cache: LstmCache, params: LstmCellParams, input_grad
     per_gate[:first, 1] = 0.0
     per_gate[:, 2] *= acts[:, 0]  # g: i
     per_gate[:, 3] *= tanh_cells  # o: tanh(c)
-    dc_dh = 1.0 - tanh_cells * tanh_cells
+    dc_dh = np.multiply(tanh_cells, tanh_cells)
+    np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= acts[:, 3]
-    d_hs = d_states[rows, cols]
-    # Going back in time, each row joins the running prefix with zero carries.
-    dh_next = np.zeros((first, h), dtype=dtype)
+    # Going back in time, each row joins the running prefix at its last
+    # step with zero carries. Given only final states' gradients, a row's
+    # dh carry starts as its own, and no per-position gradient is added.
+    if d_states.ndim == 2:
+        d_hs = None
+        dh_next = d_states[rows[:first]].astype(dtype, copy=False)
+    else:
+        d_hs = d_states[rows, cols]
+        dh_next = np.zeros((first, h), dtype=dtype)
     dc_next = np.zeros((first, h), dtype=dtype)
     end = len(rows)
     for n in reversed(counts.tolist()):
         now = slice(end - n, end)
-        dh = d_hs[now] + dh_next[:n]
+        dh = dh_next[:n] if d_hs is None else d_hs[now] + dh_next[:n]
         dc = dh * dc_dh[now]
         dc += dc_next[:n]
         per_gate[now, :3] *= dc[:, None]
@@ -266,6 +290,7 @@ def lstm_backward(d_states, cache: LstmCache, params: LstmCellParams, input_grad
         np.matmul(coef[now], params.w_rec, out=dh_next[:n])
         np.multiply(dc, acts[now, 1], out=dc_next[:n])
         end -= n
+    del d_hs, dc_dh  # the weight gradients' gather below is the last (P, h) array
     grads = {
         "w_in": coef.T @ packed,
         "w_rec": coef[first:].T @ hs[before],
@@ -276,6 +301,87 @@ def lstm_backward(d_states, cache: LstmCache, params: LstmCellParams, input_grad
     d_inputs = np.zeros_like(inputs)
     d_inputs[rows, cols] = coef @ params.w_in
     return d_inputs, grads
+
+
+# One direction's scan work, P * 4h * (d + h) multiply-adds over its P
+# real positions, below which both directions run in the caller's thread:
+# the Python step loop holds the GIL, and on a small scan it is most of
+# the time. Measured on 2 cores with 1 BLAS thread, serial against worker,
+# median of 5 rounds, for the forward, the cached forward and the
+# backward: from 6M to 14.5M the worker lost on at least one of the three
+# at every shape tried (x0.56-0.92); from 20.9M up it gained, x1.08-1.71,
+# but for one cached forward at h=64, d=100 (x0.90 at 24.7M). At h=128,
+# d=300 this is about 90 real positions.
+PARALLEL_MIN_WORK = 20_000_000
+M_ARENA_MAX = -8  # glibc's mallopt parameter number
+
+
+def _one_malloc_arena():
+    """Have every thread allocate from glibc's main malloc arena.
+
+    glibc gives a new thread an arena of its own, which keeps the blocks
+    the thread frees; with the backward direction's scans allocating
+    there, a training run's peak resident set grew by about a fifth.
+    One arena lets both threads reuse each other's freed blocks. It is a
+    process-wide setting, made once, before the worker starts; on a libc
+    other than glibc this does nothing.
+    """
+    try:
+        libc = ctypes.CDLL(None)
+        if hasattr(libc, "gnu_get_libc_version"):
+            mallopt = libc.mallopt
+            mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+            mallopt(M_ARENA_MAX, 1)
+    except (OSError, AttributeError, TypeError):
+        pass
+
+
+_worker = None  # the backward directions' executor, False on one CPU
+_worker_lock = threading.Lock()
+
+
+def _direction_worker():
+    """The one thread that runs backward directions, made on first use;
+    None when this process may run on one CPU only."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            affinity = getattr(os, "sched_getaffinity", None)
+            if (len(affinity(0)) if affinity else os.cpu_count() or 1) < 2:
+                _worker = False
+            else:
+                _one_malloc_arena()
+                _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="bilstm-backward")
+        return _worker or None
+
+
+def _forget_worker():
+    """In a forked child, which has neither the thread nor a free lock."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _both_directions(forward, backward, params: LstmCellParams, positions):
+    """(forward(), backward()), with backward() on the worker thread while
+    forward() runs in this one, when the scan is large enough and a second
+    CPU is there. Each call writes only its own arrays, so the result does
+    not depend on the schedule. Whatever happens, the worker has finished
+    before this returns or raises, and its exception reaches the caller."""
+    work = positions * (params.w_in.size + params.w_rec.size)
+    worker = _direction_worker() if work >= PARALLEL_MIN_WORK else None
+    if worker is None:
+        return forward(), backward()
+    pending = worker.submit(backward)
+    try:
+        first = forward()
+    except BaseException:
+        pending.exception()  # waits; the caller's own error is the one raised
+        raise
+    return first, pending.result()
 
 
 def bilstm_batch_forward(inputs, forward_params, backward_params, mode="final",
@@ -291,6 +397,13 @@ def bilstm_batch_forward(inputs, forward_params, backward_params, mode="final",
     step, (B, 2h); a row of length 0 gets zeros.
     mode="flatten": per-position concatenation flattened to (B, 2h*L),
     zero past each row's length.
+
+    The two directions do not depend on each other. Above
+    PARALLEL_MIN_WORK the backward direction's lstm_forward runs on one
+    worker thread, shared by the process, while the forward direction's
+    runs in the caller's; numpy releases the GIL inside its GEMMs and
+    ufuncs, so the two scans overlap on two CPUs. The bits are those of
+    the two calls one after the other.
     """
     if mode not in SEQUENCE_REPRS:
         raise ValueError(f"unknown sequence representation {mode!r}")
@@ -299,36 +412,38 @@ def bilstm_batch_forward(inputs, forward_params, backward_params, mode="final",
         raise ValueError(f"expected a (B, L, d) batch with L >= 1, got shape {inputs.shape}")
     batch, length, _ = inputs.shape
     lengths = _check_lengths(lengths, batch, length)
-    states_fwd, cache_fwd = lstm_forward(inputs, forward_params, keep_cache, lengths)
-    states_bwd, cache_bwd = lstm_forward(inputs, backward_params, keep_cache, lengths, True)
-    if mode == "final":
-        # The backward direction ends at position 0; rows of length 0 are zero.
-        last = np.maximum(lengths - 1, 0)
-        features = np.concatenate((states_fwd[np.arange(batch), last], states_bwd[:, 0]), axis=1)
+    final = mode == "final"
+    (states_fwd, cache_fwd), (states_bwd, cache_bwd) = _both_directions(
+        lambda: lstm_forward(inputs, forward_params, keep_cache, lengths, final=final),
+        lambda: lstm_forward(inputs, backward_params, keep_cache, lengths, True, final=final),
+        backward_params, int(lengths.sum()),
+    )
+    if final:
+        features = np.concatenate((states_fwd, states_bwd), axis=1)
     else:
         features = np.concatenate((states_fwd, states_bwd), axis=2).reshape(batch, -1)
-    caches = (cache_fwd, cache_bwd, lengths) if keep_cache else None
-    return features, caches
+    return features, (cache_fwd, cache_bwd) if keep_cache else None
 
 
 def bilstm_batch_backward(d_features, caches, forward_params, backward_params, mode="final",
                           input_grad=True):
     """Gradients of bilstm_batch_forward's features: (d_inputs or None
-    without input_grad, forward grads, backward grads)."""
-    cache_fwd, cache_bwd, lengths = caches
-    batch, length, _ = cache_fwd.inputs.shape
+    without input_grad, forward grads, backward grads). The backward
+    direction's lstm_backward runs on the worker thread as in
+    bilstm_batch_forward."""
+    cache_fwd, cache_bwd = caches
     h_fwd = forward_params.hidden_size
     if mode == "final":
-        d_states_fwd = np.zeros((batch, length, h_fwd), dtype=d_features.dtype)
-        d_states_fwd[np.arange(batch), np.maximum(lengths - 1, 0)] = d_features[:, :h_fwd]
-        d_states_bwd = np.zeros((batch, length, backward_params.hidden_size),
-                                dtype=d_features.dtype)
-        d_states_bwd[:, 0] = d_features[:, h_fwd:]
+        d_states_fwd, d_states_bwd = d_features[:, :h_fwd], d_features[:, h_fwd:]
     else:
+        batch, length, _ = cache_fwd.inputs.shape
         d_all = d_features.reshape(batch, length, -1)
         d_states_fwd, d_states_bwd = d_all[:, :, :h_fwd], d_all[:, :, h_fwd:]
-    d_in_fwd, grads_fwd = lstm_backward(d_states_fwd, cache_fwd, forward_params, input_grad)
-    d_in_bwd, grads_bwd = lstm_backward(d_states_bwd, cache_bwd, backward_params, input_grad)
+    (d_in_fwd, grads_fwd), (d_in_bwd, grads_bwd) = _both_directions(
+        lambda: lstm_backward(d_states_fwd, cache_fwd, forward_params, input_grad),
+        lambda: lstm_backward(d_states_bwd, cache_bwd, backward_params, input_grad),
+        backward_params, len(cache_bwd.rows),
+    )
     d_inputs = d_in_fwd + d_in_bwd if input_grad else None
     return d_inputs, grads_fwd, grads_bwd
 

@@ -1,12 +1,17 @@
 import math
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hatedetect import neural
 from hatedetect.classifier import ModelConfig, _forward_parts, forward_probs, init_params
 from hatedetect.neural import (
     BLOCK_STEPS,
+    PARALLEL_MIN_WORK,
     SEQUENCE_REPRS,
     AdamState,
     DenseParams,
@@ -451,6 +456,246 @@ class TestBilstm:
         seq = np.full((1, 8, 3), 1e3)
         out, _ = bilstm_batch_forward(seq, fwd, bwd)
         assert np.all(np.isfinite(out))
+
+
+def scan_work(lengths, cell):
+    return int(np.sum(lengths)) * 4 * cell.hidden_size * (cell.input_size + cell.hidden_size)
+
+
+class TestFinalStates:
+    """With final, a scan returns and takes only each row's last state."""
+
+    @pytest.mark.parametrize("keep_cache", [True, False])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_final_states_are_the_per_position_states_at_each_end(self, keep_cache, reverse):
+        params = random_cell(3, 4, 60)
+        inputs = np.random.default_rng(61).normal(0, 1, (len(MIXED_LENGTHS), 5, 3))
+        states, _ = lstm_forward(inputs, params, keep_cache, MIXED_LENGTHS, reverse)
+        final, _ = lstm_forward(inputs, params, keep_cache, MIXED_LENGTHS, reverse, final=True)
+        ends = 0 if reverse else np.maximum(MIXED_LENGTHS - 1, 0)
+        assert final.shape == (len(MIXED_LENGTHS), 4)
+        assert final.tobytes() == states[np.arange(len(MIXED_LENGTHS)), ends].tobytes()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_final_gradients_equal_per_position_gradients_at_each_end(self, reverse):
+        params = random_cell(3, 4, 62)
+        rng = np.random.default_rng(63)
+        inputs = rng.normal(0, 1, (len(MIXED_LENGTHS), 5, 3))
+        _, cache = lstm_forward(inputs, params, True, MIXED_LENGTHS, reverse, final=True)
+        d_final = rng.normal(0, 1, (len(MIXED_LENGTHS), 4))
+        d_states = np.zeros((len(MIXED_LENGTHS), 5, 4))
+        ends = 0 if reverse else np.maximum(MIXED_LENGTHS - 1, 0)
+        d_states[np.arange(len(MIXED_LENGTHS)), ends] = d_final
+        d_inputs, grads = lstm_backward(d_final, cache, params)
+        expected_inputs, expected = lstm_backward(d_states, cache, params)
+        assert d_inputs.tobytes() == expected_inputs.tobytes()
+        for name in ("w_in", "w_rec", "bias"):
+            assert grads[name].tobytes() == expected[name].tobytes()
+
+
+class TestDirectionWorker:
+    """bilstm_batch_forward/_backward hand the backward direction to one
+    worker thread above PARALLEL_MIN_WORK; the bits are those of the two
+    direct calls, one after the other, whichever thread ran them."""
+
+    # (d, h, B, L): below and above PARALLEL_MIN_WORK.
+    SHAPES = {"small": (3, 4, 7, 5), "large": (64, 32, 256, 16)}
+
+    @staticmethod
+    def batch(d, h, batch, length, seed=70):
+        rng = np.random.default_rng(seed)
+        inputs = rng.normal(0, 1, (batch, length, d)).astype(np.float32)
+        lengths = rng.integers(0, length + 1, batch)
+        fwd, bwd = (LstmCellParams(*(w.astype(np.float32) for w in (c.w_in, c.w_rec, c.bias)))
+                    for c in (random_cell(d, h, 71), random_cell(d, h, 72)))
+        return inputs, lengths, fwd, bwd
+
+    def test_shapes_lie_either_side_of_the_constant(self):
+        for size, (d, h, batch, length) in self.SHAPES.items():
+            _, lengths, _, bwd = self.batch(d, h, batch, length)
+            assert (scan_work(lengths, bwd) >= PARALLEL_MIN_WORK) == (size == "large")
+
+    @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize("mode", SEQUENCE_REPRS)
+    @pytest.mark.parametrize("keep_cache", [True, False])
+    def test_forward_bits_equal_two_direct_calls(self, size, mode, keep_cache):
+        inputs, lengths, fwd, bwd = self.batch(*self.SHAPES[size])
+        final = mode == "final"
+        features, caches = bilstm_batch_forward(inputs, fwd, bwd, mode, lengths, keep_cache)
+        states_fwd, cache_fwd = lstm_forward(inputs, fwd, keep_cache, lengths, final=final)
+        states_bwd, cache_bwd = lstm_forward(inputs, bwd, keep_cache, lengths, True, final=final)
+        expected = np.concatenate((states_fwd, states_bwd), axis=-1).reshape(len(inputs), -1)
+        assert features.tobytes() == expected.tobytes()
+        if not keep_cache:
+            assert caches is None and cache_fwd is None
+            return
+        for got, direct in zip(caches, (cache_fwd, cache_bwd)):
+            for name, array in got._asdict().items():
+                assert array.tobytes() == getattr(direct, name).tobytes(), name
+
+    @pytest.mark.parametrize("size", ["small", "large"])
+    @pytest.mark.parametrize("mode", SEQUENCE_REPRS)
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_backward_bits_equal_two_direct_calls(self, size, mode, input_grad):
+        inputs, lengths, fwd, bwd = self.batch(*self.SHAPES[size])
+        features, caches = bilstm_batch_forward(inputs, fwd, bwd, mode, lengths)
+        probe = np.random.default_rng(73).normal(0, 1, features.shape).astype(np.float32)
+        d_inputs, grads_fwd, grads_bwd = bilstm_batch_backward(probe, caches, fwd, bwd, mode,
+                                                               input_grad)
+        h = fwd.hidden_size
+        if mode == "final":
+            d_fwd, d_bwd = probe[:, :h], probe[:, h:]
+        else:
+            d_all = probe.reshape(len(inputs), inputs.shape[1], 2 * h)
+            d_fwd, d_bwd = d_all[..., :h], d_all[..., h:]
+        d_in_fwd, expected_fwd = lstm_backward(d_fwd, caches[0], fwd, input_grad)
+        d_in_bwd, expected_bwd = lstm_backward(d_bwd, caches[1], bwd, input_grad)
+        for got, expected in ((grads_fwd, expected_fwd), (grads_bwd, expected_bwd)):
+            for name in ("w_in", "w_rec", "bias"):
+                assert got[name].tobytes() == expected[name].tobytes(), name
+        if input_grad:
+            assert d_inputs.tobytes() == (d_in_fwd + d_in_bwd).tobytes()
+        else:
+            assert d_inputs is None
+
+    @staticmethod
+    def threads_of_calls(monkeypatch):
+        """The thread of every lstm_forward/lstm_backward call, by direction."""
+        seen = []
+        for name in ("lstm_forward", "lstm_backward"):
+            original = getattr(neural, name)
+
+            def traced(*args, _original=original, _name=name, **kwargs):
+                seen.append((_name, args[1] if _name == "lstm_forward" else args[2],
+                             threading.current_thread()))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(neural, name, traced)
+        return seen
+
+    @pytest.mark.parametrize("size", ["small", "large"])
+    def test_backward_direction_runs_on_the_worker_above_the_constant(self, size, monkeypatch):
+        if neural._direction_worker() is None:
+            pytest.skip("one CPU: both directions run in the caller")
+        inputs, lengths, fwd, bwd = self.batch(*self.SHAPES[size])
+        seen = self.threads_of_calls(monkeypatch)
+        features, caches = bilstm_batch_forward(inputs, fwd, bwd, "final", lengths)
+        bilstm_batch_backward(np.ones_like(features), caches, fwd, bwd, "final", False)
+        caller = threading.current_thread()
+        assert len(seen) == 4
+        for name, params, thread in seen:
+            on_worker = params is bwd and size == "large"
+            assert (thread is not caller) == on_worker, (name, size)
+
+    def test_one_cpu_runs_both_directions_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(neural, "_worker", None)
+        assert neural._direction_worker() is None
+        inputs, lengths, fwd, bwd = self.batch(*self.SHAPES["large"])
+        seen = self.threads_of_calls(monkeypatch)
+        bilstm_batch_forward(inputs, fwd, bwd, "final", lengths)
+        assert [thread for _, _, thread in seen] == [threading.current_thread()] * 2
+
+    def make_slow_backward_direction(self, monkeypatch, bwd):
+        """The backward direction's lstm_forward sleeps first, then records
+        that it finished."""
+        finished = []
+        original = neural.lstm_forward
+
+        def slow(*args, **kwargs):
+            if args[1] is bwd:
+                time.sleep(0.05)
+                finished.append(threading.current_thread())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(neural, "lstm_forward", slow)
+        return finished
+
+    def test_caller_error_waits_for_the_worker(self, monkeypatch):
+        if neural._direction_worker() is None:
+            pytest.skip("one CPU: both directions run in the caller")
+        monkeypatch.setattr(neural, "PARALLEL_MIN_WORK", 0)
+        inputs, lengths, fwd, bwd = self.batch(*self.SHAPES["small"])
+        finished = self.make_slow_backward_direction(monkeypatch, bwd)
+        wrong = random_cell(inputs.shape[2] + 1, fwd.hidden_size, 74)
+        with pytest.raises(ValueError, match="input size"):
+            bilstm_batch_forward(inputs, wrong, bwd, "final", lengths)
+        assert len(finished) == 1 and finished[0] is not threading.current_thread()
+        self.assert_next_call_works(inputs, lengths, fwd, bwd)
+
+    @pytest.mark.parametrize("stage", ["forward", "backward"])
+    def test_worker_error_reaches_the_caller(self, monkeypatch, stage):
+        monkeypatch.setattr(neural, "PARALLEL_MIN_WORK", 0)
+        inputs, lengths, fwd, bwd = self.batch(*self.SHAPES["small"])
+        if stage == "forward":
+            wrong = random_cell(inputs.shape[2] + 1, bwd.hidden_size, 75)
+            with pytest.raises(ValueError, match="input size"):
+                bilstm_batch_forward(inputs, fwd, wrong, "final", lengths)
+        else:
+            features, caches = bilstm_batch_forward(inputs, fwd, bwd, "final", lengths)
+            wrong = random_cell(inputs.shape[2], bwd.hidden_size + 1, 75)
+            with pytest.raises(ValueError):
+                bilstm_batch_backward(features, caches, fwd, wrong, "final")
+        self.assert_next_call_works(inputs, lengths, fwd, bwd)
+
+    @staticmethod
+    def assert_next_call_works(inputs, lengths, fwd, bwd):
+        features, _ = bilstm_batch_forward(inputs, fwd, bwd, "final", lengths, False)
+        states_fwd, _ = lstm_forward(inputs, fwd, False, lengths, final=True)
+        states_bwd, _ = lstm_forward(inputs, bwd, False, lengths, True, final=True)
+        assert features.tobytes() == np.concatenate((states_fwd, states_bwd), axis=1).tobytes()
+
+    def test_concurrent_callers_get_their_own_bits(self, monkeypatch):
+        # More caller threads than cores share the one worker, switching often.
+        monkeypatch.setattr(neural, "PARALLEL_MIN_WORK", 0)
+        batches = [self.batch(3, 4, 7, 5, seed=seed) for seed in range(80, 86)]
+
+        def step(x, n, f, b):
+            features, caches = bilstm_batch_forward(x, f, b, "final", n)
+            d_inputs, grads_fwd, grads_bwd = bilstm_batch_backward(features, caches, f, b, "final")
+            return [features.tobytes(), d_inputs.tobytes(),
+                    *(g.tobytes() for g in (*grads_fwd.values(), *grads_bwd.values()))]
+
+        expected = [step(*batch) for batch in batches]
+        wrong = []
+
+        def caller(k):
+            for _ in range(20):
+                if step(*batches[k]) != expected[k]:
+                    wrong.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(batches))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_arena_call_only_on_glibc(self, monkeypatch):
+        calls = []
+
+        class Glibc:
+            def __init__(self, name):
+                self.gnu_get_libc_version = None
+                self.mallopt = lambda *args: calls.append(args)
+
+        class OtherLibc:
+            def __init__(self, name):
+                pass
+
+        def unloadable(name):
+            raise OSError("no C library")
+
+        for libc in (Glibc, OtherLibc, unloadable):
+            monkeypatch.setattr(neural.ctypes, "CDLL", libc)
+            neural._one_malloc_arena()
+        assert calls == [(neural.M_ARENA_MAX, 1)]
 
 
 class TestDense:
