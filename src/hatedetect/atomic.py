@@ -52,9 +52,25 @@ def write_bytes(path, data: bytes) -> None:
         handle.write(data)
 
 
+def update_bytes(path, data: bytes) -> None:
+    """write_bytes unless `path` already holds exactly `data`: a file that
+    would not change is not rewritten, so it keeps its inode and mtime."""
+    try:
+        if Path(path).read_bytes() == data:
+            return
+    except OSError:
+        pass
+    write_bytes(path, data)
+
+
+def json_bytes(data) -> bytes:
+    """`data` as UTF-8 JSON indented by 2, plus a newline."""
+    return (json.dumps(data, indent=2) + "\n").encode()
+
+
 def write_json(path, data) -> None:
-    """write_bytes of `data` as UTF-8 JSON indented by 2, plus a newline."""
-    write_bytes(path, (json.dumps(data, indent=2) + "\n").encode())
+    """write_bytes of json_bytes(data)."""
+    write_bytes(path, json_bytes(data))
 
 
 def write_csv(path, header, rows) -> None:

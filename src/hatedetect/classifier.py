@@ -7,6 +7,11 @@ seed, initialization, training, and the saved checkpoint are all
 bit-for-bit reproducible on the same numpy and BLAS build with the same
 BLAS thread count; a threaded GEMM splits its sums by thread count.
 
+The BiLSTM reads its inputs as rows of the embedding table
+(neural.TableRows): no (B, L, d) batch of embeddings is gathered, and
+each block of the scan projects each distinct token once. The bits are
+those of the scan of the gathered batch.
+
 Above neural.PARALLEL_MIN_WORK the BiLSTM runs its backward direction on
 a worker thread while the forward direction runs in the caller's (see
 neural.bilstm_batch_forward). That changes no bit, but it does use a
@@ -167,13 +172,16 @@ def _forward_parts(params: dict, token_ids: np.ndarray, config: ModelConfig, kee
 
     The batch is trimmed to its longest row, and each row's features are
     read at its own last token, so padding never changes a probability.
+    The BiLSTM reads the embedding rows of token_ids straight from the
+    table.
     """
     lengths = sequence_lengths(token_ids)
     token_ids = token_ids[:, : max(int(lengths.max(initial=0)), 1)]
     fwd = LstmCellParams(params["fwd_w_in"], params["fwd_w_rec"], params["fwd_bias"])
     bwd = LstmCellParams(params["bwd_w_in"], params["bwd_w_rec"], params["bwd_bias"])
     features, caches = neural.bilstm_batch_forward(
-        params["embedding"][token_ids], fwd, bwd, config.sequence_repr, lengths, keep_cache
+        neural.TableRows(params["embedding"], token_ids), fwd, bwd, config.sequence_repr, lengths,
+        keep_cache,
     )
     if features.shape[1] < config.feature_size:  # flatten: positions past the trim are zero
         features = np.pad(features, ((0, 0), (0, config.feature_size - features.shape[1])))

@@ -19,7 +19,8 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import embed as embed_mod
 from . import metrics as metrics_mod
-from .atomic import _check, _section, read_json_object, write_bytes, write_json
+from .atomic import (_check, _section, json_bytes, read_json_object, update_bytes, write_bytes,
+                     write_json)
 from .classifier import HateClassifier, ModelConfig, train, sweep_dense1_activation
 from .corpus import CombineConfig, DatasetSpec, SplitConfig
 from .embed import CbowConfig, EmbeddingMatrix
@@ -96,11 +97,13 @@ class RunConfig:
         )
 
     def record(self) -> None:
-        """Copy the exact config into the output directory; record overrides."""
+        """Copy the exact config into the output directory; record overrides.
+        A file that already holds the same bytes is left as it is."""
         self.output_dir.mkdir(parents=True, exist_ok=True)
-        write_bytes(self.output_dir / "config.json", self.path.read_bytes())
+        update_bytes(self.output_dir / "config.json", self.path.read_bytes())
         if self.overrides:
-            write_json(self.output_dir / "overrides.json", dict(sorted(self.overrides.items())))
+            update_bytes(self.output_dir / "overrides.json",
+                         json_bytes(dict(sorted(self.overrides.items()))))
 
 
 def build_parser() -> argparse.ArgumentParser:

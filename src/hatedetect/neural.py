@@ -3,9 +3,11 @@ exact backpropagation through time, bidirectional composition, dense
 layers and Adam.
 
 Everything is plain numpy. Training runs in float32 by default; gradient
-verification (tests/oracles.py) runs the same code in float64. The
-BiLSTM's backward direction runs on one worker thread, beside the
-forward direction, when a batch is large enough (PARALLEL_MIN_WORK).
+verification (tests/oracles.py) runs the same code in float64. The LSTM
+reads its inputs as rows of a table (TableRows), so a token is projected
+once per block of steps however often it occurs. The BiLSTM's backward
+direction runs on one worker thread, beside the forward direction, when
+a batch is large enough (PARALLEL_MIN_WORK).
 """
 
 from __future__ import annotations
@@ -93,16 +95,59 @@ def _gate_constants(h, dtype):
     return scale, offset
 
 
+@dataclass(frozen=True)
+class TableRows:
+    """A (B, L, d) batch held as rows of a table: element [b, t] is
+    table[ids[b, t]]. A scan reads its inputs this way, so a token that
+    occurs many times is gathered and projected once per block, and no
+    (B, L, d) array is made. A dense batch x is rows of itself:
+    TableRows.of(x)."""
+
+    table: np.ndarray  # (V, d)
+    ids: np.ndarray  # (B, L) integer indices into table
+
+    def __post_init__(self):
+        if (self.table.ndim != 2 or self.ids.ndim != 2
+                or not np.issubdtype(self.ids.dtype, np.integer)):
+            raise ValueError(f"expected a (V, d) table and (B, L) integer ids, got shapes "
+                             f"{self.table.shape} and {self.ids.shape} of {self.ids.dtype}")
+
+    @classmethod
+    def of(cls, inputs) -> "TableRows":
+        """inputs if it is a TableRows, else the dense (B, L, d) batch as
+        rows of itself."""
+        if isinstance(inputs, cls):
+            return inputs
+        inputs = np.asarray(inputs)
+        if inputs.ndim != 3:
+            raise ValueError(f"expected a (B, L, d) batch, got shape {inputs.shape}")
+        batch, length, d = inputs.shape
+        ids = np.arange(batch * length).reshape(batch, length)
+        return cls(inputs.reshape(batch * length, d), ids)
+
+    @property
+    def shape(self) -> tuple:
+        return self.ids.shape + self.table.shape[1:]
+
+    @property
+    def dtype(self):
+        return self.table.dtype
+
+
 class LstmCache(NamedTuple):
     """What lstm_backward needs from a forward scan with keep_cache.
 
-    The per-position arrays are packed time-major: step t holds the
-    counts[t] rows still running, in order of decreasing length, and
-    position p of the pack is row rows[p], time position cols[p] of the
-    padded (B, L) layout. A scan without keep_cache holds none of them.
+    inputs is the TableRows the scan read (a dense batch as rows of
+    itself), kept for its shape and dtype; packed_inputs holds each
+    position's input row, gathered once from the table for the input
+    weights' gradient. The per-position arrays are packed time-major:
+    step t holds the counts[t] rows still running, in order of decreasing
+    length, and position p of the pack is row rows[p], time position
+    cols[p] of the padded (B, L) layout. A scan without keep_cache holds
+    none of them.
     """
 
-    inputs: np.ndarray  # (B, L, d), the padded batch as passed in
+    inputs: TableRows  # (B, L, d), the batch as the scan read it
     packed_inputs: np.ndarray  # (P, d)
     gates: np.ndarray  # (P, 4h)
     cells: np.ndarray  # (P, h)
@@ -113,7 +158,16 @@ class LstmCache(NamedTuple):
     counts: np.ndarray  # (T,) running rows per step, T the longest length
 
 
-BLOCK_STEPS = 8  # steps per input GEMM in a scan without keep_cache
+BLOCK_STEPS = 8  # steps per input projection in a scan without keep_cache
+# A block projects at least this many table rows, repeating its distinct
+# ids when it has fewer. A BLAS may round the rows of a product of few
+# rows differently from the same rows of a large product: with OpenBLAS
+# 0.3.31 (1 thread) on a 2-core Xeon the rows of 1-4-row products
+# differed at d=100 and d=300, and blocks holding 1-3 distinct tokens made
+# the blocked and the cached scan differ in 13-20 of 20 random batches, at
+# d=300, h=128 and at d=100, h=64. At 5 rows or more every case was equal
+# (TestBlockedScan fails at 4).
+PROJECTION_MIN_ROWS = 8
 
 
 def _check_lengths(lengths, batch, length):
@@ -149,36 +203,40 @@ def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, 
     """Scan a batch of right-padded sequences; returns (states, cache for
     backward).
 
-    Row b holds lengths[b] real positions (all L when lengths is None);
-    with reverse it is read from its last real position back to its
-    first. Each step is c' = f*c + i*g, h' = o*tanh(c') from a zero state,
-    and runs only the rows that have not ended, so padding costs no work.
-    The states are (B, L, h): the state after reading position t is
-    written at position t, and is zero past each row's length. With final
-    they are (B, h): each row's state after its last step, zero for a row
-    of length 0, and no (B, L, h) array is made.
+    inputs is a TableRows or a dense (B, L, d) array, read as rows of
+    itself. Row b holds lengths[b] real positions (all L when lengths is
+    None); with reverse it is read from its last real position back to
+    its first. Each step is c' = f*c + i*g, h' = o*tanh(c') from a zero
+    state, and runs only the rows that have not ended, so padding costs
+    no work. The states are (B, L, h): the state after reading position t
+    is written at position t, and is zero past each row's length. With
+    final they are (B, h): each row's state after its last step, zero for
+    a row of length 0, and no (B, L, h) array is made.
 
-    The scan runs in blocks of steps. Each block gathers its real
-    positions' inputs and projects them in one GEMM; only the recurrent
-    product stays in the step loop. With keep_cache the block is the
-    whole schedule, the packed inputs, gates, cells and states of every
-    position are kept for lstm_backward, and the states are scattered
-    into the padded output once, after the loop. With keep_cache=False
-    (inference) a block is BLOCK_STEPS steps, each block's gates
-    overwrite one buffer, each step writes its state rows out before
-    the next step overwrites them, and the cache is None. With final, in
-    either mode, each step writes out only the rows whose last step it
-    is: the tail of the running prefix. A last block shorter than
-    BLOCK_STEPS joins the one before it, because a BLAS may round a GEMM
-    of a few rows differently from a large one; so both modes give the
-    same bits.
+    The scan runs in blocks of steps. Each block projects the distinct
+    table rows of its real positions once, in one GEMM, and each step
+    gathers its own rows' pre-activations from that projection; only the
+    recurrent product stays in the step loop. With keep_cache the block
+    is the whole schedule; the gates, cells and states of every position,
+    and its input row, are kept for lstm_backward, and the states are
+    scattered into the padded output once, after the loop. With
+    keep_cache=False (inference) a block is BLOCK_STEPS steps, each step
+    gathers into one buffer and writes its state rows out before the next
+    step overwrites them, and the cache is None. With final, in either
+    mode, each step writes out only the rows whose last step it is: the
+    tail of the running prefix. A BLAS may round a GEMM of a few rows
+    differently from a large one, so a last block shorter than
+    BLOCK_STEPS joins the one before it, and a block projects at least
+    PROJECTION_MIN_ROWS rows; so both modes, and a dense batch and the
+    same rows of a table, give the same bits.
     """
-    inputs = np.asarray(inputs)
+    inputs = TableRows.of(inputs)
     batch, length, d = inputs.shape
     if d != params.input_size:
         raise ValueError(f"input size {d} does not match cell input size {params.input_size}")
     lengths = _check_lengths(lengths, batch, length)
     rows, cols, counts = _schedule(lengths, reverse)
+    packed_ids = inputs.ids[rows, cols]  # the table row of each position
     h = params.hidden_size
     dtype = inputs.dtype
     scale, offset = _gate_constants(h, dtype)
@@ -192,25 +250,31 @@ def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, 
     # The first step of each block; the last block takes the remainder too.
     firsts = list(range(0, max(len(steps) - block, 0) + 1, max(block, 1)))
     blocks = list(zip(firsts, firsts[1:] + [len(steps)]))
-    # The gates of the largest block; with keep_cache the state rows of
-    # every position, at its own row, else one step's, reused.
-    gates = np.empty((max(starts[t1] - starts[t0] for t0, t1 in blocks), 4 * h), dtype=dtype)
+    # With keep_cache the gates and state rows of every position, at its
+    # own row, else one step's, reused.
     hs = np.empty((len(rows) if keep_cache else max(steps, default=0), h), dtype=dtype)
+    gates = np.empty((len(hs), 4 * h), dtype=dtype)
     cells = np.empty_like(hs)
     tanh_cells = np.empty_like(hs)
     states = np.zeros((batch, h) if final else (batch, length, h), dtype=dtype)
     running_on = steps[1:] + [0]  # rows past running_on[t] end at step t
     for t0, t1 in blocks:
         begin, end = starts[t0], starts[t1]
-        # Scaled pre-activations of the block's positions; activated in
-        # place, they become the gates.
-        packed = inputs[rows[begin:end], cols[begin:end]]
-        np.matmul(packed, w_in_t, out=gates[: end - begin])
-        gates[: end - begin] += bias
+        # Scaled pre-activations of the block's distinct rows; position p
+        # of the block reads row inverse[p].
+        distinct, inverse = np.unique(packed_ids[begin:end], return_inverse=True)
+        if 0 < len(distinct) < PROJECTION_MIN_ROWS:
+            distinct = np.resize(distinct, PROJECTION_MIN_ROWS)
+        projected = np.empty((len(distinct), 4 * h), dtype=dtype)
+        np.matmul(inputs.table[distinct], w_in_t, out=projected)
+        projected += bias
         for t in range(t0, t1):
             start, n = starts[t], steps[t]
             now, previous = (start, starts[t - 1]) if keep_cache else (0, 0)
-            z = gates[start - begin : start - begin + n]
+            # Activated in place, the gathered pre-activations become the
+            # gates. With mode="clip" take writes straight into out.
+            z = np.take(projected, inverse[start - begin : start - begin + n], axis=0,
+                        out=gates[now : now + n], mode="clip")
             if t:
                 z += hs[previous : previous + n] @ w_rec_t
             np.tanh(z, out=z)
@@ -228,8 +292,10 @@ def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, 
                 states[rows[start : start + n], cols[start : start + n]] = h_now
     if not keep_cache:
         return states, None
+    del projected  # before the (P, d) gather
     if not final:
         states[rows, cols] = hs
+    packed = inputs.table[packed_ids]
     return states, LstmCache(inputs, packed, gates, cells, tanh_cells, hs, rows, cols, counts)
 
 
@@ -298,20 +364,28 @@ def lstm_backward(d_states, cache: LstmCache, params: LstmCellParams, input_grad
     }
     if not input_grad:
         return None, grads
-    d_inputs = np.zeros_like(inputs)
+    d_inputs = np.zeros(inputs.shape, dtype=dtype)
     d_inputs[rows, cols] = coef @ params.w_in
     return d_inputs, grads
 
 
-# One direction's scan work, P * 4h * (d + h) multiply-adds over its P
-# real positions, below which both directions run in the caller's thread:
-# the Python step loop holds the GIL, and on a small scan it is most of
-# the time. Measured on 2 cores with 1 BLAS thread, serial against worker,
-# median of 5 rounds, for the forward, the cached forward and the
-# backward: from 6M to 14.5M the worker lost on at least one of the three
-# at every shape tried (x0.56-0.92); from 20.9M up it gained, x1.08-1.71,
-# but for one cached forward at h=64, d=100 (x0.90 at 24.7M). At h=128,
-# d=300 this is about 90 real positions.
+# One direction's scan work in multiply-adds, below which both directions
+# run in the caller's thread: the Python step loop holds the GIL, and on a
+# small scan it is most of the time. A dense batch's scan does P * 4h *
+# (d + h) over its P real positions. Measured on 2 cores with 1 BLAS
+# thread, serial against worker, median of 5 rounds, for the forward, the
+# cached forward and the backward, on dense batches: from 6M to 14.5M the
+# worker lost on at least one of the three at every shape tried
+# (x0.56-0.92); from 20.9M up it gained, x1.08-1.71, but for one cached
+# forward at h=64, d=100 (x0.90 at 24.7M). At h=128, d=300 this is about
+# 90 real positions. A forward scan of table rows projects each distinct
+# row once, so _forward_work counts the rows it projects, not the
+# positions. The benchmark's 6-feature explain texts forward 64 rows,
+# e.g. 192 positions over 6 distinct tokens: 42M counted by positions,
+# 13.8M so. That explain took 4.6 ms serial against 5.5 ms with the
+# worker in one series and 5.4 against 5.6 ms in another (medians of 6
+# alternating rounds of best of 8); a 7-feature one (448 positions, 29M)
+# took 8.0 against 7.8 ms.
 PARALLEL_MIN_WORK = 20_000_000
 M_ARENA_MAX = -8  # glibc's mallopt parameter number
 
@@ -365,13 +439,29 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _both_directions(forward, backward, params: LstmCellParams, positions):
+def _forward_work(inputs: TableRows, lengths, params: LstmCellParams) -> int:
+    """A lower bound on one direction's forward scan work: the recurrent
+    product at each of the P real positions, P * 4h * h, plus the input
+    projection of each distinct row, at least PROJECTION_MIN_ROWS of them.
+    A scan in blocks projects a row once per block it occurs in. The
+    distinct rows are only counted when the recurrence alone is below
+    PARALLEL_MIN_WORK: above it they cannot change the choice, and
+    counting them would sort every position."""
+    positions = int(lengths.sum())
+    work = positions * params.w_rec.size
+    if positions and work < PARALLEL_MIN_WORK:
+        real = inputs.ids[np.arange(inputs.shape[1]) < lengths[:, None]]
+        work += max(len(np.unique(real)), PROJECTION_MIN_ROWS) * params.w_in.size
+    return work
+
+
+def _both_directions(forward, backward, work):
     """(forward(), backward()), with backward() on the worker thread while
-    forward() runs in this one, when the scan is large enough and a second
-    CPU is there. Each call writes only its own arrays, so the result does
-    not depend on the schedule. Whatever happens, the worker has finished
-    before this returns or raises, and its exception reaches the caller."""
-    work = positions * (params.w_in.size + params.w_rec.size)
+    forward() runs in this one, when one direction's work is at least
+    PARALLEL_MIN_WORK and a second CPU is there. Each call writes only its
+    own arrays, so the result does not depend on the schedule. Whatever
+    happens, the worker has finished before this returns or raises, and
+    its exception reaches the caller."""
     worker = _direction_worker() if work >= PARALLEL_MIN_WORK else None
     if worker is None:
         return forward(), backward()
@@ -388,27 +478,30 @@ def bilstm_batch_forward(inputs, forward_params, backward_params, mode="final",
                          lengths=None, keep_cache=True):
     """Run both directions over a batch of right-padded sequences.
 
-    Row b holds lengths[b] real positions (all L when lengths is None), an
-    integer in 0..L. The backward direction reads them reversed, so both
-    directions stop at the row's last real position and no state depends
-    on the padding.
+    inputs is a TableRows or a dense (B, L, d) array; a dense array is
+    viewed as rows of itself once, and both directions read that one
+    view, which their caches keep. Row b holds lengths[b] real positions
+    (all L when lengths is None), an integer in 0..L. The backward
+    direction reads them reversed, so both directions stop at the row's
+    last real position and no state depends on the padding.
 
     mode="final": both directions' hidden states at each row's last real
     step, (B, 2h); a row of length 0 gets zeros.
     mode="flatten": per-position concatenation flattened to (B, 2h*L),
     zero past each row's length.
 
-    The two directions do not depend on each other. Above
-    PARALLEL_MIN_WORK the backward direction's lstm_forward runs on one
-    worker thread, shared by the process, while the forward direction's
-    runs in the caller's; numpy releases the GIL inside its GEMMs and
-    ufuncs, so the two scans overlap on two CPUs. The bits are those of
-    the two calls one after the other.
+    The two directions do not depend on each other. When one direction's
+    work (_forward_work) reaches PARALLEL_MIN_WORK, the backward
+    direction's lstm_forward runs on one worker thread, shared by the
+    process, while the forward direction's runs in the caller's; numpy
+    releases the GIL inside its GEMMs and ufuncs, so the two scans
+    overlap on two CPUs. The bits are those of the two calls one after
+    the other.
     """
     if mode not in SEQUENCE_REPRS:
         raise ValueError(f"unknown sequence representation {mode!r}")
-    inputs = np.asarray(inputs)
-    if inputs.ndim != 3 or inputs.shape[1] < 1:
+    inputs = TableRows.of(inputs)
+    if inputs.shape[1] < 1:
         raise ValueError(f"expected a (B, L, d) batch with L >= 1, got shape {inputs.shape}")
     batch, length, _ = inputs.shape
     lengths = _check_lengths(lengths, batch, length)
@@ -416,7 +509,7 @@ def bilstm_batch_forward(inputs, forward_params, backward_params, mode="final",
     (states_fwd, cache_fwd), (states_bwd, cache_bwd) = _both_directions(
         lambda: lstm_forward(inputs, forward_params, keep_cache, lengths, final=final),
         lambda: lstm_forward(inputs, backward_params, keep_cache, lengths, True, final=final),
-        backward_params, int(lengths.sum()),
+        _forward_work(inputs, lengths, backward_params),
     )
     if final:
         features = np.concatenate((states_fwd, states_bwd), axis=1)
@@ -442,7 +535,7 @@ def bilstm_batch_backward(d_features, caches, forward_params, backward_params, m
     (d_in_fwd, grads_fwd), (d_in_bwd, grads_bwd) = _both_directions(
         lambda: lstm_backward(d_states_fwd, cache_fwd, forward_params, input_grad),
         lambda: lstm_backward(d_states_bwd, cache_bwd, backward_params, input_grad),
-        backward_params, len(cache_bwd.rows),
+        len(cache_bwd.rows) * (backward_params.w_in.size + backward_params.w_rec.size),
     )
     d_inputs = d_in_fwd + d_in_bwd if input_grad else None
     return d_inputs, grads_fwd, grads_bwd

@@ -397,24 +397,28 @@ def paper_shape_model():
 
 class TestForwardMemory:
     def test_paper_shape_batch_peak_is_bounded(self):
-        """A forward-only 256x50 batch at d=300, h=128 holds the (B, L, d)
-        embedding gather and, per direction, one block of gates and each
-        row's final state, not every position's gates and packed inputs
-        nor a (B, L, h) state array."""
+        """A forward-only 256x50 batch at d=300, h=128 holds, per direction,
+        one block's distinct table rows and their projection, one step's
+        gates and each row's final state: no (B, L, d) embedding gather,
+        no block of gates, no (B, L, h) state array. The ids are uniform
+        over the vocabulary, so almost every position is a distinct row.
+        Over 60 runs the peak was 19.0-21.5 MB; the bound is 1.05 times
+        the largest."""
         config, params, rng = paper_shape_model()
         token_ids = rng.integers(2, 20_000, (256, 50))
         probs, peak = traced_peak(lambda: forward_probs(params, token_ids, config))
         assert probs.shape == (256,)
-        assert peak < 42e6
+        assert peak < 22.5e6
 
 
 class TestStepMemory:
     def test_training_step_peak_is_bounded(self):
         """One training step at B=256, lengths 8..22, d=300, h=128, with the
-        two directions' scans running at once: no (B, L, h) state or state
-        gradient array, and each lstm_backward frees its (P, h) arrays
-        before its weight gradients. Run one after the other, with (B, L, h)
-        states, the step peaked at 66.3 MB; the bound is 1.025 times that."""
+        two directions' scans running at once: no (B, L, d) embedding
+        gather, no (B, L, h) state or state gradient array, and each
+        lstm_backward frees its (P, h) arrays before its weight gradients.
+        Over 60 runs the peak was 58.6-59.9 MB; the bound is 1.05 times
+        the largest."""
         config, params, rng = paper_shape_model()
         token_ids = rng.integers(2, 20_000, (256, 50))
         lengths = rng.integers(8, 23, 256)
@@ -422,7 +426,7 @@ class TestStepMemory:
         labels = (rng.random(256) < 0.5).astype(np.float32)
         (loss, grads), peak = traced_peak(lambda: loss_and_grads(params, token_ids, labels, config))
         assert np.isfinite(loss) and grads["fwd_w_in"].shape == (512, 300)
-        assert peak < 68e6
+        assert peak < 62.5e6
 
 
 # Manifest edits of the vocabulary lists that format 1.0 checkpoints hold.

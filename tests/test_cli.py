@@ -105,6 +105,21 @@ class TestPrepare:
         overrides = json.loads((tmp_path / "run" / "overrides.json").read_text())
         assert overrides == {"seed": 99}
 
+    def test_unchanged_config_and_overrides_are_not_rewritten(self, workspace):
+        tmp_path, config_path = workspace
+        recorded = [tmp_path / "run" / "config.json", tmp_path / "run" / "overrides.json"]
+        assert run_cli("prepare", "--config", str(config_path), "--seed", "99") == 0
+        inodes = [os.stat(path).st_ino for path in recorded]
+        assert run_cli("prepare", "--config", str(config_path), "--seed", "99") == 0
+        assert [os.stat(path).st_ino for path in recorded] == inodes
+        # A changed config and changed overrides replace their files.
+        config_path.write_text(config_path.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+        assert run_cli("prepare", "--config", str(config_path), "--seed", "98") == 0
+        for path, inode in zip(recorded, inodes):
+            assert os.stat(path).st_ino != inode, path.name
+        assert recorded[0].read_bytes() == config_path.read_bytes()
+        assert json.loads(recorded[1].read_text()) == {"seed": 98}
+
     def test_bad_ratios_exit_validation(self, tmp_path, capsys):
         write_dataset(tmp_path / "toy.csv")
         config_path = write_config(tmp_path, split={"ratios": [0.5, 0.5, 0.5]})

@@ -12,11 +12,14 @@ from hatedetect.classifier import ModelConfig, _forward_parts, forward_probs, in
 from hatedetect.neural import (
     BLOCK_STEPS,
     PARALLEL_MIN_WORK,
+    PROJECTION_MIN_ROWS,
     SEQUENCE_REPRS,
     AdamState,
     DenseParams,
+    LstmCache,
     LstmCellParams,
     NumericError,
+    TableRows,
     adam_step,
     bce,
     bilstm_batch_backward,
@@ -94,11 +97,12 @@ def uniform(rng, fan, shape):
     return rng.uniform(-bound, bound, shape)
 
 
-def random_cell(input_size, hidden_size, seed):
+def random_cell(input_size, hidden_size, seed, dtype=np.float64):
     rng = np.random.default_rng(seed)
     w_in = uniform(rng, hidden_size, (4 * hidden_size, input_size))
     w_rec = uniform(rng, hidden_size, (4 * hidden_size, hidden_size))
-    return LstmCellParams(w_in, w_rec, np.zeros(4 * hidden_size))
+    return LstmCellParams(w_in.astype(dtype), w_rec.astype(dtype),
+                          np.zeros(4 * hidden_size, dtype=dtype))
 
 
 def identity_input_cell(h):
@@ -322,8 +326,7 @@ class TestBlockedScan:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_states_equal_the_cached_scan(self, dtype, reverse):
-        cell = random_cell(8, 6, 50)
-        params = LstmCellParams(*(w.astype(dtype) for w in (cell.w_in, cell.w_rec, cell.bias)))
+        params = random_cell(8, 6, 50, dtype)
         inputs = np.random.default_rng(51).normal(0, 1, (len(self.LENGTHS), self.LENGTH, 8))
         inputs = inputs.astype(dtype)
         # Mixed lengths, all full, a lone row, and no real position at all.
@@ -334,6 +337,31 @@ class TestBlockedScan:
             cached, _ = lstm_forward(batch, params, True, lengths, reverse)
             assert states.dtype == dtype
             assert states.tobytes() == cached.tobytes()
+
+    @pytest.mark.parametrize("d, h", [(300, 128), (100, 64)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_block_of_few_distinct_rows_equals_the_cached_scan(self, d, h, dtype, reverse):
+        # The block a scan reads first holds only 1-3 distinct table rows,
+        # the rest of the scan many. A BLAS may round a product of so few
+        # rows differently, so the block projects PROJECTION_MIN_ROWS rows.
+        rng = np.random.default_rng(54)
+        params = random_cell(d, h, 55, dtype)
+        table = rng.normal(0, 1, (60, d)).astype(dtype)
+        cols = np.arange(self.LENGTH)
+        if reverse:  # the first block read is each row's last BLOCK_STEPS positions
+            first_block = cols >= self.LENGTHS[:, None] - BLOCK_STEPS
+        else:
+            first_block = np.broadcast_to(cols < BLOCK_STEPS, (len(self.LENGTHS), self.LENGTH))
+        for distinct in (1, 2, 3):
+            for _ in range(4):
+                ids = rng.integers(0, len(table), first_block.shape)
+                few = rng.choice(len(table), distinct, replace=False)
+                ids[first_block] = few[rng.integers(0, distinct, np.count_nonzero(first_block))]
+                inputs = TableRows(table, ids)
+                states, _ = lstm_forward(inputs, params, False, self.LENGTHS, reverse)
+                cached, _ = lstm_forward(inputs, params, True, self.LENGTHS, reverse)
+                assert states.tobytes() == cached.tobytes(), (distinct, ids[first_block][:4])
 
     @pytest.mark.parametrize("sequence_repr", SEQUENCE_REPRS)
     def test_forward_probs_equal_the_cached_forward(self, sequence_repr, plain_pipeline):
@@ -347,6 +375,96 @@ class TestBlockedScan:
         probs = forward_probs(params, token_ids, config)
         cached, _ = _forward_parts(params, token_ids, config, keep_cache=True)
         assert probs.tobytes() == cached.tobytes()
+
+
+class TestTableRows:
+    """A scan of TableRows(table, ids) gives the bits of the same scan of
+    the dense table[ids]: states, every cache array, gradients and input
+    gradients, in both modes and both directions."""
+
+    @staticmethod
+    def batch(seed, dtype, d=5, vocab=9):
+        """Few table rows, so positions repeat them; MIXED_LENGTHS has a
+        row of length 0 and padding past every row but the longest."""
+        rng = np.random.default_rng(seed)
+        table = rng.normal(0, 1, (vocab, d)).astype(dtype)
+        ids = rng.integers(0, vocab, (len(MIXED_LENGTHS), MIXED_LENGTHS.max() + 1))
+        return TableRows(table, ids), table[ids], MIXED_LENGTHS
+
+    def test_shape_dtype_and_dense_view(self):
+        rows = TableRows(np.zeros((9, 5), dtype=np.float32), np.zeros((3, 4), dtype=np.int64))
+        assert np.shape(rows) == rows.shape == (3, 4, 5) and rows.dtype == np.float32
+        assert TableRows.of(rows) is rows
+        dense = np.arange(24.0).reshape(2, 3, 4)
+        view = TableRows.of(dense)
+        assert view.shape == dense.shape
+        assert np.array_equal(view.table[view.ids], dense)
+
+    @pytest.mark.parametrize("table, ids", [
+        (np.zeros(5), np.zeros((2, 3), dtype=int)),  # not a (V, d) table
+        (np.zeros((9, 5)), np.zeros(3, dtype=int)),  # not (B, L) ids
+        (np.zeros((9, 5)), np.zeros((2, 3))),  # ids not integers
+    ])
+    def test_bad_shapes_rejected(self, table, ids):
+        with pytest.raises(ValueError, match="table"):
+            TableRows(table, ids)
+
+    def test_dense_batch_must_be_three_dimensional(self):
+        with pytest.raises(ValueError, match=r"\(B, L, d\)"):
+            lstm_forward(np.ones((2, 3)), random_cell(3, 4, 0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("keep_cache", [True, False])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("final", [False, True])
+    def test_lstm_equals_the_dense_batch(self, dtype, keep_cache, reverse, final):
+        rows, dense, lengths = self.batch(90, dtype)
+        params = random_cell(5, 4, 91, dtype)
+        states, cache = lstm_forward(rows, params, keep_cache, lengths, reverse, final)
+        expected, dense_cache = lstm_forward(dense, params, keep_cache, lengths, reverse, final)
+        assert states.dtype == dtype
+        assert states.tobytes() == expected.tobytes()
+        if not keep_cache:
+            assert cache is None and dense_cache is None
+            return
+        assert cache.inputs is rows
+        for name in LstmCache._fields[1:]:
+            assert getattr(cache, name).tobytes() == getattr(dense_cache, name).tobytes(), name
+        probe = np.random.default_rng(92).normal(0, 1, states.shape).astype(dtype)
+        for input_grad in (True, False):
+            d_inputs, grads = lstm_backward(probe, cache, params, input_grad)
+            d_dense, expected_grads = lstm_backward(probe, dense_cache, params, input_grad)
+            if input_grad:
+                assert d_inputs.shape == dense.shape and d_inputs.dtype == dtype
+                assert d_inputs.tobytes() == d_dense.tobytes()
+            else:
+                assert d_inputs is None and d_dense is None
+            for name in ("w_in", "w_rec", "bias"):
+                assert grads[name].tobytes() == expected_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", SEQUENCE_REPRS)
+    @pytest.mark.parametrize("keep_cache", [True, False])
+    @pytest.mark.parametrize("worker", [False, True])
+    def test_bilstm_equals_the_dense_batch(self, dtype, mode, keep_cache, worker, monkeypatch):
+        if worker:
+            monkeypatch.setattr(neural, "PARALLEL_MIN_WORK", 0)
+        rows, dense, lengths = self.batch(93, dtype)
+        fwd, bwd = random_cell(5, 4, 94, dtype), random_cell(5, 4, 95, dtype)
+        features, caches = bilstm_batch_forward(rows, fwd, bwd, mode, lengths, keep_cache)
+        expected, dense_caches = bilstm_batch_forward(dense, fwd, bwd, mode, lengths, keep_cache)
+        assert features.tobytes() == expected.tobytes()
+        if not keep_cache:
+            assert caches is None and dense_caches is None
+            return
+        assert all(cache.inputs is rows for cache in caches)
+        probe = np.random.default_rng(96).normal(0, 1, features.shape).astype(dtype)
+        got = bilstm_batch_backward(probe, caches, fwd, bwd, mode)
+        want = bilstm_batch_backward(probe, dense_caches, fwd, bwd, mode)
+        assert got[0].tobytes() == want[0].tobytes()
+        for grads, expected_grads in zip(got[1:], want[1:]):
+            for name in ("w_in", "w_rec", "bias"):
+                assert grads[name].tobytes() == expected_grads[name].tobytes(), name
 
 
 class TestBilstm:
@@ -506,8 +624,7 @@ class TestDirectionWorker:
         rng = np.random.default_rng(seed)
         inputs = rng.normal(0, 1, (batch, length, d)).astype(np.float32)
         lengths = rng.integers(0, length + 1, batch)
-        fwd, bwd = (LstmCellParams(*(w.astype(np.float32) for w in (c.w_in, c.w_rec, c.bias)))
-                    for c in (random_cell(d, h, 71), random_cell(d, h, 72)))
+        fwd, bwd = random_cell(d, h, 71, np.float32), random_cell(d, h, 72, np.float32)
         return inputs, lengths, fwd, bwd
 
     def test_shapes_lie_either_side_of_the_constant(self):
@@ -531,7 +648,11 @@ class TestDirectionWorker:
             return
         for got, direct in zip(caches, (cache_fwd, cache_bwd)):
             for name, array in got._asdict().items():
-                assert array.tobytes() == getattr(direct, name).tobytes(), name
+                if name == "inputs":  # rows of a table: compare the table and the ids
+                    assert array.table.tobytes() == direct.inputs.table.tobytes()
+                    assert array.ids.tobytes() == direct.inputs.ids.tobytes()
+                else:
+                    assert array.tobytes() == getattr(direct, name).tobytes(), name
 
     @pytest.mark.parametrize("size", ["small", "large"])
     @pytest.mark.parametrize("mode", SEQUENCE_REPRS)
@@ -586,6 +707,21 @@ class TestDirectionWorker:
         for name, params, thread in seen:
             on_worker = params is bwd and size == "large"
             assert (thread is not caller) == on_worker, (name, size)
+
+    def test_repeated_rows_are_projected_once_in_the_work(self, monkeypatch):
+        # Counted by positions the large batch is above the constant; as
+        # rows of one token its projection is PROJECTION_MIN_ROWS rows, and
+        # its recurrence alone is below the constant.
+        if neural._direction_worker() is None:
+            pytest.skip("one CPU: both directions run in the caller")
+        inputs, lengths, fwd, bwd = self.batch(*self.SHAPES["large"])
+        h, d = bwd.hidden_size, bwd.input_size
+        assert scan_work(lengths, bwd) >= PARALLEL_MIN_WORK
+        assert lengths.sum() * 4 * h * h + PROJECTION_MIN_ROWS * 4 * h * d < PARALLEL_MIN_WORK
+        rows = TableRows(inputs[0], np.zeros(lengths.shape + inputs.shape[1:2], dtype=np.intp))
+        seen = self.threads_of_calls(monkeypatch)
+        bilstm_batch_forward(rows, fwd, bwd, "final", lengths)
+        assert [thread for _, _, thread in seen] == [threading.current_thread()] * 2
 
     def test_one_cpu_runs_both_directions_in_the_caller(self, monkeypatch):
         monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0}, raising=False)
