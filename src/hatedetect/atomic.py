@@ -95,6 +95,19 @@ def read_json_object(path, what: str) -> dict:
     return data
 
 
+def not_utf8(path) -> ValueError:
+    """The error for a text file at `path` that failed to decode as UTF-8:
+    it names the line of the first byte that does not decode. The file is
+    read again for that, so call this only once decoding has failed."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ValueError(f"{path}:{line}: not UTF-8: {exc}")
+    return ValueError(f"{path}: not UTF-8")
+
+
 def _check(value, annotation: str, key: str):
     """`value`, if a JSON file may give it for a field annotated
     `annotation`; otherwise an error that names `key`. A bool is not a

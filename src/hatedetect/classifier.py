@@ -48,9 +48,6 @@ log = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = "1.1"
 
-# A deflated params.bin is read in pieces of this size: one read of the
-# whole entry would first build a second copy of it as bytes.
-READ_CHUNK_BYTES = 1 << 20
 # A zip entry's local header: 30 fixed bytes, then its name and extra field.
 LOCAL_HEADER_BYTES = 30
 
@@ -96,15 +93,9 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        """Inverse of to_dict, checked as a run config's model section is.
-        Format 1.0 manifests also state the input width, which the tensors
-        carry, and a top-level max_len, which becomes the pipeline's."""
+        """Inverse of to_dict, checked as a run config's model section is."""
         data = dict(_check(data, "dict", "model_config"))
-        data.pop("embedding_dim", None)
-        pipeline = dict(_check(data.pop("pipeline", {}), "dict", "model_config.pipeline"))
-        if "max_len" in data:
-            pipeline["max_len"] = data.pop("max_len")
-        pipeline = _section(pipeline, "model_config.pipeline", PipelineConfig)
+        pipeline = _section(data.pop("pipeline", {}), "model_config.pipeline", PipelineConfig)
         return _section(data, "model_config", cls, pipeline=pipeline)
 
 
@@ -307,7 +298,8 @@ class HateClassifier:
         return self.config.threshold
 
     def save(self, path) -> None:
-        """Checkpoint format 1.1: a zip of four stored (not deflated) entries.
+        """Checkpoint format 1.1, the only one load reads: a zip of four
+        stored (not deflated), unencrypted entries.
 
         params.bin comes first and holds the tensors in layout order as raw
         little-endian float32, so its data starts at byte 40 and load can
@@ -352,46 +344,57 @@ class HateClassifier:
 
     @classmethod
     def load(cls, path) -> "HateClassifier":
-        """Read a checkpoint of format 1.1, as save writes it, or 1.0.
+        """Read a checkpoint of format 1.1, as save writes it. Any other
+        file, an older format or a compressed or encrypted entry included,
+        is refused as a corrupt checkpoint file.
 
-        A stored params.bin is mapped copy-on-write, not read: its local
-        header is checked as zipfile checks it, its CRC-32 is computed over
-        the mapped bytes, and the tensors are views of the mapping. They
-        stay writable, and writes never reach the file. The mapping keeps
-        the file's data alive after the path is replaced by a rename, but
-        a file truncated in place under it faults on the next access. A
-        deflated params.bin is inflated into one float32 array instead.
-        Format 1.0 keeps the vocabulary as two lists in the manifest.
+        zipfile reads the central directory. The file is then mapped once,
+        copy-on-write, and each entry is checked in the mapping by _entry
+        before it is used: the small entries are copied out of it, and the
+        tensors are views of it. They stay writable, and writes never reach
+        the file. The mapping keeps the file's data alive after the path is
+        replaced by a rename, but a file truncated in place under it faults
+        on the next access.
         """
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"checkpoint not found: {path}")
         try:
             with open(path, "rb") as handle, zipfile.ZipFile(handle) as archive:
-                manifest = json.loads(archive.read("manifest.json"))
-                version = str(manifest.get("format_version") if isinstance(manifest, dict) else "")
-                major = version.split(".")[0]
-                if major.isdigit() and int(major) > int(CHECKPOINT_VERSION.split(".")[0]):
-                    raise ValueError(f"checkpoint format version {version} is newer than "
-                                     f"supported {CHECKPOINT_VERSION}")
-                try:
-                    if not major.isdigit():
-                        raise ValueError(f"bad format version {version!r}")
-                    config, history, shapes = _read_manifest(manifest)
-                    vocab = _read_vocabulary(archive, manifest, version)
-                    flat = _read_params(handle, archive, sum(math.prod(s) for _, s in shapes))
-                    params = {}
-                    offset = 0
-                    for name, shape in shapes:
-                        if name in params:
-                            raise ValueError(f"checkpoint inconsistency: tensor {name!r} stored twice")
-                        size = math.prod(shape)
-                        params[name] = flat[offset : offset + size].reshape(shape)
-                        offset += size
-                    return cls(config, vocab, params, history)
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(f"corrupt checkpoint file {path}: {exc}") from exc
-        except (zipfile.BadZipFile, KeyError, json.JSONDecodeError, EOFError, zlib.error) as exc:
+                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
+
+            def read(name: str) -> bytes:
+                return mapped[slice(*_entry(mapped, archive.getinfo(name)))]
+
+            manifest = json.loads(read("manifest.json"))
+            version = manifest.get("format_version") if isinstance(manifest, dict) else None
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"bad format version {version!r}: only {CHECKPOINT_VERSION} "
+                                 "is read; older files are no longer read, newer ones not yet")
+            config, history, shapes = _read_manifest(manifest)
+            counts = read("vocabulary_counts.bin")
+            if len(counts) % 8:
+                raise ValueError(f"vocabulary_counts.bin holds {len(counts)} bytes, "
+                                 "not a multiple of 8")
+            # Split on "\n" alone: splitlines would also split "\r" and "\x85".
+            tokens = read("vocabulary.txt").decode("utf-8").split("\n")
+            vocab = Vocabulary(tokens, np.frombuffer(counts, dtype="<i8").tolist())
+            count = sum(math.prod(shape) for _, shape in shapes)
+            start, end = _entry(mapped, archive.getinfo("params.bin"))
+            if end - start != 4 * count:
+                problem = "truncated" if end - start < 4 * count else "has trailing bytes"
+                raise ValueError(f"parameter blob {problem}")
+            flat = np.frombuffer(mapped, dtype="<f4", count=count, offset=start)
+            params = {}
+            offset = 0
+            for name, shape in shapes:
+                if name in params:
+                    raise ValueError(f"checkpoint inconsistency: tensor {name!r} stored twice")
+                size = math.prod(shape)
+                params[name] = flat[offset : offset + size].reshape(shape)
+                offset += size
+            return cls(config, vocab, params, history)
+        except (zipfile.BadZipFile, KeyError, NotImplementedError, TypeError, ValueError) as exc:
             raise ValueError(f"corrupt checkpoint file {path}: {exc}") from exc
 
 
@@ -410,68 +413,32 @@ def _read_manifest(manifest: dict) -> tuple:
     return ModelConfig.from_dict(manifest["model_config"]), history, shapes
 
 
-def _read_vocabulary(archive: zipfile.ZipFile, manifest: dict, version: str) -> Vocabulary:
-    """The checkpoint's vocabulary. From format 1.1 on, vocabulary.txt is
-    split on "\\n" alone (splitlines would also split "\\r" and "\\x85")
-    and vocabulary_counts.bin is read as int64; format 1.0 keeps both as
-    lists in the manifest."""
-    if version != "1.0":
-        counts = archive.read("vocabulary_counts.bin")
-        if len(counts) % 8:
-            raise ValueError(f"vocabulary_counts.bin holds {len(counts)} bytes, "
-                             "not a multiple of 8")
-        tokens = archive.read("vocabulary.txt").decode("utf-8").split("\n")
-        return Vocabulary(tokens, np.frombuffer(counts, dtype="<i8").tolist())
-    vocab = Vocabulary(manifest["vocabulary"], manifest["vocabulary_counts"])
-    # Both checks run in C, with no Python pass over a large vocabulary.
-    try:
-        "".join(vocab.tokens)  # raises unless every token is a str
-        typed = type(sum(vocab.counts)) is int  # a float count makes the sum a float
-    except TypeError:
-        typed = False
-    if not typed:
-        raise ValueError("vocabulary tokens must be strings and vocabulary_counts integers")
-    return vocab
-
-
-def _read_params(handle, archive: zipfile.ZipFile, count: int) -> np.ndarray:
-    """params.bin as one float32 array of count values: a view of the
-    mapped file when the entry is stored, else inflated into a new array."""
-    info = archive.getinfo("params.bin")
-    if info.file_size != 4 * count:
-        problem = "truncated" if info.file_size < 4 * count else "has trailing bytes"
-        raise ValueError(f"parameter blob {problem}")
-    if info.compress_type != zipfile.ZIP_STORED:
-        flat = np.empty(count, dtype="<f4")
-        view = memoryview(flat).cast("B")
-        with archive.open(info) as blob:  # read to the end, so zipfile checks the CRC-32
-            for start in range(0, view.nbytes, READ_CHUNK_BYTES):
-                chunk = view[start : start + READ_CHUNK_BYTES]
-                if blob.readinto(chunk) != len(chunk):
-                    raise ValueError("parameter blob truncated")
-        return flat
-    mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_COPY)
-    try:
-        start = info.header_offset + LOCAL_HEADER_BYTES
-        if start > len(mapped):
-            raise zipfile.BadZipFile("Truncated file header")
-        signature, name_length, extra_length = struct.unpack_from(
-            "<4s22xHH", mapped, info.header_offset)
-        if signature != b"PK\x03\x04":
-            raise zipfile.BadZipFile("Bad magic number for file header")
-        name = mapped[start : start + name_length]
-        if name != info.filename.encode("utf-8"):
-            raise zipfile.BadZipFile(f"File name in directory {info.filename!r} "
-                                     f"and header {name!r} differ.")
-        start += name_length + extra_length
-        if info.compress_size != info.file_size or start + info.file_size > len(mapped):
-            raise ValueError("parameter blob truncated")
-        if zlib.crc32(memoryview(mapped)[start : start + info.file_size]) != info.CRC:
-            raise zipfile.BadZipFile("Bad CRC-32 for file 'params.bin'")
-    except BaseException:
-        mapped.close()
-        raise
-    return np.frombuffer(mapped, dtype="<f4", count=count, offset=start)
+def _entry(mapped: mmap.mmap, info: zipfile.ZipInfo) -> tuple:
+    """(start, end) of a stored, unencrypted entry's data in the mapped
+    archive, after its local header is checked as zipfile checks it, its
+    data is found in bounds and its CRC-32 is computed over the mapping."""
+    if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 1:
+        raise zipfile.BadZipFile(f"{info.filename} is not a stored, unencrypted entry "
+                                 f"(method {info.compress_type}, flags {info.flag_bits:#x})")
+    start = info.header_offset + LOCAL_HEADER_BYTES
+    if info.header_offset < 0 or start > len(mapped):
+        raise zipfile.BadZipFile(f"local header of {info.filename} at offset "
+                                 f"{info.header_offset} is outside the file")
+    signature, name_length, extra_length = struct.unpack_from(
+        "<4s22xHH", mapped, info.header_offset)
+    if signature != b"PK\x03\x04":
+        raise zipfile.BadZipFile("Bad magic number for file header")
+    name = mapped[start : start + name_length]
+    if name != info.filename.encode("utf-8"):
+        raise zipfile.BadZipFile(f"File name in directory {info.filename!r} "
+                                 f"and header {name!r} differ.")
+    start += name_length + extra_length
+    end = start + info.file_size
+    if info.compress_size != info.file_size or end > len(mapped):
+        raise zipfile.BadZipFile(f"{info.filename} is truncated")
+    if zlib.crc32(memoryview(mapped)[start:end]) != info.CRC:
+        raise zipfile.BadZipFile(f"Bad CRC-32 for file {info.filename!r}")
+    return start, end
 
 
 def _encode_split(model: HateClassifier, part, part_name: str):

@@ -97,13 +97,16 @@ class RunConfig:
         )
 
     def record(self) -> None:
-        """Copy the exact config into the output directory; record overrides.
-        A file that already holds the same bytes is left as it is."""
+        """Copy the exact config into the output directory; record this
+        call's overrides, or remove the record of an earlier call's when it
+        has none. A file that already holds the same bytes is left as it is."""
         self.output_dir.mkdir(parents=True, exist_ok=True)
         update_bytes(self.output_dir / "config.json", self.path.read_bytes())
+        overrides = self.output_dir / "overrides.json"
         if self.overrides:
-            update_bytes(self.output_dir / "overrides.json",
-                         json_bytes(dict(sorted(self.overrides.items()))))
+            update_bytes(overrides, json_bytes(dict(sorted(self.overrides.items()))))
+        else:
+            overrides.unlink(missing_ok=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import _check, _section, read_json_object, write_csv, write_json
+from .atomic import _check, _section, not_utf8, read_json_object, write_csv, write_json
 
 log = logging.getLogger(__name__)
 
@@ -140,7 +140,8 @@ def _read_columns(path: Path, columns, what: str) -> list[tuple]:
     take no row number), a name the header repeats reads its last column,
     and a field past the end of a short row reads as "". A missing file, a
     column the header lacks, or a row the csv module cannot read (a field
-    over its size limit) is an error that names the file as `what`.
+    over its size limit) is an error that names the file as `what`; a byte
+    that is not UTF-8 is an error that names the file and its line.
     """
     if not path.exists():
         raise FileNotFoundError(f"{what} not found: {path}")
@@ -163,6 +164,8 @@ def _read_columns(path: Path, columns, what: str) -> list[tuple]:
                     rows.append(tuple(row[i] if i < len(row) else "" for i in wanted))
         except csv.Error as exc:
             raise ValueError(f"{what} {path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     return rows
 
 

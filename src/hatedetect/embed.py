@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write, write_bytes
+from .atomic import atomic_write, not_utf8, write_bytes
 from .neural import sigmoid
 from .textprep import PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN
 
@@ -146,7 +146,8 @@ class EmbeddingMatrix:
 
     @classmethod
     def load_text(cls, path) -> "EmbeddingMatrix":
-        """Read the text format; a UTF-8 byte-order mark is skipped.
+        """Read the text format; a UTF-8 byte-order mark is skipped, and a
+        byte that is not UTF-8 is an error that names its line.
 
         Python splits off each token and checks each line's arity; numpy's
         C parser converts the values, to the same doubles as float().
@@ -154,28 +155,31 @@ class EmbeddingMatrix:
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"embedding file not found: {path}")
-        with open(path, encoding="utf-8-sig") as handle:
-            header = handle.readline().split()
-            if len(header) != 2:
-                raise ValueError(f"malformed header in {path}: expected 'V dim'")
-            try:
-                v, dim = int(header[0]), int(header[1])
-            except ValueError:
-                raise ValueError(f"malformed header in {path}: expected two integers") from None
-            if dim < 1:
-                raise ValueError(f"malformed header in {path}: dim must be >= 1, got {dim}")
-            tokens, values = [], []
-            for line_number, line in enumerate(handle, start=2):
-                line = line.rstrip("\n")
-                n_fields = line.count(" ") + 1
-                if n_fields != dim + 1:
-                    raise ValueError(
-                        f"{path}:{line_number}: expected 1 token + {dim} values, "
-                        f"got {n_fields} fields"
-                    )
-                token, _, row = line.partition(" ")
-                tokens.append(token)
-                values.append(row)
+        try:
+            with open(path, encoding="utf-8-sig") as handle:
+                header = handle.readline().split()
+                if len(header) != 2:
+                    raise ValueError(f"malformed header in {path}: expected 'V dim'")
+                try:
+                    v, dim = int(header[0]), int(header[1])
+                except ValueError:
+                    raise ValueError(f"malformed header in {path}: expected two integers") from None
+                if dim < 1:
+                    raise ValueError(f"malformed header in {path}: dim must be >= 1, got {dim}")
+                tokens, values = [], []
+                for line_number, line in enumerate(handle, start=2):
+                    line = line.rstrip("\n")
+                    n_fields = line.count(" ") + 1
+                    if n_fields != dim + 1:
+                        raise ValueError(
+                            f"{path}:{line_number}: expected 1 token + {dim} values, "
+                            f"got {n_fields} fields"
+                        )
+                    token, _, row = line.partition(" ")
+                    tokens.append(token)
+                    values.append(row)
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
         table = _parse_values(path, values, dim)
         if len(tokens) != v:
             raise ValueError(f"{path}: header claims {v} rows but file has {len(tokens)}")

@@ -1,6 +1,8 @@
 import json
+import struct
 import tracemalloc
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,11 +66,12 @@ def checkpoint_entries(path) -> dict:
         return {name: archive.read(name) for name in archive.namelist()}
 
 
-def write_entries(path, entries: dict) -> None:
-    """An archive of the given entries, each stored as zipfile's default."""
+def write_entries(path, entries: dict, deflated=()) -> None:
+    """An archive of the given entries, each stored as zipfile's default
+    but those named in deflated."""
     with zipfile.ZipFile(path, "w") as archive:
         for name, data in entries.items():
-            archive.writestr(name, data)
+            archive.writestr(name, data, zipfile.ZIP_DEFLATED if name in deflated else None)
 
 
 def edited_manifest(path, target, edit):
@@ -81,30 +84,23 @@ def edited_manifest(path, target, edit):
     write_entries(target, entries)
 
 
-def format_1_0(path, target, edit=None):
-    """Copy the format 1.1 checkpoint at path to target as format 1.0 wrote
-    it: a deflated indent=2 manifest that holds the vocabulary as two lists,
-    then a stored params.bin. edit(manifest), if given, changes the manifest
-    first. Returns target."""
-    entries = checkpoint_entries(path)
-    manifest = json.loads(entries["manifest.json"])
-    legacy = {
-        "format_version": "1.0",
-        "model_config": manifest["model_config"],
-        "vocabulary": entries["vocabulary.txt"].decode("utf-8").split("\n"),
-        "vocabulary_counts": np.frombuffer(entries["vocabulary_counts.bin"], "<i8").tolist(),
-        "history": manifest["history"],
-        "tensors": manifest["tensors"],
-    }
-    if edit is not None:
-        edit(legacy)
-    stamp = (1980, 1, 1, 0, 0, 0)
-    with zipfile.ZipFile(target, "w") as archive:
-        info = zipfile.ZipInfo("manifest.json", date_time=stamp)
-        info.compress_type = zipfile.ZIP_DEFLATED
-        archive.writestr(info, json.dumps(legacy, indent=2))
-        archive.writestr(zipfile.ZipInfo("params.bin", date_time=stamp), entries["params.bin"])
-    return target
+def edit_zip_field(path, name, field: int, fmt: str, edit) -> None:
+    """Rewrite one field of the archive at path in place: in the central
+    directory record of entry name, or in the end-of-central-directory
+    record when name is None. field is the field's byte offset in its
+    record and fmt its struct format; edit(value) gives the new value."""
+    data = bytearray(Path(path).read_bytes())
+    if name is None:
+        at = data.rindex(b"PK\x05\x06")
+    else:
+        with zipfile.ZipFile(path) as archive:
+            at = archive.start_dir
+        # A central directory record is 46 fixed bytes, then the entry's name.
+        while data[at + 46 : at + 46 + len(name)] != name.encode():
+            at = data.index(b"PK\x01\x02", at + 1)
+    (value,) = struct.unpack_from(fmt, data, at + field)
+    struct.pack_into(fmt, data, at + field, edit(value))
+    Path(path).write_bytes(bytes(data))
 
 
 @pytest.fixture(scope="session")

@@ -33,8 +33,8 @@ from conftest import (
     FILLER_TOKENS,
     TRIGGER_TOKENS,
     checkpoint_entries,
+    edit_zip_field,
     edited_manifest,
-    format_1_0,
     make_keyword_examples,
     make_random_matrix,
     traced_peak,
@@ -429,14 +429,7 @@ class TestStepMemory:
         assert peak < 62.5e6
 
 
-# Manifest edits of the vocabulary lists that format 1.0 checkpoints hold.
-VOCABULARY_LIST_EDITS = [
-    (lambda m: m.update(vocabulary=5), "not subscriptable"),
-    (lambda m: m["vocabulary"].__setitem__(2, 7), "tokens must be strings"),
-    (lambda m: m["vocabulary"].__setitem__(3, None), "tokens must be strings"),
-    (lambda m: m["vocabulary_counts"].__setitem__(2, "x"), "vocabulary_counts integers"),
-    (lambda m: m["vocabulary_counts"].__setitem__(2, 2.5), "vocabulary_counts integers"),
-]
+CHECKPOINT_ENTRIES = ["params.bin", "manifest.json", "vocabulary.txt", "vocabulary_counts.bin"]
 
 
 def _duplicate_token(entries):
@@ -509,42 +502,6 @@ class TestCheckpoint:
             HateClassifier.load(path)
         assert "CRC-32" in str(caught.value)
 
-    def test_deflated_params_load_bitwise(self, tmp_path, trained_setup):
-        _, _, _, _, best = trained_setup
-        stored = tmp_path / "stored.ckpt"
-        best.save(stored)
-        deflated = tmp_path / "deflated.ckpt"
-        with zipfile.ZipFile(stored) as source, zipfile.ZipFile(deflated, "w") as target:
-            assert source.getinfo("params.bin").compress_type == zipfile.ZIP_STORED
-            for name in source.namelist():
-                target.writestr(name, source.read(name), compress_type=zipfile.ZIP_DEFLATED)
-        assert zipfile.ZipFile(deflated).getinfo("params.bin").compress_type == zipfile.ZIP_DEFLATED
-        a, b = HateClassifier.load(stored), HateClassifier.load(deflated)
-        for name, tensor in a.params.items():
-            assert tensor.dtype == b.params[name].dtype == np.float32
-            assert tensor.tobytes() == b.params[name].tobytes() == best.params[name].tobytes()
-        texts = ["scum w00 w01", "w02 w03", "", "vermin trash"]
-        assert np.array_equal(a.predict(texts), b.predict(texts))
-
-    def test_format_1_0_manifest_with_model_max_len_loads(self, tmp_path, trained_setup):
-        # Older 1.0 manifests stated the input width and length in the model
-        # config as well; the top-level max_len was the one the model encoded at.
-        _, _, _, _, best = trained_setup
-        path = tmp_path / "model.ckpt"
-        best.save(path)
-
-        def widen(manifest):
-            legacy = {"embedding_dim": best.params["embedding"].shape[1],
-                      "max_len": best.config.pipeline.max_len, **manifest["model_config"]}
-            legacy["pipeline"] = {**legacy["pipeline"], "max_len": 7}
-            manifest["model_config"] = legacy
-
-        loaded = HateClassifier.load(format_1_0(path, tmp_path / "old.ckpt", widen))
-        assert loaded.config.pipeline.max_len == best.config.pipeline.max_len == 20
-        assert loaded.config == best.config
-        texts = [" ".join(FILLER_TOKENS[i : i + 12]) + " scum" for i in range(4)] + ["vermin", ""]
-        assert loaded.predict(texts).tobytes() == best.predict(texts).tobytes()
-
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m["model_config"].update(hidden_size="4"),
          "model_config.hidden_size must be an integer"),
@@ -560,17 +517,13 @@ class TestCheckpoint:
         (lambda m: m["tensors"][0].update(name=7), r"tensors\[0\]\.name must be a string"),
         (lambda m: m["tensors"].append(5), r"tensors\[11\] must be an object"),
         (lambda m: m.pop("format_version"), "bad format version"),
-        *VOCABULARY_LIST_EDITS,
     ])
     def test_corrupt_manifest_refused_with_its_path(self, tmp_path, trained_setup, edit, message):
         _, _, _, _, best = trained_setup
         path = tmp_path / "model.ckpt"
         best.save(path)
         doctored = tmp_path / "doctored.ckpt"
-        if (edit, message) in VOCABULARY_LIST_EDITS:  # only format 1.0 keeps these lists
-            format_1_0(path, doctored, edit)
-        else:
-            edited_manifest(path, doctored, edit)
+        edited_manifest(path, doctored, edit)
         with pytest.raises(ValueError, match=message) as caught:
             HateClassifier.load(doctored)
         assert f"corrupt checkpoint file {doctored}" in str(caught.value)
@@ -656,23 +609,49 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="inconsistency"):
             HateClassifier(model.config, model.vocab, params)
 
-    def test_format_1_0_loads_bitwise_equal_to_1_1(self, tmp_path, trained_setup):
+    def test_saved_entries_are_stored_in_order_and_load_bitwise(self, tmp_path, trained_setup):
         _, _, _, _, best = trained_setup
         path = tmp_path / "model.ckpt"
         best.save(path)
         with zipfile.ZipFile(path) as archive:
-            assert archive.namelist() == [
-                "params.bin", "manifest.json", "vocabulary.txt", "vocabulary_counts.bin"]
+            assert archive.namelist() == CHECKPOINT_ENTRIES
+            for info in archive.infolist():  # load refuses any other entry
+                assert (info.compress_type, info.flag_bits) == (zipfile.ZIP_STORED, 0), info
             assert "vocabulary" not in json.loads(archive.read("manifest.json"))
-        new = HateClassifier.load(path)
-        old = HateClassifier.load(format_1_0(path, tmp_path / "old.ckpt"))
-        assert (old.config, old.history) == (new.config, new.history) == (best.config, best.history)
-        assert old.vocab.tokens == new.vocab.tokens == best.vocab.tokens
-        assert old.vocab.counts == new.vocab.counts == best.vocab.counts
+        loaded = HateClassifier.load(path)
+        assert (loaded.config, loaded.history) == (best.config, best.history)
+        assert loaded.vocab.tokens == best.vocab.tokens
+        assert loaded.vocab.counts == best.vocab.counts
         for name, tensor in best.params.items():
-            assert old.params[name].tobytes() == new.params[name].tobytes() == tensor.tobytes()
+            assert loaded.params[name].tobytes() == tensor.tobytes()
         texts = ["scum w00 w01", "w02 w03", "", "vermin trash"]
-        assert old.predict(texts).tobytes() == new.predict(texts).tobytes()
+        assert loaded.predict(texts).tobytes() == best.predict(texts).tobytes()
+
+    def test_format_1_0_refused(self, tmp_path):
+        # Format 1.0 kept the vocabulary as two lists in the manifest.
+        path = tmp_path / "model.ckpt"
+        model = small_model()
+        model.save(path)
+        entries = checkpoint_entries(path)
+        manifest = json.loads(entries.pop("manifest.json"))
+        manifest.update(format_version="1.0", vocabulary=list(model.vocab.tokens),
+                        vocabulary_counts=list(model.vocab.counts))
+        write_entries(path, {"manifest.json": json.dumps(manifest),
+                             "params.bin": entries["params.bin"]})
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt checkpoint file {path}: bad format version '1.0'")) as caught:
+            HateClassifier.load(path)
+        assert "older files are no longer read" in str(caught.value)
+
+    @pytest.mark.parametrize("name", CHECKPOINT_ENTRIES)
+    def test_deflated_entry_refused(self, tmp_path, name):
+        path = tmp_path / "model.ckpt"
+        small_model().save(path)
+        write_entries(path, checkpoint_entries(path), deflated={name})
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt checkpoint file {path}: {name} is not a stored, unencrypted entry "
+                "(method 8, flags 0x0)")):
+            HateClassifier.load(path)
 
     def test_odd_tokens_round_trip(self, tmp_path):
         tokens = ["\r", "a\rb", " ", "\x85", "\u2028", "naïve", "日本語", "", "\t\v\f"]
@@ -722,6 +701,30 @@ class TestCheckpoint:
         data[offset] += 1
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match=re.escape(f"corrupt checkpoint file {path}: {message}")):
+            HateClassifier.load(path)
+
+    @pytest.mark.parametrize("name", CHECKPOINT_ENTRIES)
+    @pytest.mark.parametrize("field, edit, message", [
+        (10, lambda method: 99, "{name} is not a stored, unencrypted entry (method 99, flags 0x0)"),
+        (8, lambda flags: flags | 1,
+         "{name} is not a stored, unencrypted entry (method 0, flags 0x1)"),
+        (6, lambda version: 64, "zip file version 6.4"),  # the version needed to extract
+    ], ids=["method_99", "encrypted", "version_needed_6.4"])
+    def test_bad_central_directory_field_is_corrupt(self, tmp_path, name, field, edit, message):
+        path = tmp_path / "model.ckpt"
+        small_model().save(path)
+        edit_zip_field(path, name, field, "<H", edit)
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt checkpoint file {path}: " + message.format(name=name))):
+            HateClassifier.load(path)
+
+    def test_shifted_central_directory_offset_is_corrupt(self, tmp_path):
+        # Every local header offset is read 5,000 bytes too low, before the file.
+        path = tmp_path / "model.ckpt"
+        small_model().save(path)
+        edit_zip_field(path, None, 16, "<I", lambda offset: offset + 5000)
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt checkpoint file {path}: local header of manifest.json at offset -")):
             HateClassifier.load(path)
 
 
@@ -780,6 +783,29 @@ class TestMappedLoad:
             loaded = HateClassifier.load(path)
         assert len(os.listdir(descriptors)) == before
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda path: edit_zip_field(path, "vocabulary_counts.bin", 10, "<H", lambda method: 99),
+         "vocabulary_counts.bin is not a stored"),
+        (lambda path: edited_manifest(path, path, lambda m: m["tensors"][-2]["shape"].reverse()),
+         "dense2_weights has shape"),
+    ], ids=["refused_before_the_tensors", "refused_after_the_tensors"])
+    def test_refused_loads_hold_no_descriptors(self, tmp_path, damage, message):
+        descriptors = Path("/proc/self/fd")
+        if not descriptors.is_dir():
+            pytest.skip("needs /proc/self/fd")
+        path = tmp_path / "model.ckpt"
+        small_model().save(path)
+        damage(path)
+        before = len(os.listdir(descriptors))
+        for _ in range(300):
+            try:
+                HateClassifier.load(path)
+            except ValueError as exc:
+                assert f"corrupt checkpoint file {path}" in str(exc) and message in str(exc)
+            else:
+                raise AssertionError("the damaged checkpoint loaded")
+        assert len(os.listdir(descriptors)) == before
+
 
 class TestModelConfig:
     def test_roundtrip(self):
@@ -825,11 +851,11 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="section 'model_config' has no key 'dropout'"):
             ModelConfig.from_dict(data)
 
-    def test_format_1_0_keys_are_mapped_not_refused(self):
-        config = small_config()
-        data = {**config.to_dict(), "embedding_dim": 3, "max_len": 9}
-        assert ModelConfig.from_dict(data) == replace(
-            config, pipeline=replace(config.pipeline, max_len=9))
+    @pytest.mark.parametrize("key", ["embedding_dim", "max_len"])
+    def test_format_1_0_keys_are_refused(self, key):
+        data = {**small_config().to_dict(), key: 9}
+        with pytest.raises(ValueError, match=f"section 'model_config' has no key '{key}'"):
+            ModelConfig.from_dict(data)
 
     def test_history_record_types_checked(self, trained_setup):
         _, _, _, history, _ = trained_setup

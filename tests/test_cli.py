@@ -15,7 +15,14 @@ from hatedetect import cli
 from hatedetect.classifier import HateClassifier
 from hatedetect.corpus import HATE, NON_HATE, load_split_manifests
 
-from conftest import edited_manifest, format_1_0, make_keyword_examples, make_random_matrix
+from conftest import (
+    checkpoint_entries,
+    edit_zip_field,
+    edited_manifest,
+    make_keyword_examples,
+    make_random_matrix,
+    write_entries,
+)
 
 
 def write_dataset(path, n=80, seed=0):
@@ -120,6 +127,15 @@ class TestPrepare:
         assert recorded[0].read_bytes() == config_path.read_bytes()
         assert json.loads(recorded[1].read_text()) == {"seed": 98}
 
+    def test_call_without_overrides_removes_the_earlier_record(self, workspace):
+        tmp_path, config_path = workspace
+        overrides = tmp_path / "run" / "overrides.json"
+        assert run_cli("prepare", "--config", str(config_path), "--seed", "99") == 0
+        assert json.loads(overrides.read_text()) == {"seed": 99}
+        assert run_cli("prepare", "--config", str(config_path)) == 0
+        assert not overrides.exists()
+        assert json.loads((tmp_path / "run" / "prepared" / "split.json").read_text())["seed"] == 11
+
     def test_bad_ratios_exit_validation(self, tmp_path, capsys):
         write_dataset(tmp_path / "toy.csv")
         config_path = write_config(tmp_path, split={"ratios": [0.5, 0.5, 0.5]})
@@ -208,15 +224,32 @@ def run_full_pipeline(config_path):
     assert run_cli("evaluate", "--config", str(config_path)) == 0
 
 
-def doctored_checkpoint(edit, rewrite=edited_manifest):
-    """A probe that rewrites the trained checkpoint's manifest by edit(manifest),
-    through rewrite(path, target, edit): in place, or as format 1.0."""
+def damaged_checkpoint(damage):
+    """A probe that damages the trained checkpoint in place by damage(path)."""
     def probe(tmp_path, run_dir, config_path):
         path = run_dir / "models" / "model.ckpt"
-        rewrite(path, path, edit)
+        damage(path)
         return ["explain", "--config", str(config_path), "--out", str(run_dir),
                 "--text", "w00 scum"], path
     return probe
+
+
+def doctored_checkpoint(edit):
+    """A probe that rewrites the trained checkpoint's manifest by edit(manifest)."""
+    return damaged_checkpoint(lambda path: edited_manifest(path, path, edit))
+
+
+def deflated_checkpoint_entry(name):
+    """A probe that deflates one entry of the trained checkpoint."""
+    return damaged_checkpoint(
+        lambda path: write_entries(path, checkpoint_entries(path), deflated={name}))
+
+
+def not_utf8_at_line_3(path):
+    """Put a 0xff byte, which no UTF-8 text holds, at the start of line 3."""
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"\xff" + lines[2]
+    path.write_bytes(b"\n".join(lines))
 
 
 def doctored_sidecar(edit):
@@ -244,6 +277,25 @@ def short_label_row(tmp_path, run_dir, config_path):
             "--predictions", str(predictions), "--labels", str(labels)], labels
 
 
+def vectors_not_utf8(tmp_path, run_dir, config_path):
+    path = run_dir / "embeddings" / "vectors.txt"
+    not_utf8_at_line_3(path)
+    return ["embed-nearest", "--embeddings", str(path), "--word", "w00", "--dry-run"], f"{path}:3"
+
+
+def dataset_not_utf8(tmp_path, run_dir, config_path):
+    dataset = tmp_path / "toy.csv"
+    write_dataset(dataset)
+    not_utf8_at_line_3(dataset)
+    return ["prepare", "--config", str(write_config(tmp_path))], f"{dataset}:3"
+
+
+def split_csv_not_utf8(tmp_path, run_dir, config_path):
+    path = run_dir / "prepared" / "test.csv"
+    not_utf8_at_line_3(path)
+    return ["evaluate", "--config", str(config_path), "--out", str(run_dir)], f"{path}:3"
+
+
 def oversized_dataset_field(tmp_path, run_dir, config_path):
     dataset = tmp_path / "toy.csv"
     write_dataset(dataset)
@@ -263,15 +315,19 @@ MALFORMED_INPUTS = {
         lambda m: m.update(model_config=[4, 4])),
     "tensor_shape_not_a_list": doctored_checkpoint(
         lambda m: m["tensors"][0].update(shape=5)),
-    "vocabulary_token_not_a_string": doctored_checkpoint(
-        lambda m: m["vocabulary"].__setitem__(2, 7), format_1_0),
-    "vocabulary_count_not_an_integer": doctored_checkpoint(
-        lambda m: m["vocabulary_counts"].__setitem__(2, "x"), format_1_0),
+    "checkpoint_format_1_0": doctored_checkpoint(lambda m: m.update(format_version="1.0")),
+    "checkpoint_params_deflated": deflated_checkpoint_entry("params.bin"),
+    "checkpoint_manifest_deflated": deflated_checkpoint_entry("manifest.json"),
+    "checkpoint_central_directory_offset_past_its_place": damaged_checkpoint(
+        lambda path: edit_zip_field(path, None, 16, "<I", lambda offset: offset + 5000)),
     "split_json_not_an_object": doctored_sidecar(lambda sidecar: [sidecar]),
     "split_json_ratios_not_a_list": doctored_sidecar(lambda sidecar: {**sidecar, "ratios": 0.6}),
     "prediction_row_without_score": short_prediction_row,
     "label_row_without_label": short_label_row,
     "dataset_field_over_128_kib": oversized_dataset_field,
+    "vectors_not_utf8": vectors_not_utf8,
+    "dataset_not_utf8": dataset_not_utf8,
+    "split_csv_not_utf8": split_csv_not_utf8,
 }
 
 

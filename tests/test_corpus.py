@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -86,6 +87,16 @@ class TestLoadDataset:
         path = tmp_path / "d.csv"
         write_csv(path, [["one", "a"], ["x" * (129 * 1024), "b"]])
         with pytest.raises(ValueError, match=r"d\.csv:3: field larger than field limit"):
+            load_dataset(spec_for(path))
+
+    def test_byte_that_is_not_utf8_names_file_and_line(self, tmp_path):
+        # Far past the first read of the file, so the line is counted in the file.
+        path = tmp_path / "d.csv"
+        write_csv(path, [[f"text {i}", "a"] for i in range(2000)])
+        lines = path.read_bytes().split(b"\n")
+        lines[1500] = b"\xff" + lines[1500]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1501: not UTF-8")):
             load_dataset(spec_for(path))
 
     def test_missing_label_column(self, tmp_path):

@@ -247,6 +247,15 @@ class TestHostileTextFormat:
         with pytest.raises(ValueError, match=re.escape(f"{path}:{bad_line}: value")):
             EmbeddingMatrix.load_text(path)
 
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path):
+        # Far past the first read of the file, so the line is counted in the file.
+        path = tmp_path / "bad.txt"
+        lines = [b"2000 1", *(b"t%d 1.0" % i for i in range(2000))]
+        lines[1500] = b"t\xff 1.0"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:1501: not UTF-8")):
+            EmbeddingMatrix.load_text(path)
+
     def test_matches_float_parse_bitwise(self, tmp_path):
         rng = np.random.default_rng(7)
         tokens = [PAD_TOKEN, UNK_TOKEN, *(f"w{i}" for i in range(48))]
