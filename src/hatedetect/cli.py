@@ -19,8 +19,8 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import embed as embed_mod
 from . import metrics as metrics_mod
-from .atomic import (_check, _section, json_bytes, read_json_object, update_bytes, write_bytes,
-                     write_json)
+from .atomic import (_check, _section, json_bytes, not_utf8, read_json_object, update_bytes,
+                     write_bytes, write_json)
 from .classifier import HateClassifier, ModelConfig, train, sweep_dense1_activation
 from .corpus import CombineConfig, DatasetSpec, SplitConfig
 from .embed import CbowConfig, EmbeddingMatrix
@@ -207,8 +207,11 @@ def _cmd_embed_train(args) -> int:
         corpus_path = Path(args.corpus)
         if not corpus_path.exists():
             raise FileNotFoundError(f"corpus file not found: {corpus_path}")
-        with open(corpus_path, encoding="utf-8") as handle:
-            texts = [line.rstrip("\n") for line in handle if line.strip()]
+        try:
+            with open(corpus_path, encoding="utf-8") as handle:
+                texts = [line.rstrip("\n") for line in handle if line.strip()]
+        except UnicodeDecodeError:
+            raise not_utf8(corpus_path) from None
     else:
         texts = [example.text for example in _load_prepared(config, ("train",)).train]
     sequences = [preprocess(text, config.model.pipeline) for text in texts]
@@ -239,10 +242,11 @@ def _cmd_embed_nearest(args) -> int:
 def _cmd_train(args) -> int:
     config = _load_config(args)
     bundle = _load_prepared(config)
-    matrix = _load_embeddings(config)
-    model = HateClassifier.build(config.model, matrix)
+    # The float64 matrix is dropped once the model holds its float32 copy.
+    model = HateClassifier.build(config.model, _load_embeddings(config))
     if args.dry_run:
-        print(f"dry run: model with {len(matrix.vocab)} x {matrix.dim} embeddings, "
+        v, dim = model.params["embedding"].shape
+        print(f"dry run: model with {v} x {dim} embeddings, "
               f"h={config.model.hidden_size} validated")
         return EXIT_OK
     history, best = train(model, bundle)

@@ -29,6 +29,9 @@ log = logging.getLogger(__name__)
 # at 1000: a sentence's update matrices grow with its length squared.
 MAX_SENTENCE = 256
 
+# load_text reads a vector file's rows this many characters at a time.
+LOAD_CHUNK = 1 << 20
+
 
 @dataclass
 class Vocabulary:
@@ -124,7 +127,9 @@ class EmbeddingMatrix:
             )
         if self.dim < 1:
             raise ValueError("word vectors must have at least one component")
-        if not np.all(np.isfinite(self.vectors)):
+        # min and max propagate NaN, and are finite only if every value
+        # is; unlike np.isfinite, they allocate nothing the size of the table.
+        if not (np.isfinite(self.vectors.min()) and np.isfinite(self.vectors.max())):
             raise ValueError("embedding matrix contains non-finite values")
         if np.any(self.vectors[PAD_INDEX] != 0.0):
             raise ValueError("PAD row must be the zero vector")
@@ -149,64 +154,87 @@ class EmbeddingMatrix:
         """Read the text format; a UTF-8 byte-order mark is skipped, and a
         byte that is not UTF-8 is an error that names its line.
 
-        Python splits off each token and checks each line's arity; numpy's
-        C parser converts the values, to the same doubles as float().
+        The rows are read LOAD_CHUNK characters at a time into one table,
+        allocated once from the header, so a load peaks at about the table
+        plus one chunk. Python splits off each token and checks each line's
+        arity; numpy's C parser converts the values, to the same doubles as
+        float().
         """
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"embedding file not found: {path}")
         try:
             with open(path, encoding="utf-8-sig") as handle:
-                header = handle.readline().split()
-                if len(header) != 2:
-                    raise ValueError(f"malformed header in {path}: expected 'V dim'")
-                try:
-                    v, dim = int(header[0]), int(header[1])
-                except ValueError:
-                    raise ValueError(f"malformed header in {path}: expected two integers") from None
-                if dim < 1:
-                    raise ValueError(f"malformed header in {path}: dim must be >= 1, got {dim}")
-                tokens, values = [], []
-                for line_number, line in enumerate(handle, start=2):
-                    line = line.rstrip("\n")
-                    n_fields = line.count(" ") + 1
-                    if n_fields != dim + 1:
-                        raise ValueError(
-                            f"{path}:{line_number}: expected 1 token + {dim} values, "
-                            f"got {n_fields} fields"
-                        )
-                    token, _, row = line.partition(" ")
-                    tokens.append(token)
-                    values.append(row)
+                v, dim = _read_header(path, handle.readline())
+                head = [line for line in (handle.readline(), handle.readline()) if line]
+                # Third-party vector files have no reserved rows; add them.
+                reserved = [line.partition(" ")[0] for line in head] == [PAD_TOKEN, UNK_TOKEN]
+                tokens = [] if reserved else [PAD_TOKEN, UNK_TOKEN]
+                offset = len(tokens)
+                table = np.zeros((offset + v, dim))
+                chunk = head + handle.readlines(LOAD_CHUNK)
+                while chunk:
+                    start = len(tokens)
+                    first_line = start - offset + 2
+                    values = []
+                    for line_number, line in enumerate(chunk, start=first_line):
+                        line = line.rstrip("\n")
+                        n_fields = line.count(" ") + 1
+                        if n_fields != dim + 1:
+                            raise ValueError(
+                                f"{path}:{line_number}: expected 1 token + {dim} values, "
+                                f"got {n_fields} fields"
+                            )
+                        token, _, row = line.partition(" ")
+                        tokens.append(token)
+                        values.append(row)
+                    if len(tokens) > len(table):
+                        raise ValueError(f"{path}:{v + 2}: header claims {v} rows but file has more")
+                    table[start : len(tokens)] = _parse_values(path, values, dim, first_line)
+                    chunk = handle.readlines(LOAD_CHUNK)
         except UnicodeDecodeError:
             raise not_utf8(path) from None
-        table = _parse_values(path, values, dim)
-        if len(tokens) != v:
-            raise ValueError(f"{path}: header claims {v} rows but file has {len(tokens)}")
+        if len(tokens) != len(table):
+            raise ValueError(f"{path}: header claims {v} rows but file has {len(tokens) - offset}")
         if len(set(tokens)) != len(tokens):
             raise ValueError(f"{path}: duplicate token in vector file")
-        if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
-            # Third-party vector files have no reserved rows; add them.
-            tokens = [PAD_TOKEN, UNK_TOKEN, *tokens]
-            table = np.concatenate((np.zeros((2, dim)), table))
         vocab = Vocabulary(tokens, [0] * len(tokens))
         return cls(table, vocab)
 
 
-def _parse_values(path, rows: list, dim: int) -> np.ndarray:
+def _read_header(path, line: str) -> tuple:
+    """(V, dim) from a vector file's header line. A V the file's size
+    cannot hold is refused before any table is allocated for it."""
+    header = line.split()
+    if len(header) != 2:
+        raise ValueError(f"malformed header in {path}: expected 'V dim'")
+    try:
+        v, dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise ValueError(f"malformed header in {path}: expected two integers") from None
+    if v < 1 or dim < 1:
+        raise ValueError(f"malformed header in {path}: V and dim must be >= 1, got {v} and {dim}")
+    # A row is at least a space and a digit per value.
+    size = path.stat().st_size
+    if v * 2 * dim > size:
+        raise ValueError(f"{path}: header claims {v} rows of {dim} values, "
+                         f"more than its {size} bytes can hold")
+    return v, dim
+
+
+def _parse_values(path, rows: list, dim: int, first_line: int) -> np.ndarray:
     """(len(rows), dim) float64 table of space-separated value rows, which
-    come from lines 2, 3, ... of `path`. A row loadtxt cannot parse (or
-    skips as blank) is found again with float(), so the error names its line.
+    come from lines first_line, first_line + 1, ... of `path`. A row loadtxt
+    cannot parse (or skips as blank) is found again with float(), so the
+    error names its line.
     """
-    if not rows:
-        return np.zeros((0, dim))
     try:
         table = np.loadtxt(rows, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
         if table.shape == (len(rows), dim):
             return table
     except ValueError:
         pass
-    for line_number, row in enumerate(rows, start=2):
+    for line_number, row in enumerate(rows, start=first_line):
         for value in row.split(" "):
             try:
                 float(value)

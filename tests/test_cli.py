@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,13 @@ def split_csv_not_utf8(tmp_path, run_dir, config_path):
     return ["evaluate", "--config", str(config_path), "--out", str(run_dir)], f"{path}:3"
 
 
+def corpus_not_utf8(tmp_path, run_dir, config_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"w01 w02 w03\n\xffw02 w03 w01\n")
+    return (["embed-train", "--config", str(config_path), "--out", str(run_dir),
+             "--corpus", str(corpus)], f"{corpus}:2: not UTF-8")
+
+
 def oversized_dataset_field(tmp_path, run_dir, config_path):
     dataset = tmp_path / "toy.csv"
     write_dataset(dataset)
@@ -328,6 +336,7 @@ MALFORMED_INPUTS = {
     "vectors_not_utf8": vectors_not_utf8,
     "dataset_not_utf8": dataset_not_utf8,
     "split_csv_not_utf8": split_csv_not_utf8,
+    "corpus_not_utf8": corpus_not_utf8,
 }
 
 
@@ -462,7 +471,7 @@ class TestPipeline:
         table = (tmp_path / "run" / "reports" / "activation_sweep.txt").read_text()
         assert len(table.strip().splitlines()) == 4  # header + 3 rows
 
-    def test_train_takes_width_from_vector_file(self, workspace):
+    def test_train_takes_width_from_vector_file(self, workspace, capsys):
         # cbow.dim is left at its default (300); the vectors are 16 wide
         tmp_path, _ = workspace
         config = json.loads(write_config(tmp_path, name="base.json").read_text())
@@ -474,10 +483,35 @@ class TestPipeline:
         vectors = tmp_path / "run" / "embeddings" / "vectors.txt"
         vectors.parent.mkdir()
         make_random_matrix(tokens, dim=16, seed=0).save_text(vectors)
+        capsys.readouterr()
+        assert run_cli("train", "--config", str(config_path), "--dry-run") == 0
+        assert f"model with {len(tokens) + 2} x 16 embeddings" in capsys.readouterr().out
         assert run_cli("train", "--config", str(config_path)) == 0
         model = HateClassifier.load(tmp_path / "run" / "models" / "model.ckpt")
         assert model.params["embedding"].shape == (len(tokens) + 2, 16)
         assert model.params["fwd_w_in"].shape == (4 * config["model"]["hidden_size"], 16)
+
+    def test_train_frees_the_float64_table_before_training(self, workspace, monkeypatch):
+        _, config_path = workspace
+        assert run_cli("prepare", "--config", str(config_path)) == 0
+        assert run_cli("embed-train", "--config", str(config_path)) == 0
+        loaded, alive_in_train = [], []
+        load_embeddings, train = cli._load_embeddings, cli.train
+
+        def recording_load(config):
+            matrix = load_embeddings(config)
+            loaded.append(weakref.ref(matrix))
+            return matrix
+
+        def checking_train(model, bundle):
+            alive_in_train.append(loaded[0]() is not None)
+            return train(model, bundle)
+
+        monkeypatch.setattr(cli, "_load_embeddings", recording_load)
+        monkeypatch.setattr(cli, "train", checking_train)
+        assert run_cli("train", "--config", str(config_path)) == 0
+        assert len(loaded) == 1
+        assert alive_in_train == [False]
 
     def test_train_without_prepare_exit_io(self, workspace):
         _, config_path = workspace

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hatedetect import embed
 from hatedetect.embed import (
     CbowConfig,
     EmbeddingMatrix,
     Vocabulary,
+    LOAD_CHUNK,
     MAX_SENTENCE,
     _draw_negatives,
     _sentence_grads,
@@ -20,7 +22,7 @@ from hatedetect.embed import (
 )
 from hatedetect.textprep import PAD_INDEX, PAD_TOKEN, UNK_TOKEN
 
-from conftest import make_random_matrix, make_vocab
+from conftest import make_random_matrix, make_vocab, traced_peak
 from oracles import cosine, finite_diff_grad, sentence_loss
 
 
@@ -256,6 +258,13 @@ class TestHostileTextFormat:
         with pytest.raises(ValueError, match=re.escape(f"{path}:1501: not UTF-8")):
             EmbeddingMatrix.load_text(path)
 
+    @pytest.mark.parametrize("header", ["0 2", "-1 2", "2 0"])
+    def test_header_without_rows_or_width_refused(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\nfoo 1.0 0.0\nbar 0.0 1.0\n")
+        with pytest.raises(ValueError, match=re.escape(f"malformed header in {path}")):
+            EmbeddingMatrix.load_text(path)
+
     def test_matches_float_parse_bitwise(self, tmp_path):
         rng = np.random.default_rng(7)
         tokens = [PAD_TOKEN, UNK_TOKEN, *(f"w{i}" for i in range(48))]
@@ -269,6 +278,91 @@ class TestHostileTextFormat:
         assert loaded.vocab.tokens == tokens
         assert loaded.vectors.dtype == reference.dtype == np.float64
         assert loaded.vectors.tobytes() == reference.tobytes()
+
+
+@pytest.fixture(scope="module")
+def two_chunk_file(tmp_path_factory):
+    """The lines (bytes, with their newlines) of a d=300 vector file that
+    load_text reads in more than one chunk, and the line number of the
+    second chunk's first row, as load_text numbers it in its errors."""
+    path = tmp_path_factory.mktemp("chunks") / "vectors.txt"
+    make_random_matrix([f"w{i}" for i in range(698)], dim=300, seed=2).save_text(path)
+    assert path.stat().st_size > 2 * LOAD_CHUNK
+    first_lines = []
+    parse = embed._parse_values
+
+    def recording_parse(path, rows, dim, first_line):
+        first_lines.append(first_line)
+        return parse(path, rows, dim, first_line)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(embed, "_parse_values", recording_parse)
+        EmbeddingMatrix.load_text(path)
+    assert len(first_lines) >= 2 and first_lines[0] == 2
+    return path.read_bytes().splitlines(keepends=True), first_lines[1]
+
+
+def write_lines(path, lines):
+    path.write_bytes(b"".join(lines))
+    return path
+
+
+class TestChunkBoundary:
+    """Errors in the first row of load_text's second chunk name that row."""
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda row: re.sub(rb" [^ ]+", b" 1.0x", row, count=1), "value '1.0x'"),
+            (lambda row: row.rstrip(b"\n") + b" 1.0\n",
+             "expected 1 token + 300 values, got 302 fields"),
+            (lambda row: b"\xff" + row, "not UTF-8"),
+        ],
+        ids=["non_numeric_value", "arity", "not_utf8"],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, two_chunk_file, damage, message):
+        lines, line = two_chunk_file
+        lines = list(lines)
+        lines[line - 1] = damage(lines[line - 1])
+        path = write_lines(tmp_path / "bad.txt", lines)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{line}: {message}")):
+            EmbeddingMatrix.load_text(path)
+
+    def test_one_row_more_than_the_header_claims(self, tmp_path, two_chunk_file):
+        lines, _ = two_chunk_file
+        v = len(lines) - 1
+        path = write_lines(tmp_path / "bad.txt", [b"%d 300\n" % (v - 1), *lines[1:]])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{v + 1}: header claims {v - 1} rows but file has more")):
+            EmbeddingMatrix.load_text(path)
+
+
+class TestLoadMemory:
+    # Measured 3.4-3.8 MB above the table at 2,000-8,000 rows of d=300
+    # (numpy 2.4); before chunked reading it was 8 MB at 2,000 rows and
+    # 31 MB at 8,000.
+    ALLOWANCE = 5 << 20
+
+    @pytest.mark.parametrize("rows", [2000, 8000])
+    def test_peak_is_the_table_plus_a_fixed_allowance(self, tmp_path, rows):
+        path = tmp_path / "vectors.txt"
+        make_random_matrix([f"w{i}" for i in range(rows - 2)], dim=300, seed=rows).save_text(path)
+        matrix, peak = traced_peak(lambda: EmbeddingMatrix.load_text(path))
+        assert matrix.vectors.shape == (rows, 300)
+        assert peak - matrix.vectors.nbytes < self.ALLOWANCE
+
+    def test_header_the_file_cannot_hold_is_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "hostile.txt"
+        path.write_text("1000000000 300\n" + "".join(
+            f"w{i}" + " 0.5" * 300 + "\n" for i in range(2)))
+
+        def load():
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: header claims 1000000000 rows of 300 values")):
+                EmbeddingMatrix.load_text(path)
+
+        _, peak = traced_peak(load)
+        assert peak < 1 << 20
 
 
 def assert_sentence_grads_match(sentence, radii, negatives, v=9, dim=5, seed=0):
