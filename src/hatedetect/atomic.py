@@ -90,7 +90,7 @@ def read_json_object(path, what: str) -> dict:
             data = json.load(handle)
         if not isinstance(data, dict):
             raise ValueError("not a JSON object")
-    except ValueError as exc:  # also bad JSON and bad UTF-8
+    except (ValueError, RecursionError) as exc:  # also bad JSON, bad UTF-8, deep nesting
         raise ValueError(f"{what} {path}: {exc}") from None
     return data
 

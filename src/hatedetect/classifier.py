@@ -12,10 +12,13 @@ The BiLSTM reads its inputs as rows of the embedding table
 each block of the scan projects each distinct token once. The bits are
 those of the scan of the gathered batch.
 
-Above neural.PARALLEL_MIN_WORK the BiLSTM runs its backward direction on
-a worker thread while the forward direction runs in the caller's (see
-neural.bilstm_batch_forward). That changes no bit, but it does use a
-second core: run BLAS with one thread. 2 BLAS threads plus the worker
+The process has one worker thread (neural.run_both) when it may use a
+second CPU. Above neural.PARALLEL_MIN_WORK the BiLSTM runs its backward
+direction there while the forward direction runs in the caller's (see
+neural.bilstm_batch_forward), and HateClassifier.load parses the
+checkpoint's small entries there while the caller computes params.bin's
+CRC-32. That changes no bit and no error, but it does use a second core:
+run BLAS with one thread. 2 BLAS threads plus the worker
 oversubscribe a 2-core machine: a B=256 training step took 130-146 ms
 that way on a shared 2-core Xeon, against 84-112 ms with 1 BLAS thread
 and the worker. Before the worker starts, glibc is told to keep one
@@ -351,7 +354,15 @@ class HateClassifier:
         zipfile reads the central directory. The file is then mapped once,
         copy-on-write, and each entry is checked in the mapping by _entry
         before it is used: the small entries are copied out of it, and the
-        tensors are views of it. They stay writable, and writes never reach
+        tensors are views of it. The CRC-32 of params.bin, most of a
+        serial load's time (6.2 of 10.4 ms for a 26 MB file on a shared
+        2-core Xeon),
+        runs in the caller while the worker thread reads and parses the
+        manifest and the vocabulary (zlib releases the GIL); it is compared
+        and the views are made once both are done. So every byte is still
+        checked before load returns, and a file with two faults is refused
+        for the one a serial load met first: the parse's before any of
+        params.bin's. On one CPU both run in the caller. They stay writable, and writes never reach
         the file. The mapping keeps the file's data alive after the path is
         replaced by a rename, but a file truncated in place under it faults
         on the next access.
@@ -366,21 +377,31 @@ class HateClassifier:
             def read(name: str) -> bytes:
                 return mapped[slice(*_entry(mapped, archive.getinfo(name)))]
 
-            manifest = json.loads(read("manifest.json"))
-            version = manifest.get("format_version") if isinstance(manifest, dict) else None
-            if version != CHECKPOINT_VERSION:
-                raise ValueError(f"bad format version {version!r}: only {CHECKPOINT_VERSION} "
-                                 "is read; older files are no longer read, newer ones not yet")
-            config, history, shapes = _read_manifest(manifest)
-            counts = read("vocabulary_counts.bin")
-            if len(counts) % 8:
-                raise ValueError(f"vocabulary_counts.bin holds {len(counts)} bytes, "
-                                 "not a multiple of 8")
-            # Split on "\n" alone: splitlines would also split "\r" and "\x85".
-            tokens = read("vocabulary.txt").decode("utf-8").split("\n")
-            vocab = Vocabulary(tokens, np.frombuffer(counts, dtype="<i8").tolist())
+            def parse() -> tuple:
+                manifest = json.loads(read("manifest.json"))
+                version = manifest.get("format_version") if isinstance(manifest, dict) else None
+                if version != CHECKPOINT_VERSION:
+                    raise ValueError(f"bad format version {version!r}: only {CHECKPOINT_VERSION} "
+                                     "is read; older files are no longer read, newer ones not yet")
+                counts = read("vocabulary_counts.bin")
+                if len(counts) % 8:
+                    raise ValueError(f"vocabulary_counts.bin holds {len(counts)} bytes, "
+                                     "not a multiple of 8")
+                # Split on "\n" alone: splitlines would also split "\r" and "\x85".
+                tokens = read("vocabulary.txt").decode("utf-8").split("\n")
+                vocab = Vocabulary(tokens, np.frombuffer(counts, dtype="<i8").tolist())
+                return (*_read_manifest(manifest), vocab)
+
+            def params_crc():
+                try:
+                    start, end = _span(mapped, archive.getinfo("params.bin"))
+                except (KeyError, zipfile.BadZipFile):
+                    return None  # refused below, after the parse, as a serial load did
+                return zlib.crc32(memoryview(mapped)[start:end])
+
+            crc, (config, history, shapes, vocab) = neural.run_both(params_crc, parse, True)
             count = sum(math.prod(shape) for _, shape in shapes)
-            start, end = _entry(mapped, archive.getinfo("params.bin"))
+            start, end = _entry(mapped, archive.getinfo("params.bin"), crc)
             if end - start != 4 * count:
                 problem = "truncated" if end - start < 4 * count else "has trailing bytes"
                 raise ValueError(f"parameter blob {problem}")
@@ -394,7 +415,8 @@ class HateClassifier:
                 params[name] = flat[offset : offset + size].reshape(shape)
                 offset += size
             return cls(config, vocab, params, history)
-        except (zipfile.BadZipFile, KeyError, NotImplementedError, TypeError, ValueError) as exc:
+        except (zipfile.BadZipFile, KeyError, NotImplementedError, RecursionError, TypeError,
+                ValueError) as exc:
             raise ValueError(f"corrupt checkpoint file {path}: {exc}") from exc
 
 
@@ -413,10 +435,10 @@ def _read_manifest(manifest: dict) -> tuple:
     return ModelConfig.from_dict(manifest["model_config"]), history, shapes
 
 
-def _entry(mapped: mmap.mmap, info: zipfile.ZipInfo) -> tuple:
+def _span(mapped: mmap.mmap, info: zipfile.ZipInfo) -> tuple:
     """(start, end) of a stored, unencrypted entry's data in the mapped
-    archive, after its local header is checked as zipfile checks it, its
-    data is found in bounds and its CRC-32 is computed over the mapping."""
+    archive, after its local header is checked as zipfile checks it and
+    its data is found in bounds."""
     if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 1:
         raise zipfile.BadZipFile(f"{info.filename} is not a stored, unencrypted entry "
                                  f"(method {info.compress_type}, flags {info.flag_bits:#x})")
@@ -436,7 +458,17 @@ def _entry(mapped: mmap.mmap, info: zipfile.ZipInfo) -> tuple:
     end = start + info.file_size
     if info.compress_size != info.file_size or end > len(mapped):
         raise zipfile.BadZipFile(f"{info.filename} is truncated")
-    if zlib.crc32(memoryview(mapped)[start:end]) != info.CRC:
+    return start, end
+
+
+def _entry(mapped: mmap.mmap, info: zipfile.ZipInfo, crc=None) -> tuple:
+    """_span of an entry whose CRC-32 matches its central directory
+    record. The CRC is computed over the mapping, unless crc gives it:
+    load computes params.bin's beside its other work."""
+    start, end = _span(mapped, info)
+    if crc is None:
+        crc = zlib.crc32(memoryview(mapped)[start:end])
+    if crc != info.CRC:
         raise zipfile.BadZipFile(f"Bad CRC-32 for file {info.filename!r}")
     return start, end
 

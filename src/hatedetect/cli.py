@@ -54,8 +54,17 @@ class RunConfig:
 
     @classmethod
     def load(cls, path, overrides: dict | None = None) -> "RunConfig":
+        """The run config in the file at path, with overrides over its
+        keys. A value the config may not hold is an error naming the file."""
         path = Path(path)
         data = read_json_object(path, "run config")
+        try:
+            return cls._parse(path, data, overrides)
+        except ValueError as exc:
+            raise ValueError(f"run config {path}: {exc}") from None
+
+    @classmethod
+    def _parse(cls, path: Path, data: dict, overrides: dict | None) -> "RunConfig":
         overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
         data = {**_RUN_CONFIG_DEFAULTS, **data, **overrides}
         unknown = sorted(data.keys() - _RUN_CONFIG_DEFAULTS.keys() - {"seed"})
@@ -79,7 +88,12 @@ class RunConfig:
                                      "and 'label_mapping_file'")
                 mapping_file = path.parent / _check(entry.pop("label_mapping_file"), "str",
                                                     f"{name}.label_mapping_file")
-                entry["label_mapping"] = read_json_object(mapping_file, "label mapping file")
+                mapping = read_json_object(mapping_file, "label mapping file")
+                try:
+                    corpus_mod.validate_mapping(mapping)
+                except ValueError as exc:
+                    raise ValueError(f"label mapping file {mapping_file}: {exc}") from None
+                entry["label_mapping"] = mapping
             spec = _section(entry, name, DatasetSpec)
             datasets.append(replace(spec, path=str(path.parent / spec.path)))
 

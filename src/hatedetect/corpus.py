@@ -113,7 +113,8 @@ def load_dataset(spec: DatasetSpec) -> list[LabeledExample]:
 
     Ids are assigned deterministically from row order as "<name>:<row>".
     Rows whose text is empty after trimming are skipped; the skip count is
-    logged.
+    logged. With a label mapping in spec, a kept row's raw label that it
+    does not map is an error that names the file and the line.
     """
     path = Path(spec.path)
     examples = []
@@ -123,9 +124,12 @@ def load_dataset(spec: DatasetSpec) -> list[LabeledExample]:
         if not text.strip():
             skipped += 1
             continue
-        examples.append(
-            LabeledExample(id=f"{spec.name}:{row_number}", text=text, raw_label=raw_label.strip())
-        )
+        raw_label = raw_label.strip()
+        if spec.label_mapping is not None and raw_label not in spec.label_mapping:
+            raise ValueError(f"dataset {path}:{_row_line(path, row_number)}: "
+                             f"unmapped raw label {raw_label!r}")
+        examples.append(LabeledExample(id=f"{spec.name}:{row_number}", text=text,
+                                       raw_label=raw_label))
     if skipped:
         log.info("skipped %d empty-text rows while loading %s", skipped, path)
     if not examples:
@@ -167,6 +171,19 @@ def _read_columns(path: Path, columns, what: str) -> list[tuple]:
         except UnicodeDecodeError:
             raise not_utf8(path) from None
     return rows
+
+
+def _row_line(path: Path, index: int) -> int:
+    """The line on which data row `index` (from 0, as _read_columns counts
+    rows) of a CSV file ends. The file is read again, so call this only to
+    name the line of an error."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        next(reader, None)  # the header
+        for i, _ in enumerate(filter(None, reader)):  # a blank line is no row
+            if i == index:
+                return reader.line_num
+    raise ValueError(f"{path} has no data row {index}")
 
 
 def validate_mapping(mapping: dict) -> None:

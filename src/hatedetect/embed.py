@@ -33,6 +33,14 @@ MAX_SENTENCE = 256
 LOAD_CHUNK = 1 << 20
 
 
+class DuplicateToken(ValueError):
+    """A vocabulary's token at two indices, first < second."""
+
+    def __init__(self, token: str, first: int, second: int):
+        super().__init__(f"duplicate token in vocabulary: {token!r} at indices {first} and {second}")
+        self.token, self.first, self.second = token, first, second
+
+
 @dataclass
 class Vocabulary:
     """Token <-> index bijection with frequency counts.
@@ -51,7 +59,11 @@ class Vocabulary:
             raise ValueError("tokens and counts length mismatch")
         self.index = {token: i for i, token in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
-            raise ValueError("duplicate token in vocabulary")
+            # The index keeps each token's last index: the first token
+            # whose index is not its own occurs again later.
+            first = next(i for i, token in enumerate(self.tokens) if self.index[token] != i)
+            token = self.tokens[first]
+            raise DuplicateToken(token, first, self.tokens.index(token, first + 1))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -196,9 +208,14 @@ class EmbeddingMatrix:
             raise not_utf8(path) from None
         if len(tokens) != len(table):
             raise ValueError(f"{path}: header claims {v} rows but file has {len(tokens) - offset}")
-        if len(set(tokens)) != len(tokens):
-            raise ValueError(f"{path}: duplicate token in vector file")
-        vocab = Vocabulary(tokens, [0] * len(tokens))
+        try:
+            vocab = Vocabulary(tokens, [0] * len(tokens))
+        except DuplicateToken as exc:
+            # Row i of the table is line i - offset + 2 of the file.
+            also = (f"on line {exc.first - offset + 2}" if exc.first >= offset
+                    else f"reserved as row {exc.first}")
+            raise ValueError(f"{path}:{exc.second - offset + 2}: duplicate token "
+                             f"{exc.token!r} (also {also})") from None
         return cls(table, vocab)
 
 

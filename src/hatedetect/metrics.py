@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import write_csv
-from .corpus import BINARY_LABELS, HATE, NON_HATE, _read_columns
+from .corpus import BINARY_LABELS, HATE, NON_HATE, _read_columns, _row_line
 
 log = logging.getLogger(__name__)
 
@@ -231,12 +231,14 @@ def write_labels_csv(path, ids, labels) -> None:
     write_csv(path, ["id", "label"], zip(ids, labels))
 
 
-def _read_two_column_csv(path, value_column):
+def _read_two_column_csv(path: Path, value_column) -> dict:
+    """{id: (row, value)} of an "id,<value_column>" CSV file, rows from 0."""
     rows = {}
-    for example_id, value in _read_columns(Path(path), ("id", value_column), "file"):
+    for row, (example_id, value) in enumerate(_read_columns(path, ("id", value_column), "file")):
         if example_id in rows:
-            raise ValueError(f"{path}: duplicate id {example_id!r}")
-        rows[example_id] = value
+            raise ValueError(f"{path}: duplicate id {example_id!r} (lines "
+                             f"{_row_line(path, rows[example_id][0])} and {_row_line(path, row)})")
+        rows[example_id] = (row, value)
     if not rows:
         raise ValueError(f"{path} has no data rows")
     return rows
@@ -246,26 +248,34 @@ def score_external(predictions_path, labels_path, threshold: float = 0.5) -> Met
     """Score an externally produced predictions file against a labels file.
 
     Files align by id; scores must lie in [0, 1]; hard labels use the same
-    >= threshold rule as the classifier.
+    >= threshold rule as the classifier. An error names the file and the
+    line.
     """
+    predictions_path, labels_path = Path(predictions_path), Path(labels_path)
     score_rows = _read_two_column_csv(predictions_path, "score")
     label_rows = _read_two_column_csv(labels_path, "label")
     unknown = sorted(set(score_rows) ^ set(label_rows))
     if unknown:
-        raise ValueError(f"prediction/label ids do not align; first mismatch: {unknown[0]!r}")
+        where, other, rows = ((predictions_path, labels_path, score_rows)
+                              if unknown[0] in score_rows else
+                              (labels_path, predictions_path, label_rows))
+        raise ValueError(f"prediction/label ids do not align; first mismatch: {unknown[0]!r}, "
+                         f"on {where}:{_row_line(where, rows[unknown[0]][0])} but not in {other}")
     ids = sorted(score_rows)
     scores = []
     for example_id in ids:
+        (row, value), (label_row, label) = score_rows[example_id], label_rows[example_id]
         try:
-            score = float(score_rows[example_id])
+            score = float(value)
         except ValueError:
-            raise ValueError(f"{predictions_path}: score {score_rows[example_id]!r} for id "
-                             f"{example_id!r} is not a number") from None
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"score out of range for id {example_id!r}: {score!r}")
-        if label_rows[example_id] not in BINARY_LABELS:
-            raise ValueError(f"{labels_path}: label {label_rows[example_id]!r} for id "
-                             f"{example_id!r} is not one of {BINARY_LABELS}")
+            score = None
+        if score is None or not 0.0 <= score <= 1.0:
+            problem = "is not a number" if score is None else "is out of range [0, 1]"
+            raise ValueError(f"{predictions_path}: score {value!r} for id {example_id!r} "
+                             f"{problem} (line {_row_line(predictions_path, row)})")
+        if label not in BINARY_LABELS:
+            raise ValueError(f"{labels_path}: label {label!r} for id {example_id!r} is not one "
+                             f"of {BINARY_LABELS} (line {_row_line(labels_path, label_row)})")
         scores.append(score)
-    actual = [label_rows[example_id] for example_id in ids]
+    actual = [label_rows[example_id][1] for example_id in ids]
     return evaluate_predictions(np.asarray(scores), threshold_labels(scores, threshold), actual)

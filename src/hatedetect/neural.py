@@ -6,8 +6,9 @@ Everything is plain numpy. Training runs in float32 by default; gradient
 verification (tests/oracles.py) runs the same code in float64. The LSTM
 reads its inputs as rows of a table (TableRows), so a token is projected
 once per block of steps however often it occurs. The BiLSTM's backward
-direction runs on one worker thread, beside the forward direction, when
-a batch is large enough (PARALLEL_MIN_WORK).
+direction runs on the process's one worker thread (run_both), beside the
+forward direction, when a batch is large enough (PARALLEL_MIN_WORK); the
+checkpoint loader uses the same thread.
 """
 
 from __future__ import annotations
@@ -410,13 +411,13 @@ def _one_malloc_arena():
         pass
 
 
-_worker = None  # the backward directions' executor, False on one CPU
+_worker = None  # the process's one worker thread, False on one CPU
 _worker_lock = threading.Lock()
 
 
-def _direction_worker():
-    """The one thread that runs backward directions, made on first use;
-    None when this process may run on one CPU only."""
+def _worker_thread():
+    """The one worker thread, made on first use; None when this process
+    may run on one CPU only."""
     global _worker
     with _worker_lock:
         if _worker is None:
@@ -425,7 +426,7 @@ def _direction_worker():
                 _worker = False
             else:
                 _one_malloc_arena()
-                _worker = futures.ThreadPoolExecutor(1, thread_name_prefix="bilstm-backward")
+                _worker = futures.ThreadPoolExecutor(1)
         return _worker or None
 
 
@@ -455,23 +456,26 @@ def _forward_work(inputs: TableRows, lengths, params: LstmCellParams) -> int:
     return work
 
 
-def _both_directions(forward, backward, work):
-    """(forward(), backward()), with backward() on the worker thread while
-    forward() runs in this one, when one direction's work is at least
-    PARALLEL_MIN_WORK and a second CPU is there. Each call writes only its
-    own arrays, so the result does not depend on the schedule. Whatever
-    happens, the worker has finished before this returns or raises, and
-    its exception reaches the caller."""
-    worker = _direction_worker() if work >= PARALLEL_MIN_WORK else None
+def run_both(here, there, parallel: bool):
+    """(here(), there()). With parallel set and a second CPU there, there()
+    runs on the worker thread while here() runs in this one; otherwise
+    both run here, here() first. The two calls must share no writes, so
+    the result does not depend on the schedule, and there() must not
+    call run_both: with one worker it would wait on itself. Whatever
+    happens, the worker has finished before this returns or raises. An
+    error of here() is the one raised; an error of there() reaches the
+    caller when here() returned."""
+    worker = _worker_thread() if parallel else None
     if worker is None:
-        return forward(), backward()
-    pending = worker.submit(backward)
+        return here(), there()
+    pending = worker.submit(there)
     try:
-        first = forward()
+        return here(), pending.result()
     except BaseException:
-        pending.exception()  # waits; the caller's own error is the one raised
+        pending.exception()  # waits; the first error is the one raised
         raise
-    return first, pending.result()
+    finally:
+        del pending  # else there()'s error, through this frame, holds itself
 
 
 def bilstm_batch_forward(inputs, forward_params, backward_params, mode="final",
@@ -506,10 +510,10 @@ def bilstm_batch_forward(inputs, forward_params, backward_params, mode="final",
     batch, length, _ = inputs.shape
     lengths = _check_lengths(lengths, batch, length)
     final = mode == "final"
-    (states_fwd, cache_fwd), (states_bwd, cache_bwd) = _both_directions(
+    (states_fwd, cache_fwd), (states_bwd, cache_bwd) = run_both(
         lambda: lstm_forward(inputs, forward_params, keep_cache, lengths, final=final),
         lambda: lstm_forward(inputs, backward_params, keep_cache, lengths, True, final=final),
-        _forward_work(inputs, lengths, backward_params),
+        _forward_work(inputs, lengths, backward_params) >= PARALLEL_MIN_WORK,
     )
     if final:
         features = np.concatenate((states_fwd, states_bwd), axis=1)
@@ -532,10 +536,11 @@ def bilstm_batch_backward(d_features, caches, forward_params, backward_params, m
         batch, length, _ = cache_fwd.inputs.shape
         d_all = d_features.reshape(batch, length, -1)
         d_states_fwd, d_states_bwd = d_all[:, :, :h_fwd], d_all[:, :, h_fwd:]
-    (d_in_fwd, grads_fwd), (d_in_bwd, grads_bwd) = _both_directions(
+    (d_in_fwd, grads_fwd), (d_in_bwd, grads_bwd) = run_both(
         lambda: lstm_backward(d_states_fwd, cache_fwd, forward_params, input_grad),
         lambda: lstm_backward(d_states_bwd, cache_bwd, backward_params, input_grad),
-        len(cache_bwd.rows) * (backward_params.w_in.size + backward_params.w_rec.size),
+        len(cache_bwd.rows) * (backward_params.w_in.size + backward_params.w_rec.size)
+        >= PARALLEL_MIN_WORK,
     )
     d_inputs = d_in_fwd + d_in_bwd if input_grad else None
     return d_inputs, grads_fwd, grads_bwd

@@ -6,9 +6,14 @@ import mmap
 import os
 import re
 import struct
+import sys
+import threading
+import time
 import zipfile
+import zlib
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -436,6 +441,7 @@ def _duplicate_token(entries):
     tokens = entries["vocabulary.txt"].split(b"\n")
     tokens[3] = tokens[2]
     entries["vocabulary.txt"] = b"\n".join(tokens)
+    return entries
 
 
 class TestCheckpoint:
@@ -690,6 +696,16 @@ class TestCheckpoint:
             HateClassifier.load(path)
         assert f"corrupt checkpoint file {path}" in str(caught.value)
 
+    def test_duplicate_vocabulary_token_names_it_and_both_indices(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        model = small_model()
+        model.save(path)
+        write_entries(path, _duplicate_token(checkpoint_entries(path)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt checkpoint file {path}: duplicate token in vocabulary: "
+                f"{model.vocab.tokens[2]!r} at indices 2 and 3")):
+            HateClassifier.load(path)
+
     @pytest.mark.parametrize("offset, message", [
         (0, "Bad magic number for file header"),
         (30, "File name in directory 'params.bin' and header b'qarams.bin' differ"),
@@ -788,7 +804,9 @@ class TestMappedLoad:
          "vocabulary_counts.bin is not a stored"),
         (lambda path: edited_manifest(path, path, lambda m: m["tensors"][-2]["shape"].reverse()),
          "dense2_weights has shape"),
-    ], ids=["refused_before_the_tensors", "refused_after_the_tensors"])
+        (lambda path: write_entries(path, _duplicate_token(checkpoint_entries(path))),
+         "duplicate token in vocabulary"),
+    ], ids=["refused_before_the_tensors", "refused_after_the_tensors", "refused_on_the_worker"])
     def test_refused_loads_hold_no_descriptors(self, tmp_path, damage, message):
         descriptors = Path("/proc/self/fd")
         if not descriptors.is_dir():
@@ -805,6 +823,126 @@ class TestMappedLoad:
             else:
                 raise AssertionError("the damaged checkpoint loaded")
         assert len(os.listdir(descriptors)) == before
+
+
+def one_cpu(monkeypatch):
+    """As on a machine with one CPU: no worker thread, everything inline."""
+    monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(neural, "_worker", None)
+    assert neural._worker_thread() is None
+
+
+class TestOverlappedCheck:
+    """load computes params.bin's CRC-32 in the caller while the worker
+    parses the other entries; the checks and their errors are a serial
+    load's."""
+
+    @staticmethod
+    def crc_calls(monkeypatch, delay=0.0):
+        """(bytes checked, thread, finished) for every CRC load computes;
+        a CRC over more than 1 KiB sleeps delay seconds first."""
+        calls = []
+
+        def crc32(data):
+            if len(data) > 1024:
+                time.sleep(delay)
+            crc = zlib.crc32(data)
+            calls.append((len(data), threading.current_thread(), time.perf_counter()))
+            return crc
+
+        monkeypatch.setattr(classifier, "zlib", SimpleNamespace(crc32=crc32))
+        return calls
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_flipped_byte_in_params_is_refused(self, tmp_path, monkeypatch, cpus):
+        if cpus == 1:
+            one_cpu(monkeypatch)
+        elif neural._worker_thread() is None:
+            pytest.skip("one CPU: load runs inline")
+        path = tmp_path / "model.ckpt"
+        small_model().save(path)
+        data = bytearray(path.read_bytes())
+        data[40 + 4 * 50] ^= 0x01  # params.bin's data starts at byte 40
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt checkpoint file {path}: Bad CRC-32 for file 'params.bin'")):
+            HateClassifier.load(path)
+
+    def test_params_checked_in_the_caller_the_rest_on_the_worker(self, tmp_path, monkeypatch):
+        if neural._worker_thread() is None:
+            pytest.skip("one CPU: load runs inline")
+        path = tmp_path / "model.ckpt"
+        model = small_model()
+        model.save(path)
+        calls = self.crc_calls(monkeypatch)
+        HateClassifier.load(path)
+        params_bytes = 4 * sum(tensor.size for tensor in model.params.values())
+        with zipfile.ZipFile(path) as archive:
+            sizes = sorted(info.file_size for info in archive.infolist())
+        assert sorted(size for size, _, _ in calls) == sizes  # each entry once
+        caller = threading.current_thread()
+        for size, thread, _ in calls:
+            assert (thread is caller) == (size == params_bytes), size
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_parse_error_waits_for_the_check(self, tmp_path, monkeypatch, cpus):
+        if cpus == 1:
+            one_cpu(monkeypatch)
+        elif neural._worker_thread() is None:
+            pytest.skip("one CPU: load runs inline")
+        path, damaged = tmp_path / "model.ckpt", tmp_path / "damaged.ckpt"
+        model = small_model()
+        model.save(path)
+        write_entries(damaged, _duplicate_token(checkpoint_entries(path)))
+        calls = self.crc_calls(monkeypatch, delay=0.05)
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt checkpoint file {damaged}: duplicate token in vocabulary")):
+            HateClassifier.load(damaged)
+        refused = time.perf_counter()
+        params_checks = [(thread, done) for size, thread, done in calls if size > 1024]
+        assert len(params_checks) == 1
+        thread, done = params_checks[0]
+        assert thread is threading.current_thread() and done < refused
+        loaded = HateClassifier.load(path)
+        for name, tensor in model.params.items():
+            assert loaded.params[name].tobytes() == tensor.tobytes()
+
+    def test_concurrent_loads_share_the_worker(self, tmp_path):
+        # More caller threads than cores hand their parses to the one
+        # worker, switching often; every load gets its own file's tensors
+        # or its own file's error.
+        models = [small_model(seed=seed) for seed in range(4)]
+        paths = [tmp_path / f"model{seed}.ckpt" for seed in range(4)]
+        for model, path in zip(models, paths):
+            model.save(path)
+        damaged = tmp_path / "damaged.ckpt"
+        write_entries(damaged, _duplicate_token(checkpoint_entries(paths[0])))
+        wrong = []
+
+        def caller(k):
+            for _ in range(20):
+                try:
+                    loaded = HateClassifier.load(paths[k] if k < 4 else damaged)
+                except ValueError as exc:
+                    if k < 4 or f"{damaged}: duplicate token" not in str(exc):
+                        wrong.append((k, str(exc)))
+                    continue
+                if k == 4 or any(loaded.params[name].tobytes() != tensor.tobytes()
+                                 for name, tensor in models[k].params.items()):
+                    wrong.append((k, "tensors"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(5)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestModelConfig:

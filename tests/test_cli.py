@@ -209,6 +209,19 @@ class TestPrepare:
         assert run_cli("prepare", "--config", str(path)) == 3
         assert not (tmp_path / "run").exists()
 
+    def test_bad_config_value_names_the_file(self, tmp_path, capsys):
+        write_dataset(tmp_path / "toy.csv")
+        (tmp_path / "mapping.json").write_text('{"flagged": "hate", "clean": "spam"}')
+        path = write_config(tmp_path, model={"hidden_size": "4"})
+        assert run_cli("prepare", "--config", str(path), "--dry-run") == 3
+        assert f"error: run config {path}: config key model.hidden_size" in capsys.readouterr().err
+        path = write_config(tmp_path, datasets=[{
+            "name": "toy", "path": "toy.csv", "text_column": "tweet", "label_column": "klass",
+            "label_mapping_file": "mapping.json"}])
+        assert run_cli("prepare", "--config", str(path), "--dry-run") == 3
+        assert (f"error: run config {path}: label mapping file {tmp_path / 'mapping.json'}: "
+                "label mapping sends 'clean' to 'spam'") in capsys.readouterr().err
+
     def test_missing_seed_rejected(self, tmp_path):
         write_dataset(tmp_path / "toy.csv")
         path = tmp_path / "config.json"
@@ -260,6 +273,22 @@ def doctored_sidecar(edit):
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         return ["evaluate", "--config", str(config_path), "--out", str(run_dir)], path
     return probe
+
+
+# JSON nested deeper than the interpreter's recursion limit.
+DEEP_JSON = '{"seed": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+def deep_split_json(tmp_path, run_dir, config_path):
+    path = run_dir / "prepared" / "split.json"
+    path.write_text(DEEP_JSON)
+    return ["evaluate", "--config", str(config_path), "--out", str(run_dir)], path
+
+
+def deep_checkpoint_manifest(path):
+    entries = checkpoint_entries(path)
+    entries["manifest.json"] = DEEP_JSON
+    write_entries(path, entries)
 
 
 def short_prediction_row(tmp_path, run_dir, config_path):
@@ -328,7 +357,9 @@ MALFORMED_INPUTS = {
     "checkpoint_manifest_deflated": deflated_checkpoint_entry("manifest.json"),
     "checkpoint_central_directory_offset_past_its_place": damaged_checkpoint(
         lambda path: edit_zip_field(path, None, 16, "<I", lambda offset: offset + 5000)),
+    "checkpoint_manifest_nested_too_deep": damaged_checkpoint(deep_checkpoint_manifest),
     "split_json_not_an_object": doctored_sidecar(lambda sidecar: [sidecar]),
+    "split_json_nested_too_deep": deep_split_json,
     "split_json_ratios_not_a_list": doctored_sidecar(lambda sidecar: {**sidecar, "ratios": 0.6}),
     "prediction_row_without_score": short_prediction_row,
     "label_row_without_label": short_label_row,

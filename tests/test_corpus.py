@@ -46,6 +46,14 @@ class TestLoadDataset:
         assert [e.id for e in examples] == ["toy:0", "toy:1", "toy:2"]
         assert examples[1].raw_label == "b"
 
+    def test_label_the_mapping_lacks_names_file_and_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, [["one", "a"], ["", "zzz"], ["multi\nline", "a"], ["four", "b"]])
+        spec = DatasetSpec(name="toy", path=str(path), text_column="text", label_column="label",
+                           label_mapping={"a": HATE})
+        with pytest.raises(ValueError, match=re.escape(f"dataset {path}:6: unmapped raw label 'b'")):
+            load_dataset(spec)
+
     def test_empty_text_rows_skipped_and_logged(self, tmp_path, caplog):
         path = tmp_path / "d.csv"
         write_csv(path, [["one", "a"], ["   ", "b"], ["", "a"], ["four", "b"]])

@@ -10,6 +10,7 @@ import pytest
 from hatedetect import embed
 from hatedetect.embed import (
     CbowConfig,
+    DuplicateToken,
     EmbeddingMatrix,
     Vocabulary,
     LOAD_CHUNK,
@@ -51,6 +52,13 @@ class TestVocabulary:
     def test_all_below_min_count(self):
         with pytest.raises(ValueError):
             build_vocab([["once"]], min_count=2)
+
+    def test_duplicate_token_names_it_and_both_indices(self):
+        tokens = [PAD_TOKEN, UNK_TOKEN, "a", "b", "a", "b"]
+        with pytest.raises(DuplicateToken, match=re.escape(
+                "duplicate token in vocabulary: 'a' at indices 2 and 4")) as caught:
+            Vocabulary(tokens, [0] * len(tokens))
+        assert (caught.value.token, caught.value.first, caught.value.second) == ("a", 2, 4)
 
     def test_reserved_indices(self):
         vocab = build_vocab([["a", "b"]], min_count=1)
@@ -206,6 +214,23 @@ class TestTextFormat:
         path = tmp_path / "bad.txt"
         path.write_text("2 1\nsame 1.0\nsame 2.0\n")
         with pytest.raises(ValueError, match="duplicate"):
+            EmbeddingMatrix.load_text(path)
+
+    @pytest.mark.parametrize("reserved", [False, True])
+    def test_duplicate_token_names_both_lines(self, tmp_path, reserved):
+        path = tmp_path / "dup.txt"
+        head = f"{PAD_TOKEN} 0.0\n{UNK_TOKEN} 0.0\n" if reserved else ""
+        path.write_text(f"{3 + 2 * reserved} 1\n{head}foo 1.0\nbar 2.0\nfoo 3.0\n")
+        line = 4 + 2 * reserved
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{line}: duplicate token 'foo' (also on line {line - 2})")):
+            EmbeddingMatrix.load_text(path)
+
+    def test_token_of_an_added_reserved_row_is_a_duplicate(self, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text(f"2 1\nfoo 1.0\n{UNK_TOKEN} 2.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: duplicate token '{UNK_TOKEN}' (also reserved as row 1)")):
             EmbeddingMatrix.load_text(path)
 
     def test_external_file_gains_reserved_rows(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -313,6 +314,21 @@ class TestScoreExternal:
             score_external(tmp_path / "p.csv", tmp_path / "l.csv")
         write_predictions_csv(tmp_path / "p.csv", ["a"], [0.5])
         with pytest.raises(ValueError, match="no data rows"):
+            score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+
+    @pytest.mark.parametrize("scores, labels, message", [
+        ("a,0.5\n\nb,0.5x\n", "a,hate\nb,hate\n", "p.csv: score '0.5x' for id 'b' is not a number (line 4)"),
+        ("a,0.5\nb,1.5\n", "a,hate\nb,hate\n", "p.csv: score '1.5' for id 'b' is out of range [0, 1] (line 3)"),
+        ("a,0.5\nb,0.5\n", 'a,hate\n\n\nb,spam\n', "l.csv: label 'spam' for id 'b' is not one of ('hate', 'nonhate') (line 5)"),
+        ("a,0.5\nb,0.5\na,0.1\n", "a,hate\n", "p.csv: duplicate id 'a' (lines 2 and 4)"),
+        ("a,0.5\nb,0.5\n", "a,hate\n", "first mismatch: 'b', on {p}:3 but not in {l}"),
+        ("a,0.5\n", "a,hate\nc,hate\n", "first mismatch: 'c', on {l}:3 but not in {p}"),
+    ])
+    def test_refusal_names_the_line(self, tmp_path, scores, labels, message):
+        (tmp_path / "p.csv").write_text("id,score\n" + scores)
+        (tmp_path / "l.csv").write_text("id,label\n" + labels)
+        message = message.format(p=tmp_path / "p.csv", l=tmp_path / "l.csv")
+        with pytest.raises(ValueError, match=re.escape(message)):
             score_external(tmp_path / "p.csv", tmp_path / "l.csv")
 
     def test_bad_header(self, tmp_path):

@@ -696,7 +696,7 @@ class TestDirectionWorker:
 
     @pytest.mark.parametrize("size", ["small", "large"])
     def test_backward_direction_runs_on_the_worker_above_the_constant(self, size, monkeypatch):
-        if neural._direction_worker() is None:
+        if neural._worker_thread() is None:
             pytest.skip("one CPU: both directions run in the caller")
         inputs, lengths, fwd, bwd = self.batch(*self.SHAPES[size])
         seen = self.threads_of_calls(monkeypatch)
@@ -712,7 +712,7 @@ class TestDirectionWorker:
         # Counted by positions the large batch is above the constant; as
         # rows of one token its projection is PROJECTION_MIN_ROWS rows, and
         # its recurrence alone is below the constant.
-        if neural._direction_worker() is None:
+        if neural._worker_thread() is None:
             pytest.skip("one CPU: both directions run in the caller")
         inputs, lengths, fwd, bwd = self.batch(*self.SHAPES["large"])
         h, d = bwd.hidden_size, bwd.input_size
@@ -726,7 +726,7 @@ class TestDirectionWorker:
     def test_one_cpu_runs_both_directions_in_the_caller(self, monkeypatch):
         monkeypatch.setattr(neural.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(neural, "_worker", None)
-        assert neural._direction_worker() is None
+        assert neural._worker_thread() is None
         inputs, lengths, fwd, bwd = self.batch(*self.SHAPES["large"])
         seen = self.threads_of_calls(monkeypatch)
         bilstm_batch_forward(inputs, fwd, bwd, "final", lengths)
@@ -748,7 +748,7 @@ class TestDirectionWorker:
         return finished
 
     def test_caller_error_waits_for_the_worker(self, monkeypatch):
-        if neural._direction_worker() is None:
+        if neural._worker_thread() is None:
             pytest.skip("one CPU: both directions run in the caller")
         monkeypatch.setattr(neural, "PARALLEL_MIN_WORK", 0)
         inputs, lengths, fwd, bwd = self.batch(*self.SHAPES["small"])
