@@ -80,22 +80,25 @@ class RunConfig:
         datasets = []
         for i, entry in enumerate(_check(data["datasets"], "tuple", "datasets")):
             name = f"datasets[{i}]"
-            # The one key that is not a DatasetSpec field: a file holding the
-            # mapping, in place of a label_mapping in the entry.
+            # A file holding the mapping, in place of a label_mapping in the
+            # entry. The spec keeps the path of the file its mapping came
+            # from, this one or the run config, to name it in errors.
+            mapping_file = path
             if "label_mapping_file" in _check(entry, "dict", name):
                 if "label_mapping" in entry:
                     raise ValueError(f"config section {name!r} sets both 'label_mapping' "
                                      "and 'label_mapping_file'")
-                mapping_file = path.parent / _check(entry.pop("label_mapping_file"), "str",
+                mapping_file = path.parent / _check(entry["label_mapping_file"], "str",
                                                     f"{name}.label_mapping_file")
                 mapping = read_json_object(mapping_file, "label mapping file")
                 try:
                     corpus_mod.validate_mapping(mapping)
                 except ValueError as exc:
                     raise ValueError(f"label mapping file {mapping_file}: {exc}") from None
-                entry["label_mapping"] = mapping
+                entry = {**entry, "label_mapping": mapping}
             spec = _section(entry, name, DatasetSpec)
-            datasets.append(replace(spec, path=str(path.parent / spec.path)))
+            source = None if spec.label_mapping is None else str(mapping_file)
+            datasets.append(replace(spec, path=str(path.parent / spec.path), label_mapping_file=source))
 
         pipeline = _section(data["pipeline"], "pipeline", PipelineConfig)
         return cls(

@@ -39,16 +39,21 @@ class LabeledExample:
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Where a dataset lives and which columns carry text and label."""
+    """Where a dataset lives, which columns carry text and label, and the
+    file its label mapping was read from, if any, to name in errors."""
 
     name: str
     path: str
     text_column: str
     label_column: str
     label_mapping: dict | None = None
+    label_mapping_file: str | None = None
 
     def __post_init__(self):
         validate_mapping(self.label_mapping or {})
+        if self.label_mapping_file is not None and self.label_mapping is None:
+            raise ValueError("label_mapping_file names the file of a label_mapping, "
+                             "and there is none")
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,8 @@ def load_dataset(spec: DatasetSpec) -> list[LabeledExample]:
     Ids are assigned deterministically from row order as "<name>:<row>".
     Rows whose text is empty after trimming are skipped; the skip count is
     logged. With a label mapping in spec, a kept row's raw label that it
-    does not map is an error that names the file and the line.
+    does not map is an error that names the file and the line, and the
+    file of the mapping if the spec records it.
     """
     path = Path(spec.path)
     examples = []
@@ -126,8 +132,10 @@ def load_dataset(spec: DatasetSpec) -> list[LabeledExample]:
             continue
         raw_label = raw_label.strip()
         if spec.label_mapping is not None and raw_label not in spec.label_mapping:
+            source = spec.label_mapping_file
             raise ValueError(f"dataset {path}:{_row_line(path, row_number)}: "
-                             f"unmapped raw label {raw_label!r}")
+                             f"unmapped raw label {raw_label!r}"
+                             + (f", not in the label mapping of {source}" if source else ""))
         examples.append(LabeledExample(id=f"{spec.name}:{row_number}", text=text,
                                        raw_label=raw_label))
     if skipped:

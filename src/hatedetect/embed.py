@@ -6,8 +6,10 @@ vectors, contrasting the observed center against noise words drawn from a
 unigram^0.75 distribution. It works one sentence at a time: the radii and
 noise words of all its positions are drawn at once, every position reads
 the tables as of the sentence's start, and each table's distinct rows are
-updated once, by a matrix product. Training is single-threaded and fully
-deterministic for a given seed.
+updated once, by a matrix product. What a sentence reads and writes
+depends only on its draws, so it is planned for a chunk of sentences at a
+time, and the per-sentence step only reads and updates the tables.
+Training is single-threaded and fully deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +31,11 @@ log = logging.getLogger(__name__)
 # Longer lines train as pieces of this many tokens, as word2vec.c cuts them
 # at 1000: a sentence's update matrices grow with its length squared.
 MAX_SENTENCE = 256
+
+# train_cbow plans the structures of its kept sentences once they hold at
+# least this many positions. The plan's memory grows with it; from about
+# 128 positions on, its speed hardly does (TestCbowMemory).
+PLAN_POSITIONS = 256
 
 # load_text reads a vector file's rows this many characters at a time.
 LOAD_CHUNK = 1 << 20
@@ -153,12 +161,19 @@ class EmbeddingMatrix:
     def save_text(self, path) -> None:
         """Write the standard text format: "V dim" header, then one token
         per line followed by its components. The file is replaced in one
-        rename, so a crash never leaves a part."""
+        rename, so a crash never leaves a part. A token that contains a
+        space, "\\r" or "\\n" is refused before anything is written, since
+        load_text would split it."""
+        tokens = self.vocab.tokens
+        joined = "".join(tokens)
+        if any(c in joined for c in " \r\n"):
+            i = next(i for i, token in enumerate(tokens) if any(c in token for c in " \r\n"))
+            raise ValueError(f"vocabulary token {i} contains a space or a line break: {tokens[i]!r}")
         with atomic_write(path, "w", encoding="utf-8") as handle:
             v, dim = self.vectors.shape
             handle.write(f"{v} {dim}\n")
             values = " %.8f" * dim + "\n"
-            for token, row in zip(self.vocab.tokens, self.vectors):
+            for token, row in zip(tokens, self.vectors):
                 handle.write(token + values % tuple(row.tolist()))
 
     @classmethod
@@ -285,46 +300,94 @@ def nearest(word, k: int, matrix: EmbeddingMatrix) -> list:
     return candidates[:k]
 
 
-def _sentence_grads(input_vectors, output_vectors, sentence, radii, negatives):
-    """Loss and analytic gradients of the negative-sampling loss summed over
-    the positions of one sentence of at least two tokens, at fixed tables
-    (oracle: tests/oracles.py sentence_loss).
+class _Planned(NamedTuple):
+    """One sentence's index structures, which depend on its draws only."""
 
-    Position i predicts sentence[i] from the mean of the input rows of the
-    other positions within radii[i] of it, against the noise words
-    negatives[i]. Returns (loss, input_rows, d_input, output_rows,
-    d_output): the distinct rows of each table the loss reads, and their
-    gradients with the contributions of repeated rows summed.
+    input_rows: np.ndarray  # (U,) its distinct tokens, ascending
+    input_coef: np.ndarray  # (U, n): what position i reads of input row u
+    targets: np.ndarray  # (n, 1 + negative): each position's center, then its noise words
+    output_rows: np.ndarray  # (W,) its distinct targets, ascending
+    output_bins: np.ndarray  # (n * (1 + negative),) each score's bin in a (W, n) matrix
+
+
+def _plan(sentences, radii, negatives, window):
+    """The _Planned of each of a chunk of sentences of at least two tokens,
+    each with its radii and noise words, built by a few numpy calls over
+    the whole chunk: what np.unique and np.bincount per sentence would give.
+
+    Position i of a sentence reads the other positions within radii[i] of
+    it, each with weight 1 / their count. Every window spans the full
+    `window`; an offset beyond a position's radius weighs 0, and adding
+    +0.0 leaves a sum as it was. One bincount builds every sentence's
+    input coefficients, in which each bin adds its weights in offset
+    order, as a bincount per sentence does.
     """
-    n = len(sentence)
-    window = int(radii.max())
+    lengths = np.array([len(sentence) for sentence in sentences])
+    tokens = np.concatenate(sentences)
+    targets = np.concatenate((tokens[:, None], np.concatenate(negatives)), axis=1)
+    owner = np.repeat(np.arange(len(sentences)), lengths)
+    starts = np.cumsum(lengths) - lengths
+    n = lengths[owner][:, None]  # the length of each position's sentence
+    position = np.arange(len(tokens)) - starts[owner]
+    v = int(targets.max()) + 1
+    output_rows, output_bounds, inverse = _distinct_rows(owner, targets, v)
+    output_bins = inverse * n + position[:, None]
+
     offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
-    neighbours = np.arange(n)[:, None] + offsets
-    mask = (np.abs(offsets) <= radii[:, None]) & (neighbours >= 0) & (neighbours < n)
-    input_rows, inverse = np.unique(sentence, return_inverse=True)
-    # Clipped neighbours weigh 0, so any row will do for them.
-    context = inverse.reshape(n)[neighbours.clip(0, n - 1)]
-    input_coef = _coefficients(context, mask / mask.sum(axis=1, keepdims=True), len(input_rows))
+    neighbours = position[:, None] + offsets
+    mask = (np.abs(offsets) <= np.concatenate(radii)[:, None]) & (neighbours >= 0) & (neighbours < n)
+    weights = mask / mask.sum(axis=1, keepdims=True)
+    input_rows, input_bounds, inverse = _distinct_rows(owner, tokens[:, None], v)
+    # Clipped neighbours weigh 0, so any row of the sentence will do for them.
+    context = inverse[starts[owner][:, None] + neighbours.clip(0, n - 1), 0]
+    sizes = np.diff(input_bounds) * lengths
+    coef_starts = np.cumsum(sizes) - sizes
+    bins = (coef_starts[owner] + position)[:, None] + context * n
+    input_coefs = np.bincount(bins.ravel(), weights.ravel(), int(sizes.sum()))
+
+    return [
+        _Planned(input_rows[a:b], input_coefs[c : c + size].reshape(b - a, m), targets[s : s + m],
+                 output_rows[p:q], output_bins[s : s + m].ravel())
+        for s, m, a, b, c, size, p, q in zip(
+            starts.tolist(), lengths.tolist(), input_bounds.tolist(), input_bounds[1:].tolist(),
+            coef_starts.tolist(), sizes.tolist(), output_bounds.tolist(), output_bounds[1:].tolist())
+    ]
+
+
+def _distinct_rows(owner, ids, v):
+    """Per sentence, np.unique(return_inverse=True) of the ids of its
+    positions, in one call: the distinct ids of every sentence in turn,
+    the bounds of each sentence's share of them, and each id's index
+    within its sentence's share. owner[i] is the sentence of ids[i], and
+    every id is below v."""
+    keys, inverse = np.unique(owner[:, None] * v + ids, return_inverse=True)
+    bounds = np.searchsorted(keys, np.arange(owner[-1] + 2) * v)
+    return keys % v, bounds, inverse.reshape(ids.shape) - bounds[owner][:, None]
+
+
+def _sentence_grads(input_vectors, output_vectors, planned):
+    """Loss and analytic gradients of the negative-sampling loss summed over
+    the positions of one planned sentence, at fixed tables (oracle:
+    tests/oracles.py sentence_loss).
+
+    Position i predicts its center from the mean of the input rows of its
+    context, against its noise words. Returns (loss, input_rows, d_input,
+    output_rows, d_output): the distinct rows of each table the loss reads,
+    and their gradients with the contributions of repeated rows summed.
+    """
+    input_rows, input_coef, targets, output_rows, output_bins = planned
+    n = len(targets)
     h = input_coef.T @ input_vectors[input_rows]
-    targets = np.concatenate((sentence[:, None], negatives), axis=1)
-    output_rows, inverse = np.unique(targets, return_inverse=True)
     target_vectors = output_vectors[targets]
     scores = np.einsum("nkd,nd->nk", target_vectors, h)
     loss = float(np.logaddexp(0.0, -scores[:, 0]).sum() + np.logaddexp(0.0, scores[:, 1:]).sum())
     grad_scores = sigmoid(scores)
     grad_scores[:, 0] -= 1.0
-    output_coef = _coefficients(inverse, grad_scores, len(output_rows))
+    # [w, i] sums the gradients of position i's scores of output row w, so
+    # one product applies each row's summed update.
+    output_coef = np.bincount(output_bins, grad_scores.ravel(), len(output_rows) * n).reshape(-1, n)
     dh = np.einsum("nk,nkd->nd", grad_scores, target_vectors)
     return loss, input_rows, input_coef @ dh, output_rows, output_coef @ h
-
-
-def _coefficients(inverse, weights, n_rows):
-    """(n_rows, n) matrix whose [u, i] entry sums weights[i, j] over the j
-    with inverse[i, j] == u: what position i reads of distinct row u, so
-    that one product applies each row's summed update."""
-    n = len(weights)
-    flat = inverse.reshape(weights.shape) * n + np.arange(n)[:, None]
-    return np.bincount(flat.ravel(), weights.ravel(), n_rows * n).reshape(n_rows, n)
 
 
 def _draw_negatives(rng, cumulative, centers, count):
@@ -345,8 +408,13 @@ def train_cbow(corpus, config: CbowConfig):
     Updates are per sentence (after subsampling): one draw gives all its
     radii, one all its noise words, and the gradients of all its positions,
     taken at the tables as they were at the sentence's start, are applied
-    together. Returns (EmbeddingMatrix, per-epoch mean objective). Only the
-    input vectors are kept; the output table is discarded.
+    together. The draws are taken sentence by sentence, in corpus order.
+    Once the kept sentences hold PLAN_POSITIONS positions, _plan builds
+    their index structures at once, and the sentences then update the
+    tables in turn; the result is bit for bit that of planning each
+    sentence alone, and the chunk bounds the memory the plan holds.
+    Returns (EmbeddingMatrix, per-epoch mean objective). Only the input
+    vectors are kept; the output table is discarded.
     """
     sentences = [list(s) for s in corpus]
     vocab = build_vocab(sentences, config.min_count)
@@ -356,6 +424,7 @@ def train_cbow(corpus, config: CbowConfig):
         ids = [vocab.index[t] for t in sentence if t in vocab]
         encoded.extend(np.asarray(ids[i : i + MAX_SENTENCE], dtype=np.int64)
                        for i in range(0, len(ids), MAX_SENTENCE))
+    del sentences  # encoded holds what training reads
     if not any(len(ids) >= 2 for ids in encoded):
         raise ValueError("no trainable (center, context) pair in the corpus")
     if v < 4:
@@ -382,22 +451,30 @@ def train_cbow(corpus, config: CbowConfig):
     for _epoch in range(config.epochs):
         loss_sum = 0.0
         n_updates = 0
-        for sentence in encoded:
+        drawn = []  # (lr, sentence, radii, negatives) of kept sentences not yet trained on
+        n_drawn = 0
+        for i, sentence in enumerate(encoded):
             lr = max(config.min_lr, config.initial_lr * (1.0 - processed / total_words))
             processed += len(sentence)
             if config.subsample > 0:
                 sentence = sentence[rng.random(len(sentence)) < keep_prob[sentence]]
-            if len(sentence) < 2:
+            if len(sentence) >= 2:
+                radii = rng.integers(1, config.window + 1, size=len(sentence))
+                negatives = _draw_negatives(rng, cumulative, sentence, config.negative)
+                drawn.append((lr, sentence, radii, negatives))
+                n_drawn += len(sentence)
+            if not drawn or (n_drawn < PLAN_POSITIONS and i < len(encoded) - 1):
                 continue
-            radii = rng.integers(1, config.window + 1, size=len(sentence))
-            negatives = _draw_negatives(rng, cumulative, sentence, config.negative)
-            loss, input_rows, d_input, output_rows, d_output = _sentence_grads(
-                input_vectors, output_vectors, sentence, radii, negatives
-            )
-            loss_sum += loss
-            n_updates += len(sentence)
-            input_vectors[input_rows] -= lr * d_input
-            output_vectors[output_rows] -= lr * d_output
+            lrs, kept, radii, negatives = zip(*drawn)
+            for lr, planned in zip(lrs, _plan(kept, radii, negatives, config.window)):
+                loss, input_rows, d_input, output_rows, d_output = _sentence_grads(
+                    input_vectors, output_vectors, planned
+                )
+                loss_sum += loss
+                input_vectors[input_rows] -= lr * d_input
+                output_vectors[output_rows] -= lr * d_output
+            n_updates += n_drawn
+            drawn, n_drawn = [], 0
         history.append(loss_sum / max(1, n_updates))
         log.info("cbow epoch %d mean objective %.6f", _epoch, history[-1])
     return EmbeddingMatrix(input_vectors, vocab), history

@@ -222,6 +222,22 @@ class TestPrepare:
         assert (f"error: run config {path}: label mapping file {tmp_path / 'mapping.json'}: "
                 "label mapping sends 'clean' to 'spam'") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("in_file", [True, False])
+    def test_label_the_mapping_lacks_names_both_files(self, tmp_path, capsys, in_file):
+        write_dataset(tmp_path / "toy.csv")
+        (tmp_path / "mapping.json").write_text(f'{{"flagged": "{HATE}"}}')
+        entry = {"name": "toy", "path": "toy.csv", "text_column": "tweet", "label_column": "klass"}
+        if in_file:
+            entry["label_mapping_file"] = "mapping.json"
+        else:
+            entry["label_mapping"] = {"flagged": HATE}
+        path = write_config(tmp_path, datasets=[entry])
+        source = tmp_path / "mapping.json" if in_file else path
+        assert run_cli("prepare", "--config", str(path), "--dry-run") == 3
+        assert re.search(re.escape(f"dataset {tmp_path / 'toy.csv'}:") + r"\d+: unmapped raw label "
+                         + re.escape(f"'clean', not in the label mapping of {source}"),
+                         capsys.readouterr().err)
+
     def test_missing_seed_rejected(self, tmp_path):
         write_dataset(tmp_path / "toy.csv")
         path = tmp_path / "config.json"

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -53,6 +54,14 @@ class TestLoadDataset:
                            label_mapping={"a": HATE})
         with pytest.raises(ValueError, match=re.escape(f"dataset {path}:6: unmapped raw label 'b'")):
             load_dataset(spec)
+        spec = replace(spec, label_mapping_file="m.json")
+        with pytest.raises(ValueError, match=re.escape(
+                f"dataset {path}:6: unmapped raw label 'b', not in the label mapping of m.json")):
+            load_dataset(spec)
+
+    def test_mapping_file_without_a_mapping_refused(self):
+        with pytest.raises(ValueError, match="label_mapping_file names the file of a label_mapping"):
+            DatasetSpec("toy", "d.csv", "text", "label", label_mapping_file="m.json")
 
     def test_empty_text_rows_skipped_and_logged(self, tmp_path, caplog):
         path = tmp_path / "d.csv"

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hatedetect.embed import (
     LOAD_CHUNK,
     MAX_SENTENCE,
     _draw_negatives,
+    _plan,
     _sentence_grads,
     build_vocab,
     nearest,
@@ -204,6 +206,14 @@ class TestTextFormat:
         with pytest.raises(ValueError, match="fields"):
             EmbeddingMatrix.load_text(path)
 
+    @pytest.mark.parametrize("token", ["new york", "a\rb", "a\nb"])
+    def test_token_the_format_would_split_is_refused_before_writing(self, tmp_path, token):
+        matrix = make_random_matrix(["ok", token], dim=3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"vocabulary token 3 contains a space or a line break: {token!r}")):
+            matrix.save_text(tmp_path / "v.txt")
+        assert list(tmp_path.iterdir()) == []  # no file, no temporary
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("hello\nx 1.0\n")
@@ -390,41 +400,45 @@ class TestLoadMemory:
         assert peak < 1 << 20
 
 
-def assert_sentence_grads_match(sentence, radii, negatives, v=9, dim=5, seed=0):
-    """_sentence_grads against central finite differences of sentence_loss,
-    within 1e-4 relative error, on random tables."""
+def assert_sentence_grads_match(sentences, radii, negatives, window=5, v=9, dim=5, seed=0):
+    """_sentence_grads of each sentence of one chunk planned by _plan,
+    against central finite differences of its sentence_loss, within 1e-4
+    relative error, on random tables."""
     rng = np.random.default_rng(seed)
-    sentence, radii, negatives = np.array(sentence), np.array(radii), np.array(negatives)
+    sentences, radii, negatives = ([np.array(x) for x in xs] for xs in (sentences, radii, negatives))
     tables = {
         "input": rng.normal(0.0, 0.5, (v, dim)),
         "output": rng.normal(0.0, 0.5, (v, dim)),
     }
+    plan = _plan(sentences, radii, negatives, window)
+    assert len(plan) == len(sentences)
+    for sentence, sentence_radii, sentence_negatives, planned in zip(sentences, radii, negatives, plan):
 
-    def loss(t):
-        return sentence_loss(t["input"], t["output"], sentence, radii, negatives)
+        def loss(t):
+            return sentence_loss(t["input"], t["output"], sentence, sentence_radii, sentence_negatives)
 
-    numeric = finite_diff_grad(loss, tables, step=1e-5)
-    loss_value, input_rows, d_input, output_rows, d_output = _sentence_grads(
-        tables["input"], tables["output"], sentence, radii, negatives
-    )
-    assert loss_value == pytest.approx(loss(tables), abs=1e-12)
-    for rows in (input_rows, output_rows):
-        assert len(np.unique(rows)) == len(rows)  # each row is written once
-    analytic = {"input": np.zeros((v, dim)), "output": np.zeros((v, dim))}
-    analytic["input"][input_rows] = d_input
-    analytic["output"][output_rows] = d_output
-    for name in ("input", "output"):
-        denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(numeric[name])), 1e-6)
-        assert np.max(np.abs(analytic[name] - numeric[name]) / denom) < 1e-4
+        numeric = finite_diff_grad(loss, tables, step=1e-5)
+        loss_value, input_rows, d_input, output_rows, d_output = _sentence_grads(
+            tables["input"], tables["output"], planned
+        )
+        assert loss_value == pytest.approx(loss(tables), abs=1e-12)
+        for rows in (input_rows, output_rows):
+            assert len(np.unique(rows)) == len(rows)  # each row is written once
+        analytic = {"input": np.zeros((v, dim)), "output": np.zeros((v, dim))}
+        analytic["input"][input_rows] = d_input
+        analytic["output"][output_rows] = d_output
+        for name in ("input", "output"):
+            denom = np.maximum(np.maximum(np.abs(analytic[name]), np.abs(numeric[name])), 1e-6)
+            assert np.max(np.abs(analytic[name] - numeric[name]) / denom) < 1e-4
 
 
 class TestSentenceObjective:
     def test_gradient_matches_finite_differences(self):
         for trial in range(5):
             assert_sentence_grads_match(
-                sentence=[2, 3, 5, 4, 6],
-                radii=[1, 3, 2, 1, 5],
-                negatives=[[6, 7, 8], [7, 8, 2], [8, 6, 7], [2, 3, 7], [8, 5, 4]],
+                sentences=[[2, 3, 5, 4, 6]],
+                radii=[[1, 3, 2, 1, 5]],
+                negatives=[[[6, 7, 8], [7, 8, 2], [8, 6, 7], [2, 3, 7], [8, 5, 4]]],
                 seed=trial,
             )
 
@@ -438,7 +452,54 @@ class TestSentenceObjective:
     ], ids=["token_twice", "negative_in_context", "negative_twice"])
     def test_repeated_rows_accumulate(self, sentence, radii, negatives):
         # a row read at several places must collect every contribution
-        assert_sentence_grads_match(sentence, radii, negatives, seed=1)
+        assert_sentence_grads_match([sentence], [radii], [negatives], seed=1)
+
+    def test_sentences_planned_in_one_chunk(self):
+        # Each sentence's rows, windows and coefficients stop at its own
+        # ends: one of two tokens, one that repeats a token, and noise
+        # words that the sentences share and that are tokens of another.
+        assert_sentence_grads_match(
+            sentences=[[2, 3], [4, 5, 4, 6, 2], [7, 3, 8]],
+            radii=[[5, 1], [2, 5, 1, 3, 2], [1, 2, 4]],
+            negatives=[[[4, 7], [8, 4]], [[3, 7], [8, 3], [7, 7], [3, 8], [7, 4]],
+                       [[2, 4], [4, 8], [2, 5]]],
+            seed=2,
+        )
+
+
+def plan_one_sentence(sentence, radii, negatives):
+    """A _Planned built for one sentence alone, by np.unique and np.bincount
+    over windows as wide as its largest radius."""
+    n = len(sentence)
+    window = int(radii.max())
+    offsets = np.concatenate((np.arange(-window, 0), np.arange(1, window + 1)))
+    neighbours = np.arange(n)[:, None] + offsets
+    mask = (np.abs(offsets) <= radii[:, None]) & (neighbours >= 0) & (neighbours < n)
+    input_rows, inverse = np.unique(sentence, return_inverse=True)
+    context = inverse.reshape(n)[neighbours.clip(0, n - 1)]
+    bins = context * n + np.arange(n)[:, None]
+    weights = mask / mask.sum(axis=1, keepdims=True)
+    input_coef = np.bincount(bins.ravel(), weights.ravel(), len(input_rows) * n)
+    targets = np.concatenate((sentence[:, None], negatives), axis=1)
+    output_rows, inverse = np.unique(targets, return_inverse=True)
+    output_bins = inverse.reshape(targets.shape) * n + np.arange(n)[:, None]
+    return (input_rows, input_coef.reshape(-1, n), targets, output_rows, output_bins.ravel())
+
+
+class TestPlan:
+    @pytest.mark.parametrize("window", [3, 5])
+    def test_each_sentence_bit_equal_to_planning_it_alone(self, window):
+        rng = np.random.default_rng(8)
+        lengths = [2, 7, 3, 12, 2, 9]
+        sentences = [rng.integers(2, 9, n) for n in lengths]  # tokens repeat
+        radii = [rng.integers(1, window + 1, n) for n in lengths]
+        negatives = [rng.integers(2, 11, (n, 4)) for n in lengths]
+        plan = _plan(sentences, radii, negatives, window)
+        for planned, draws in zip(plan, zip(sentences, radii, negatives), strict=True):
+            for got, want in zip(planned, plan_one_sentence(*draws), strict=True):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.c_contiguous
 
 
 class TestDrawNegatives:
@@ -506,6 +567,21 @@ class TestTrainCbow:
         assert whole.vectors.tobytes() == cut.vectors.tobytes()
         assert whole_history == cut_history
 
+    @pytest.mark.parametrize("subsample", [0.0, 1e-2])
+    def test_bits_independent_of_the_plan_chunk(self, monkeypatch, subsample):
+        """Plans of one sentence (2 positions), of the default chunk and of
+        a whole epoch give the same bits; so does a line longer than
+        MAX_SENTENCE, which trains as pieces."""
+        corpus = tiny_corpus(sentences=150, sentence_length=9)
+        corpus.insert(70, tiny_corpus(seed=1, sentences=1, sentence_length=MAX_SENTENCE + 40)[0])
+        config = replace(self.CONFIG, subsample=subsample)
+        runs = []
+        for chunk in (2, embed.PLAN_POSITIONS, 10**9):
+            monkeypatch.setattr(embed, "PLAN_POSITIONS", chunk)
+            matrix, history = train_cbow(corpus, config)
+            runs.append((matrix.vectors.tobytes(), history))
+        assert runs[0] == runs[1] == runs[2]
+
     def test_bits_independent_of_blas_threads(self):
         """The per-sentence updates are matrix products, here a few hundred
         rows each, a size OpenBLAS splits across threads; their bits must
@@ -530,6 +606,33 @@ class TestTrainCbow:
             assert done.returncode == 0, done.stderr
             digests.add(done.stdout.strip())
         assert len(digests) == 1
+
+
+def zipf_corpus(seed=0, lines=1200, types=20_000):
+    """Lines of 6..18 tokens drawn with weights 1/rank from `types` types,
+    as the benchmark draws its CBOW corpus."""
+    rng = np.random.default_rng(seed)
+    cumulative = np.cumsum(1.0 / np.arange(1, types + 1))
+    cumulative /= cumulative[-1]
+    return [[f"w{rank}" for rank in np.searchsorted(cumulative, rng.random(int(rng.integers(6, 19))),
+                                                  side="right")]
+            for _ in range(lines)]
+
+
+class TestCbowMemory:
+    def test_peak_on_a_benchmark_shaped_corpus_is_bounded(self):
+        """1,200 lines of about 12 Zipf tokens, min_count 5, d=300, 2
+        epochs. When each sentence was planned alone, 18 runs over 6 such
+        corpora peaked at 2.52-2.64 MB; the bound is 1.05 times the
+        largest, so planning in chunks may not cost memory. With plans of
+        256 positions (and the corpus's token lists freed once encoded)
+        the peak is 2.45-2.57 MB; a plan of a whole epoch peaks at
+        6.96-7.18 MB."""
+        corpus = zipf_corpus()
+        config = CbowConfig(window=5, dim=300, negative=5, epochs=2, min_count=5, seed=0)
+        (matrix, history), peak = traced_peak(lambda: train_cbow(corpus, config))
+        assert len(history) == 2 and matrix.dim == 300
+        assert peak < 2.77e6
 
 
 class TestCbowConfig:

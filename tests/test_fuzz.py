@@ -11,7 +11,8 @@ not there, and it must never raise. A refusal of a line-oriented text file
 refusals of a whole file listed in WHOLE_FILE_REFUSALS. A damage can
 also leave a valid file that no longer matches another one (an id in one
 of the score and label files only, a raw label the mapping lost): such a
-refusal, listed in CROSS_FILE_REFUSALS, names a line of one of the two.
+refusal, listed in CROSS_FILE_REFUSALS, names both files and a line of
+one of the two.
 
 The seed is fixed, so a failure names a damage that can be replayed.
 """
@@ -172,11 +173,11 @@ def fault(path, argv, text, capsys, others=()):
         return None
     if code != 3:
         return f"exit {code}: {err}"
+    if str(path) not in err:
+        return f"file not named: {err}"
     if any(refusal in err for refusal in CROSS_FILE_REFUSALS):
         named = any(names_a_line(err, other) for other in (path, *others))
         return None if named else f"line not named: {err}"
-    if str(path) not in err:
-        return f"file not named: {err}"
     if text and not names_a_line(err, path) and not any(
             refusal in err for refusal in WHOLE_FILE_REFUSALS):
         return f"line not named: {err}"
