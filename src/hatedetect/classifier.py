@@ -57,12 +57,13 @@ LOCAL_HEADER_BYTES = 30
 @dataclass(frozen=True)
 class ModelConfig:
     """Layer sizes and training settings. The input length is
-    pipeline.max_len; the input width is the embedding table's."""
+    pipeline.max_len; the input width is the embedding table's. The
+    BiLSTM's features are its two directions' final states, 2 *
+    hidden_size of them."""
 
     hidden_size: int = 128
     dense1_size: int = 64
     dense1_activation: str = "identity"
-    sequence_repr: str = "final"
     embeddings_trainable: bool = False
     batch_size: int = 256
     epochs: int = 10
@@ -77,17 +78,10 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.dense1_activation not in neural.DENSE_ACTIVATIONS:
             raise ValueError(f"unknown dense1 activation {self.dense1_activation!r}")
-        if self.sequence_repr not in neural.SEQUENCE_REPRS:
-            raise ValueError(f"unknown sequence representation {self.sequence_repr!r}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
-
-    @property
-    def feature_size(self) -> int:
-        width = 2 * self.hidden_size
-        return width * self.pipeline.max_len if self.sequence_repr == "flatten" else width
 
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -99,7 +93,20 @@ class ModelConfig:
         """Inverse of to_dict, checked as a run config's model section is."""
         data = dict(_check(data, "dict", "model_config"))
         pipeline = _section(data.pop("pipeline", {}), "model_config.pipeline", PipelineConfig)
-        return _section(data, "model_config", cls, pipeline=pipeline)
+        return cls.from_section(data, "model_config", pipeline=pipeline)
+
+    @classmethod
+    def from_section(cls, section, name: str, **kwargs) -> "ModelConfig":
+        """JSON object `name` as a ModelConfig over kwargs, checked by
+        _section. The key sequence_repr, which every format 1.1 manifest
+        holds, is dropped when it is "final", the only representation;
+        any other value is refused."""
+        section = dict(_check(section, "dict", name))
+        representation = section.pop("sequence_repr", "final")
+        if representation != "final":
+            raise ValueError(f"config key {name}.sequence_repr must be \"final\", the only "
+                             f"sequence representation, got {representation!r}")
+        return _section(section, name, cls, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -132,13 +139,13 @@ def _layout(config: ModelConfig, vocab_size: int, d: int) -> dict:
     for the embedding table, which is copied in. init_params draws the
     uniform tensors in this order.
     """
-    h, dense1, features = config.hidden_size, config.dense1_size, config.feature_size
+    h, dense1 = config.hidden_size, config.dense1_size
     layout = {"embedding": ((vocab_size, d), None)}
     for direction in ("fwd", "bwd"):
         layout[f"{direction}_w_in"] = ((4 * h, d), 1.0 / math.sqrt(h))
         layout[f"{direction}_w_rec"] = ((4 * h, h), 1.0 / math.sqrt(h))
         layout[f"{direction}_bias"] = ((4 * h,), 0)
-    layout["dense1_weights"] = ((dense1, features), 1.0 / math.sqrt(features))
+    layout["dense1_weights"] = ((dense1, 2 * h), 1.0 / math.sqrt(2 * h))
     layout["dense1_bias"] = ((dense1,), 0)
     layout["dense2_weights"] = ((1, dense1), 1.0 / math.sqrt(dense1))
     layout["dense2_bias"] = ((1,), 0)
@@ -165,7 +172,8 @@ def _forward_parts(params: dict, token_ids: np.ndarray, config: ModelConfig, kee
     """Probabilities plus, with keep_cache, what loss_and_grads needs.
 
     The batch is trimmed to its longest row, and each row's features are
-    read at its own last token, so padding never changes a probability.
+    the BiLSTM's final states at its own last token, so padding never
+    changes a probability.
     The BiLSTM reads the embedding rows of token_ids straight from the
     table.
     """
@@ -174,11 +182,8 @@ def _forward_parts(params: dict, token_ids: np.ndarray, config: ModelConfig, kee
     fwd = LstmCellParams(params["fwd_w_in"], params["fwd_w_rec"], params["fwd_bias"])
     bwd = LstmCellParams(params["bwd_w_in"], params["bwd_w_rec"], params["bwd_bias"])
     features, caches = neural.bilstm_batch_forward(
-        neural.TableRows(params["embedding"], token_ids), fwd, bwd, config.sequence_repr, lengths,
-        keep_cache,
+        neural.TableRows(params["embedding"], token_ids), fwd, bwd, lengths, keep_cache
     )
-    if features.shape[1] < config.feature_size:  # flatten: positions past the trim are zero
-        features = np.pad(features, ((0, 0), (0, config.feature_size - features.shape[1])))
     dense1 = DenseParams(params["dense1_weights"], params["dense1_bias"], config.dense1_activation)
     hidden, dense1_cache = neural.dense_forward(features, dense1)
     logits = hidden @ params["dense2_weights"].T + params["dense2_bias"]
@@ -216,10 +221,8 @@ def loss_and_grads(params: dict, token_ids: np.ndarray, labels, config: ModelCon
     d_features, d_w1, d_b1 = neural.dense_backward(d_hidden, dense1_cache, dense1)
     grads["dense1_weights"] = d_w1
     grads["dense1_bias"] = d_b1
-    if config.sequence_repr == "flatten":
-        d_features = d_features[:, : 2 * config.hidden_size * token_ids.shape[1]]
     d_inputs, grads_fwd, grads_bwd = neural.bilstm_batch_backward(
-        d_features, caches, fwd, bwd, config.sequence_repr, config.embeddings_trainable
+        d_features, caches, fwd, bwd, config.embeddings_trainable
     )
     grads.update(
         (f"{direction}_{name}", grad)

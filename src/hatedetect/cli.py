@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import logging
 import os
 import sys
@@ -109,7 +110,7 @@ class RunConfig:
             split=_section(data["split"], "split", SplitConfig),
             combine=_section(data["combine"], "combine", CombineConfig),
             cbow=_section(data["cbow"], "cbow", CbowConfig, seed=seed),
-            model=_section(data["model"], "model", ModelConfig, seed=seed, pipeline=pipeline),
+            model=ModelConfig.from_section(data["model"], "model", seed=seed, pipeline=pipeline),
             overrides=overrides,
         )
 
@@ -165,6 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("sweep-activation",
                           help="train once per dense1 activation and compare"))
     return parser
+
+
+# main's parser, built on first use and shared by every later call: the
+# verb's handler is looked up by name, so a call leaves nothing in it.
+_shared_parser = functools.cache(build_parser)
 
 
 def _load_config(args) -> RunConfig:
@@ -420,7 +426,7 @@ def main(argv=None) -> int:
     """Parse argv and run its verb, mapping error families to exit codes.
     Log records at INFO and above go to stderr."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

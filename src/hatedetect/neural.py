@@ -25,7 +25,6 @@ import numpy as np
 PROB_EPS = 1e-7  # probability clamp used by the loss and by predictions
 
 DENSE_ACTIVATIONS = ("identity", "sigmoid", "relu")
-SEQUENCE_REPRS = ("final", "flatten")  # what bilstm_batch_forward returns per row
 
 
 class NumericError(RuntimeError):
@@ -199,37 +198,32 @@ def _schedule(lengths, reverse):
     return order[j], cols, np.count_nonzero(running, axis=1)
 
 
-def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, reverse=False,
-                 final=False):
-    """Scan a batch of right-padded sequences; returns (states, cache for
-    backward).
+def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, reverse=False):
+    """Scan a batch of right-padded sequences; returns (final states,
+    cache for backward).
 
     inputs is a TableRows or a dense (B, L, d) array, read as rows of
     itself. Row b holds lengths[b] real positions (all L when lengths is
     None); with reverse it is read from its last real position back to
     its first. Each step is c' = f*c + i*g, h' = o*tanh(c') from a zero
     state, and runs only the rows that have not ended, so padding costs
-    no work. The states are (B, L, h): the state after reading position t
-    is written at position t, and is zero past each row's length. With
-    final they are (B, h): each row's state after its last step, zero for
-    a row of length 0, and no (B, L, h) array is made.
+    no work. The states are (B, h): each row's state after its last step,
+    zero for a row of length 0. Each step writes out only the rows whose
+    last step it is: the tail of the running prefix.
 
     The scan runs in blocks of steps. Each block projects the distinct
     table rows of its real positions once, in one GEMM, and each step
     gathers its own rows' pre-activations from that projection; only the
     recurrent product stays in the step loop. With keep_cache the block
-    is the whole schedule; the gates, cells and states of every position,
-    and its input row, are kept for lstm_backward, and the states are
-    scattered into the padded output once, after the loop. With
+    is the whole schedule, and the gates, cells and states of every
+    position, and its input row, are kept for lstm_backward. With
     keep_cache=False (inference) a block is BLOCK_STEPS steps, each step
-    gathers into one buffer and writes its state rows out before the next
-    step overwrites them, and the cache is None. With final, in either
-    mode, each step writes out only the rows whose last step it is: the
-    tail of the running prefix. A BLAS may round a GEMM of a few rows
-    differently from a large one, so a last block shorter than
-    BLOCK_STEPS joins the one before it, and a block projects at least
-    PROJECTION_MIN_ROWS rows; so both modes, and a dense batch and the
-    same rows of a table, give the same bits.
+    gathers into one buffer that the next step overwrites, and the cache
+    is None. A BLAS may round a GEMM of a few rows differently from a
+    large one, so a last block shorter than BLOCK_STEPS joins the one
+    before it, and a block projects at least PROJECTION_MIN_ROWS rows; so
+    both modes, and a dense batch and the same rows of a table, give the
+    same bits.
     """
     inputs = TableRows.of(inputs)
     batch, length, d = inputs.shape
@@ -257,7 +251,7 @@ def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, 
     gates = np.empty((len(hs), 4 * h), dtype=dtype)
     cells = np.empty_like(hs)
     tanh_cells = np.empty_like(hs)
-    states = np.zeros((batch, h) if final else (batch, length, h), dtype=dtype)
+    states = np.zeros((batch, h), dtype=dtype)
     running_on = steps[1:] + [0]  # rows past running_on[t] end at step t
     for t0, t1 in blocks:
         begin, end = starts[t0], starts[t1]
@@ -286,24 +280,18 @@ def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, 
             c += z[:, :h] * z[:, 2 * h : 3 * h]
             tanh_c = np.tanh(c, out=tanh_cells[now : now + n])
             h_now = np.multiply(z[:, 3 * h :], tanh_c, out=hs[now : now + n])
-            if final:
-                if running_on[t] < n:
-                    states[rows[start + running_on[t] : start + n]] = h_now[running_on[t] :]
-            elif not keep_cache:  # the next step overwrites these rows
-                states[rows[start : start + n], cols[start : start + n]] = h_now
+            if running_on[t] < n:
+                states[rows[start + running_on[t] : start + n]] = h_now[running_on[t] :]
     if not keep_cache:
         return states, None
     del projected  # before the (P, d) gather
-    if not final:
-        states[rows, cols] = hs
     packed = inputs.table[packed_ids]
     return states, LstmCache(inputs, packed, gates, cells, tanh_cells, hs, rows, cols, counts)
 
 
 def lstm_backward(d_states, cache: LstmCache, params: LstmCellParams, input_grad=True):
-    """Exact BPTT given dLoss/dh as lstm_forward returned the states: for
-    every timestep, (B, L, h), where entries past a row's length are
-    ignored, or for each row's final state, (B, h).
+    """Exact BPTT given dLoss/dh for each row's final state, (B, h), as
+    lstm_forward returned the states.
 
     The loop carries only the recurrence, over the same packed schedule
     as the forward scan: going back in time, the running rows grow. The
@@ -337,19 +325,13 @@ def lstm_backward(d_states, cache: LstmCache, params: LstmCellParams, input_grad
     np.subtract(1.0, dc_dh, out=dc_dh)
     dc_dh *= acts[:, 3]
     # Going back in time, each row joins the running prefix at its last
-    # step with zero carries. Given only final states' gradients, a row's
-    # dh carry starts as its own, and no per-position gradient is added.
-    if d_states.ndim == 2:
-        d_hs = None
-        dh_next = d_states[rows[:first]].astype(dtype, copy=False)
-    else:
-        d_hs = d_states[rows, cols]
-        dh_next = np.zeros((first, h), dtype=dtype)
+    # step, its dh carry its final state's gradient and its dc carry zero.
+    dh_next = d_states[rows[:first]].astype(dtype, copy=False)
     dc_next = np.zeros((first, h), dtype=dtype)
     end = len(rows)
     for n in reversed(counts.tolist()):
         now = slice(end - n, end)
-        dh = dh_next[:n] if d_hs is None else d_hs[now] + dh_next[:n]
+        dh = dh_next[:n]
         dc = dh * dc_dh[now]
         dc += dc_next[:n]
         per_gate[now, :3] *= dc[:, None]
@@ -357,7 +339,7 @@ def lstm_backward(d_states, cache: LstmCache, params: LstmCellParams, input_grad
         np.matmul(coef[now], params.w_rec, out=dh_next[:n])
         np.multiply(dc, acts[now, 1], out=dc_next[:n])
         end -= n
-    del d_hs, dc_dh  # the weight gradients' gather below is the last (P, h) array
+    del dc_dh  # the weight gradients' gather below is the last (P, h) array
     grads = {
         "w_in": coef.T @ packed,
         "w_rec": coef[first:].T @ hs[before],
@@ -478,21 +460,19 @@ def run_both(here, there, parallel: bool):
         del pending  # else there()'s error, through this frame, holds itself
 
 
-def bilstm_batch_forward(inputs, forward_params, backward_params, mode="final",
-                         lengths=None, keep_cache=True):
-    """Run both directions over a batch of right-padded sequences.
+def bilstm_batch_forward(inputs, forward_params, backward_params, lengths=None,
+                         keep_cache=True):
+    """Run both directions over a batch of right-padded sequences; returns
+    (features, caches for backward, or None without keep_cache).
 
     inputs is a TableRows or a dense (B, L, d) array; a dense array is
     viewed as rows of itself once, and both directions read that one
     view, which their caches keep. Row b holds lengths[b] real positions
     (all L when lengths is None), an integer in 0..L. The backward
     direction reads them reversed, so both directions stop at the row's
-    last real position and no state depends on the padding.
-
-    mode="final": both directions' hidden states at each row's last real
-    step, (B, 2h); a row of length 0 gets zeros.
-    mode="flatten": per-position concatenation flattened to (B, 2h*L),
-    zero past each row's length.
+    last real position and no state depends on the padding. The features
+    are both directions' final states side by side, (B, 2h); a row of
+    length 0 gets zeros.
 
     The two directions do not depend on each other. When one direction's
     work (_forward_work) reaches PARALLEL_MIN_WORK, the backward
@@ -502,40 +482,27 @@ def bilstm_batch_forward(inputs, forward_params, backward_params, mode="final",
     overlap on two CPUs. The bits are those of the two calls one after
     the other.
     """
-    if mode not in SEQUENCE_REPRS:
-        raise ValueError(f"unknown sequence representation {mode!r}")
     inputs = TableRows.of(inputs)
     if inputs.shape[1] < 1:
         raise ValueError(f"expected a (B, L, d) batch with L >= 1, got shape {inputs.shape}")
-    batch, length, _ = inputs.shape
-    lengths = _check_lengths(lengths, batch, length)
-    final = mode == "final"
+    lengths = _check_lengths(lengths, *inputs.shape[:2])
     (states_fwd, cache_fwd), (states_bwd, cache_bwd) = run_both(
-        lambda: lstm_forward(inputs, forward_params, keep_cache, lengths, final=final),
-        lambda: lstm_forward(inputs, backward_params, keep_cache, lengths, True, final=final),
+        lambda: lstm_forward(inputs, forward_params, keep_cache, lengths),
+        lambda: lstm_forward(inputs, backward_params, keep_cache, lengths, True),
         _forward_work(inputs, lengths, backward_params) >= PARALLEL_MIN_WORK,
     )
-    if final:
-        features = np.concatenate((states_fwd, states_bwd), axis=1)
-    else:
-        features = np.concatenate((states_fwd, states_bwd), axis=2).reshape(batch, -1)
+    features = np.concatenate((states_fwd, states_bwd), axis=1)
     return features, (cache_fwd, cache_bwd) if keep_cache else None
 
 
-def bilstm_batch_backward(d_features, caches, forward_params, backward_params, mode="final",
-                          input_grad=True):
-    """Gradients of bilstm_batch_forward's features: (d_inputs or None
-    without input_grad, forward grads, backward grads). The backward
-    direction's lstm_backward runs on the worker thread as in
-    bilstm_batch_forward."""
+def bilstm_batch_backward(d_features, caches, forward_params, backward_params, input_grad=True):
+    """Gradients of bilstm_batch_forward's (B, 2h) features: (d_inputs
+    (B, L, d) or None without input_grad, forward grads, backward grads).
+    The backward direction's lstm_backward runs on the worker thread as
+    in bilstm_batch_forward."""
     cache_fwd, cache_bwd = caches
     h_fwd = forward_params.hidden_size
-    if mode == "final":
-        d_states_fwd, d_states_bwd = d_features[:, :h_fwd], d_features[:, h_fwd:]
-    else:
-        batch, length, _ = cache_fwd.inputs.shape
-        d_all = d_features.reshape(batch, length, -1)
-        d_states_fwd, d_states_bwd = d_all[:, :, :h_fwd], d_all[:, :, h_fwd:]
+    d_states_fwd, d_states_bwd = d_features[:, :h_fwd], d_features[:, h_fwd:]
     (d_in_fwd, grads_fwd), (d_in_bwd, grads_bwd) = run_both(
         lambda: lstm_backward(d_states_fwd, cache_fwd, forward_params, input_grad),
         lambda: lstm_backward(d_states_bwd, cache_bwd, backward_params, input_grad),

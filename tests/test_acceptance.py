@@ -30,7 +30,7 @@ from hatedetect.corpus import (
 from hatedetect.embed import CbowConfig, train_cbow
 from hatedetect.explain import explain
 from hatedetect.metrics import PER_CLASS, WEIGHTED, prf, report, roc_auc
-from hatedetect.textprep import PipelineConfig, expand_contractions, preprocess
+from hatedetect.textprep import PipelineConfig, expand_contractions, preprocess, sequence_lengths
 
 from conftest import make_keyword_examples
 from oracles import batch_loss, brute_force_auc, brute_force_prf, cosine, finite_diff_grad
@@ -86,7 +86,6 @@ def test_criterion_2_gradient_verification():
                 hidden_size=h,
                 dense1_size=4,
                 embeddings_trainable=(trial % 2 == 0),
-                sequence_repr="flatten" if trial % 5 == 0 else "final",
                 dense1_activation=("identity", "relu", "sigmoid")[trial % 3],
                 seed=trial,
                 pipeline=PipelineConfig(max_len=length),
@@ -94,7 +93,19 @@ def test_criterion_2_gradient_verification():
             table = rng.normal(0.0, 0.3, (vocab_size, d))
             table[0] = 0.0
             params = classifier_mod.init_params(config, table, dtype=np.float64)
-            token_ids = rng.integers(0, vocab_size, (batch, length))
+            # Every fifth batch is right-padded to mixed lengths, shorter than
+            # max_len and one of them all PAD (id 0), so the oracle checks the
+            # packed scan's length handling and the batch trim.
+            padded = trial % 5 == 0
+            token_ids = rng.integers(int(padded), vocab_size, (batch, length))
+            if padded:
+                lengths = np.array([length - 2, 2, 0])
+                token_ids[np.arange(length) >= lengths[:, None]] = 0
+                assert np.array_equal(sequence_lengths(token_ids), lengths)
+                # The all-PAD row has zero features, so with dense1's zero
+                # initial bias it would sit on ReLU's kink, where finite
+                # differences see half the slope.
+                params["dense1_bias"] += rng.normal(0.0, 0.3, params["dense1_bias"].shape)
             labels = rng.integers(0, 2, batch).astype(np.float64)
             _, analytic = classifier_mod.loss_and_grads(params, token_ids, labels, config)
             numeric = finite_diff_grad(

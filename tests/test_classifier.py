@@ -126,13 +126,6 @@ class TestPredict:
     def test_empty_input(self):
         assert small_model().predict([]).shape == (0,)
 
-    def test_flatten_sequence_representation(self):
-        model = small_model(seed=6, sequence_repr="flatten")
-        assert model.params["dense1_weights"].shape == (4, 2 * 6 * 12)
-        probs = model.predict(["tok1 tok2", "tok3"])
-        assert probs.shape == (2,)
-        assert np.all((probs > 0.0) & (probs < 1.0))
-
 
 class TestClassify:
     def with_fixed_probability(self, p):
@@ -533,6 +526,30 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=message) as caught:
             HateClassifier.load(doctored)
         assert f"corrupt checkpoint file {doctored}" in str(caught.value)
+
+    def test_manifest_holding_the_final_sequence_repr_loads_the_same_model(self, tmp_path,
+                                                                            trained_setup):
+        # Format 1.1 manifests written before sequence_repr was retired
+        # hold "sequence_repr": "final" after dense1_activation.
+        _, _, _, _, best = trained_setup
+        path = tmp_path / "model.ckpt"
+        best.save(path)
+        assert "sequence_repr" not in json.loads(checkpoint_entries(path)["manifest.json"])
+
+        def add_key(manifest):
+            config = manifest["model_config"]
+            at = list(config).index("dense1_activation") + 1
+            items = list(config.items())
+            config.clear()
+            config.update(items[:at] + [("sequence_repr", "final")] + items[at:])
+
+        older = tmp_path / "older.ckpt"
+        edited_manifest(path, older, add_key)
+        texts = ["scum w00 w01", "w02 w03", "", "vermin trash"]
+        loaded, loaded_older = HateClassifier.load(path), HateClassifier.load(older)
+        assert loaded_older.config == loaded.config == best.config
+        assert loaded_older.predict(texts).tobytes() == loaded.predict(texts).tobytes()
+        assert loaded_older.predict(texts).tobytes() == best.predict(texts).tobytes()
 
     def test_manifest_that_is_not_an_object_is_corrupt(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -957,14 +974,17 @@ class TestModelConfig:
             small_config(hidden_size=0)
         with pytest.raises(ValueError):
             small_config(dense1_activation="softmax")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="sequence_repr"):
             small_config(sequence_repr="mean")
+        data = {**small_config().to_dict(), "sequence_repr": "mean"}
+        with pytest.raises(ValueError, match="model_config.sequence_repr must be \"final\""):
+            ModelConfig.from_dict(data)
 
     def test_dict_keys_are_pinned(self, trained_setup):
         # checkpoint manifests and history.json must keep these keys in this order
         assert list(ModelConfig().to_dict()) == [
-            "hidden_size", "dense1_size", "dense1_activation", "sequence_repr",
-            "embeddings_trainable", "batch_size", "epochs", "learning_rate", "threshold", "seed",
+            "hidden_size", "dense1_size", "dense1_activation", "embeddings_trainable",
+            "batch_size", "epochs", "learning_rate", "threshold", "seed",
             "pipeline",
         ]
         assert list(PipelineConfig().to_dict()) == [

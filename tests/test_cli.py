@@ -89,6 +89,16 @@ class TestParse:
         assert run_cli("frobnicate") == 2
         assert "frobnicate" in capsys.readouterr().err
 
+    def test_one_parser_serves_every_call(self, tmp_path):
+        # main builds its parser once per process; a call leaves no value in it.
+        parser = cli._shared_parser()
+        absent = str(tmp_path / "absent.txt")
+        assert run_cli("embed-nearest", "--word", "w", "--k", "3", "--embeddings", absent) == 2
+        assert run_cli("frobnicate") == 2
+        assert cli._shared_parser() is parser
+        args = parser.parse_args(["embed-nearest", "--word", "w", "--embeddings", "e.txt"])
+        assert args.k == 10 and not args.dry_run
+
 
 class TestPrepare:
     def test_writes_manifests_and_stats(self, workspace, capsys):
@@ -156,6 +166,7 @@ class TestPrepare:
         ("model", "max_len", 16),  # the pipeline's max_len is the model's
         ("model", "embedding_dim", 8),  # the vector file's width is the model's
         ("model", "pipeline", {}),
+        ("model", "sequence_repr", "flatten"),  # "final" is the only representation
         ("split", "ratios", "abc"),
         ("split", "ratios", [0.5, 0.5, 0.5]),
         ("split", "ratios", ["0.6", "0.2", "0.2"]),
@@ -221,6 +232,14 @@ class TestPrepare:
         assert run_cli("prepare", "--config", str(path), "--dry-run") == 3
         assert (f"error: run config {path}: label mapping file {tmp_path / 'mapping.json'}: "
                 "label mapping sends 'clean' to 'spam'") in capsys.readouterr().err
+
+    def test_final_sequence_repr_is_read_and_dropped(self, tmp_path):
+        # Run configs may still name the one sequence representation.
+        model = json.loads(write_config(tmp_path, name="base.json").read_text())["model"]
+        older = write_config(tmp_path, name="older.json",
+                             model={**model, "sequence_repr": "final"})
+        expected = cli.RunConfig.load(write_config(tmp_path)).model
+        assert cli.RunConfig.load(older).model == expected
 
     @pytest.mark.parametrize("in_file", [True, False])
     def test_label_the_mapping_lacks_names_both_files(self, tmp_path, capsys, in_file):
@@ -349,6 +368,12 @@ def corpus_not_utf8(tmp_path, run_dir, config_path):
              "--corpus", str(corpus)], f"{corpus}:2: not UTF-8")
 
 
+def run_config_sequence_repr_flatten(tmp_path, run_dir, config_path):
+    model = {**json.loads(config_path.read_text())["model"], "sequence_repr": "flatten"}
+    path = write_config(tmp_path, name="flatten.json", model=model)
+    return ["train", "--config", str(path), "--out", str(run_dir), "--dry-run"], path
+
+
 def oversized_dataset_field(tmp_path, run_dir, config_path):
     dataset = tmp_path / "toy.csv"
     write_dataset(dataset)
@@ -369,6 +394,9 @@ MALFORMED_INPUTS = {
     "tensor_shape_not_a_list": doctored_checkpoint(
         lambda m: m["tensors"][0].update(shape=5)),
     "checkpoint_format_1_0": doctored_checkpoint(lambda m: m.update(format_version="1.0")),
+    "checkpoint_sequence_repr_flatten": doctored_checkpoint(
+        lambda m: m["model_config"].update(sequence_repr="flatten")),
+    "run_config_sequence_repr_flatten": run_config_sequence_repr_flatten,
     "checkpoint_params_deflated": deflated_checkpoint_entry("params.bin"),
     "checkpoint_manifest_deflated": deflated_checkpoint_entry("manifest.json"),
     "checkpoint_central_directory_offset_past_its_place": damaged_checkpoint(

@@ -13,7 +13,6 @@ from hatedetect.neural import (
     BLOCK_STEPS,
     PARALLEL_MIN_WORK,
     PROJECTION_MIN_ROWS,
-    SEQUENCE_REPRS,
     AdamState,
     DenseParams,
     LstmCache,
@@ -144,13 +143,14 @@ class TestLstmCellStep:
         h = 4
         params = identity_input_cell(h)
         first = np.random.default_rng(0).normal(0.0, 2.0, 4 * h)
-        states, cache = lstm_forward(np.stack([first, np.zeros(4 * h)])[None], params)
-        cells = padded(cache, cache.cells)
+        final, cache = lstm_forward(np.stack([first, np.zeros(4 * h)])[None], params)
+        cells, states = padded(cache, cache.cells), padded(cache, cache.states)
         c0 = cells[0, 0]
         assert np.any(np.abs(c0) > 0.1)
         # all gates sit at sigmoid(0)=0.5 and the candidate at tanh(0)=0
         assert np.allclose(cells[0, 1], 0.5 * c0, atol=1e-12)
         assert np.allclose(states[0, 1], 0.5 * np.tanh(0.5 * c0), atol=1e-12)
+        assert final.tobytes() == states[:, 1].tobytes()
 
     def test_all_zero(self):
         d, h = 2, 3
@@ -179,11 +179,12 @@ class TestLstmCellStep:
         params.bias[:] = np.random.default_rng(5).normal(0, 1, 16)
         rng = np.random.default_rng(4)
         batch = rng.normal(0, 1, (3, 6, 3))
-        states, cache = lstm_forward(batch, params)
+        final, cache = lstm_forward(batch, params)
         for row, sequence in enumerate(batch):
             ref_states, ref_cells = reference_scan(sequence, params)
-            assert np.allclose(states[row], ref_states, atol=1e-12)
+            assert np.allclose(padded(cache, cache.states)[row], ref_states, atol=1e-12)
             assert np.allclose(padded(cache, cache.cells)[row], ref_cells, atol=1e-12)
+            assert np.allclose(final[row], ref_states[-1], atol=1e-12)
 
     def test_forward_only_keeps_no_cache(self):
         params = random_cell(3, 4, 2)
@@ -202,7 +203,7 @@ class TestLstmCellStep:
         rng = np.random.default_rng(5)
         d, h, L, B = 3, 4, 5, 2
         inputs = rng.normal(0, 1, (B, L, d))
-        probe = rng.normal(0, 1, (B, L, h))  # random scalarization
+        probe = rng.normal(0, 1, (B, h))  # random scalarization of the final states
         cell = random_cell(d, h, 6)
         params = {"w_in": cell.w_in, "w_rec": cell.w_rec, "bias": cell.bias}
 
@@ -221,7 +222,7 @@ class TestLstmCellStep:
         d, h, L, B = 3, 4, 4, 2
         cell = random_cell(d, h, 8)
         inputs = rng.normal(0, 1, (B, L, d))
-        probe = rng.normal(0, 1, (B, L, h))
+        probe = rng.normal(0, 1, (B, h))
         states, cache = lstm_forward(inputs, cell)
         d_inputs, _ = lstm_backward(probe, cache, cell)
 
@@ -247,11 +248,14 @@ class TestPackedScan:
         params = random_cell(3, 4, 30)
         params.bias[:] = np.random.default_rng(31).normal(0, 1, 16)
         inputs, lengths = self.mixed_batch(32)
-        states, cache = lstm_forward(inputs, params, lengths=lengths, reverse=reverse)
-        cells = padded(cache, cache.cells)
+        final, cache = lstm_forward(inputs, params, lengths=lengths, reverse=reverse)
+        states, cells = padded(cache, cache.states), padded(cache, cache.cells)
         for row, n in enumerate(lengths):
             sequence = inputs[row, :n][::-1] if reverse else inputs[row, :n]
             ref_states, ref_cells = reference_scan(sequence, params)
+            # Each row's final state is its state after its last step; zero
+            # for a row of length 0.
+            assert np.allclose(final[row], ref_states[-1] if n else 0.0, atol=1e-12)
             if reverse and n:  # the state after reading position t sits at t
                 ref_states, ref_cells = ref_states[::-1], ref_cells[::-1]
             assert np.allclose(states[row, :n], ref_states.reshape(n, 4), atol=1e-12)
@@ -261,12 +265,18 @@ class TestPackedScan:
     def test_states_and_input_gradients_zero_past_length(self, reverse):
         params = random_cell(3, 4, 35)
         inputs, lengths = self.mixed_batch(36)
-        states, cache = lstm_forward(inputs, params, lengths=lengths, reverse=reverse)
-        # A gradient arriving at padding positions is ignored.
-        probe = np.random.default_rng(37).normal(0, 1, states.shape)
-        d_inputs, _ = lstm_backward(probe, cache, params)
+        final, cache = lstm_forward(inputs, params, lengths=lengths, reverse=reverse)
+        # The cache holds a state at every real position and at no other,
+        # and a row of length 0 ends in the zero state.
         padding = np.arange(inputs.shape[1]) >= lengths[:, None]
-        assert np.all(states[padding] == 0.0)
+        held = np.zeros_like(padding)
+        held[cache.rows, cache.cols] = True
+        assert len(cache.rows) == lengths.sum() and np.array_equal(held, ~padding)
+        assert np.all(final[lengths == 0] == 0.0)
+        # The final state's gradient reaches every real position's input
+        # and no padding position's; a zero-length row's gradient is ignored.
+        probe = np.random.default_rng(37).normal(0, 1, final.shape)
+        d_inputs, _ = lstm_backward(probe, cache, params)
         assert np.all(d_inputs[padding] == 0.0)
         assert np.all(np.any(d_inputs[~padding] != 0.0, axis=-1))
 
@@ -274,7 +284,7 @@ class TestPackedScan:
     def test_gradients_match_finite_differences(self, reverse):
         cell = random_cell(3, 4, 38)
         inputs, lengths = self.mixed_batch(39)
-        probe = np.random.default_rng(40).normal(0, 1, inputs.shape[:2] + (4,))
+        probe = np.random.default_rng(40).normal(0, 1, (len(inputs), 4))
         params = {"w_in": cell.w_in, "w_rec": cell.w_rec, "bias": cell.bias}
 
         def loss(p, x=inputs):
@@ -295,7 +305,7 @@ class TestPackedScan:
         inputs = np.ones((3, 4, 3))
         states, cache = lstm_forward(inputs, params, lengths=np.zeros(3, dtype=int))
         assert np.all(states == 0.0)
-        d_inputs, grads = lstm_backward(np.ones((3, 4, 4)), cache, params)
+        d_inputs, grads = lstm_backward(np.ones((3, 4)), cache, params)
         assert np.all(d_inputs == 0.0)
         assert all(np.all(grad == 0.0) for grad in grads.values())
 
@@ -363,9 +373,8 @@ class TestBlockedScan:
                 cached, _ = lstm_forward(inputs, params, True, self.LENGTHS, reverse)
                 assert states.tobytes() == cached.tobytes(), (distinct, ids[first_block][:4])
 
-    @pytest.mark.parametrize("sequence_repr", SEQUENCE_REPRS)
-    def test_forward_probs_equal_the_cached_forward(self, sequence_repr, plain_pipeline):
-        config = ModelConfig(hidden_size=6, dense1_size=4, sequence_repr=sequence_repr,
+    def test_forward_probs_equal_the_cached_forward(self, plain_pipeline):
+        config = ModelConfig(hidden_size=6, dense1_size=4,
                              pipeline=replace(plain_pipeline, max_len=self.LENGTH + 3))
         table = np.random.default_rng(52).normal(0, 1, (40, 8)).astype(np.float32)
         table[0] = 0.0
@@ -380,7 +389,7 @@ class TestBlockedScan:
 class TestTableRows:
     """A scan of TableRows(table, ids) gives the bits of the same scan of
     the dense table[ids]: states, every cache array, gradients and input
-    gradients, in both modes and both directions."""
+    gradients, with and without a cache and in both directions."""
 
     @staticmethod
     def batch(seed, dtype, d=5, vocab=9):
@@ -416,12 +425,11 @@ class TestTableRows:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("keep_cache", [True, False])
     @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("final", [False, True])
-    def test_lstm_equals_the_dense_batch(self, dtype, keep_cache, reverse, final):
+    def test_lstm_equals_the_dense_batch(self, dtype, keep_cache, reverse):
         rows, dense, lengths = self.batch(90, dtype)
         params = random_cell(5, 4, 91, dtype)
-        states, cache = lstm_forward(rows, params, keep_cache, lengths, reverse, final)
-        expected, dense_cache = lstm_forward(dense, params, keep_cache, lengths, reverse, final)
+        states, cache = lstm_forward(rows, params, keep_cache, lengths, reverse)
+        expected, dense_cache = lstm_forward(dense, params, keep_cache, lengths, reverse)
         assert states.dtype == dtype
         assert states.tobytes() == expected.tobytes()
         if not keep_cache:
@@ -443,24 +451,23 @@ class TestTableRows:
                 assert grads[name].tobytes() == expected_grads[name].tobytes(), name
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("mode", SEQUENCE_REPRS)
     @pytest.mark.parametrize("keep_cache", [True, False])
     @pytest.mark.parametrize("worker", [False, True])
-    def test_bilstm_equals_the_dense_batch(self, dtype, mode, keep_cache, worker, monkeypatch):
+    def test_bilstm_equals_the_dense_batch(self, dtype, keep_cache, worker, monkeypatch):
         if worker:
             monkeypatch.setattr(neural, "PARALLEL_MIN_WORK", 0)
         rows, dense, lengths = self.batch(93, dtype)
         fwd, bwd = random_cell(5, 4, 94, dtype), random_cell(5, 4, 95, dtype)
-        features, caches = bilstm_batch_forward(rows, fwd, bwd, mode, lengths, keep_cache)
-        expected, dense_caches = bilstm_batch_forward(dense, fwd, bwd, mode, lengths, keep_cache)
+        features, caches = bilstm_batch_forward(rows, fwd, bwd, lengths, keep_cache)
+        expected, dense_caches = bilstm_batch_forward(dense, fwd, bwd, lengths, keep_cache)
         assert features.tobytes() == expected.tobytes()
         if not keep_cache:
             assert caches is None and dense_caches is None
             return
         assert all(cache.inputs is rows for cache in caches)
         probe = np.random.default_rng(96).normal(0, 1, features.shape).astype(dtype)
-        got = bilstm_batch_backward(probe, caches, fwd, bwd, mode)
-        want = bilstm_batch_backward(probe, dense_caches, fwd, bwd, mode)
+        got = bilstm_batch_backward(probe, caches, fwd, bwd)
+        want = bilstm_batch_backward(probe, dense_caches, fwd, bwd)
         assert got[0].tobytes() == want[0].tobytes()
         for grads, expected_grads in zip(got[1:], want[1:]):
             for name in ("w_in", "w_rec", "bias"):
@@ -490,24 +497,12 @@ class TestBilstm:
         out, _ = bilstm_batch_forward(np.zeros((1, 4, d)), zero, zero)
         assert np.all(out == 0.0)
 
-    def test_flatten_mode_length(self):
-        fwd = random_cell(3, 4, 4)
-        bwd = random_cell(3, 4, 5)
-        seq = np.ones((1, 5, 3))
-        assert bilstm_batch_forward(seq, fwd, bwd, mode="flatten")[0].shape == (1, 2 * 4 * 5)
-
-    def test_unknown_mode(self):
-        fwd = random_cell(2, 2, 0)
-        with pytest.raises(ValueError):
-            bilstm_batch_forward(np.ones((1, 2, 2)), fwd, fwd, mode="sum")
-
     def test_empty_sequence_rejected(self):
         fwd = random_cell(2, 2, 0)
         with pytest.raises(ValueError):
             bilstm_batch_forward(np.ones((1, 0, 2)), fwd, fwd)
 
-    @pytest.mark.parametrize("mode", ["final", "flatten"])
-    def test_row_features_ignore_padding(self, mode):
+    def test_row_features_ignore_padding(self):
         # A row of length n reads the same features as its first n
         # positions alone, whatever sits in the positions after them.
         fwd = random_cell(3, 4, 6)
@@ -515,23 +510,21 @@ class TestBilstm:
         rng = np.random.default_rng(8)
         inputs = rng.normal(0, 1, (3, 7, 3))
         lengths = np.array([7, 4, 1])
-        features, _ = bilstm_batch_forward(inputs, fwd, bwd, mode, lengths)
+        features, _ = bilstm_batch_forward(inputs, fwd, bwd, lengths)
+        assert features.shape == (3, 8)
         for row, n in enumerate(lengths):
-            alone, _ = bilstm_batch_forward(inputs[row : row + 1, :n], fwd, bwd, mode)
-            assert np.allclose(features[row, : alone.shape[1]], alone[0], atol=1e-12)
-            assert np.all(features[row, alone.shape[1] :] == 0.0)
+            alone, _ = bilstm_batch_forward(inputs[row : row + 1, :n], fwd, bwd)
+            assert np.allclose(features[row], alone[0], atol=1e-12)
 
-    @pytest.mark.parametrize("mode", ["final", "flatten"])
-    def test_zero_length_row_gets_zero_features(self, mode):
+    def test_zero_length_row_gets_zero_features(self):
         fwd = random_cell(3, 4, 9)
         bwd = random_cell(3, 4, 10)
         inputs = np.random.default_rng(11).normal(0, 1, (2, 5, 3))
-        features, _ = bilstm_batch_forward(inputs, fwd, bwd, mode, np.array([3, 0]))
+        features, _ = bilstm_batch_forward(inputs, fwd, bwd, np.array([3, 0]))
         assert np.all(features[1] == 0.0)
         assert np.any(features[0] != 0.0)
 
-    @pytest.mark.parametrize("mode", ["final", "flatten"])
-    def test_gradients_match_finite_differences(self, mode):
+    def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         d, h, L = 3, 4, 5
         lengths = MIXED_LENGTHS  # rows that end before the padding, one of length L
@@ -539,8 +532,7 @@ class TestBilstm:
         inputs = rng.normal(0, 1, (B, L, d))
         fwd = random_cell(d, h, 12)
         bwd = random_cell(d, h, 13)
-        width = 2 * h * (L if mode == "flatten" else 1)
-        probe = rng.normal(0, 1, (B, width))
+        probe = rng.normal(0, 1, (B, 2 * h))
         params = {
             "fw": fwd.w_in, "fr": fwd.w_rec, "fb": fwd.bias,
             "bw": bwd.w_in, "br": bwd.w_rec, "bb": bwd.bias,
@@ -549,12 +541,12 @@ class TestBilstm:
         def loss(p):
             f = LstmCellParams(p["fw"], p["fr"], p["fb"])
             b = LstmCellParams(p["bw"], p["br"], p["bb"])
-            features, _ = bilstm_batch_forward(inputs, f, b, mode, lengths)
+            features, _ = bilstm_batch_forward(inputs, f, b, lengths)
             return float(np.sum(features * probe))
 
         numeric = finite_diff_grad(loss, params, step=1e-5)
-        features, caches = bilstm_batch_forward(inputs, fwd, bwd, mode, lengths)
-        d_inputs, grads_fwd, grads_bwd = bilstm_batch_backward(probe, caches, fwd, bwd, mode)
+        features, caches = bilstm_batch_forward(inputs, fwd, bwd, lengths)
+        d_inputs, grads_fwd, grads_bwd = bilstm_batch_backward(probe, caches, fwd, bwd)
         analytic = {
             "fw": grads_fwd["w_in"], "fr": grads_fwd["w_rec"], "fb": grads_fwd["bias"],
             "bw": grads_bwd["w_in"], "br": grads_bwd["w_rec"], "bb": grads_bwd["bias"],
@@ -562,7 +554,7 @@ class TestBilstm:
         for name in params:
             assert rel_error(analytic[name], numeric[name]) < 1e-4
         numeric_x = finite_diff_grad(
-            lambda x: float(np.sum(bilstm_batch_forward(x, fwd, bwd, mode, lengths)[0] * probe)),
+            lambda x: float(np.sum(bilstm_batch_forward(x, fwd, bwd, lengths)[0] * probe)),
             inputs, step=1e-5,
         )
         assert rel_error(d_inputs, numeric_x) < 1e-4
@@ -581,34 +573,19 @@ def scan_work(lengths, cell):
 
 
 class TestFinalStates:
-    """With final, a scan returns and takes only each row's last state."""
+    """A scan returns and takes only each row's last state."""
 
     @pytest.mark.parametrize("keep_cache", [True, False])
     @pytest.mark.parametrize("reverse", [False, True])
     def test_final_states_are_the_per_position_states_at_each_end(self, keep_cache, reverse):
         params = random_cell(3, 4, 60)
         inputs = np.random.default_rng(61).normal(0, 1, (len(MIXED_LENGTHS), 5, 3))
-        states, _ = lstm_forward(inputs, params, keep_cache, MIXED_LENGTHS, reverse)
-        final, _ = lstm_forward(inputs, params, keep_cache, MIXED_LENGTHS, reverse, final=True)
+        _, cache = lstm_forward(inputs, params, True, MIXED_LENGTHS, reverse)
+        states = padded(cache, cache.states)
+        final, _ = lstm_forward(inputs, params, keep_cache, MIXED_LENGTHS, reverse)
         ends = 0 if reverse else np.maximum(MIXED_LENGTHS - 1, 0)
         assert final.shape == (len(MIXED_LENGTHS), 4)
         assert final.tobytes() == states[np.arange(len(MIXED_LENGTHS)), ends].tobytes()
-
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_final_gradients_equal_per_position_gradients_at_each_end(self, reverse):
-        params = random_cell(3, 4, 62)
-        rng = np.random.default_rng(63)
-        inputs = rng.normal(0, 1, (len(MIXED_LENGTHS), 5, 3))
-        _, cache = lstm_forward(inputs, params, True, MIXED_LENGTHS, reverse, final=True)
-        d_final = rng.normal(0, 1, (len(MIXED_LENGTHS), 4))
-        d_states = np.zeros((len(MIXED_LENGTHS), 5, 4))
-        ends = 0 if reverse else np.maximum(MIXED_LENGTHS - 1, 0)
-        d_states[np.arange(len(MIXED_LENGTHS)), ends] = d_final
-        d_inputs, grads = lstm_backward(d_final, cache, params)
-        expected_inputs, expected = lstm_backward(d_states, cache, params)
-        assert d_inputs.tobytes() == expected_inputs.tobytes()
-        for name in ("w_in", "w_rec", "bias"):
-            assert grads[name].tobytes() == expected[name].tobytes()
 
 
 class TestDirectionWorker:
@@ -633,15 +610,13 @@ class TestDirectionWorker:
             assert (scan_work(lengths, bwd) >= PARALLEL_MIN_WORK) == (size == "large")
 
     @pytest.mark.parametrize("size", ["small", "large"])
-    @pytest.mark.parametrize("mode", SEQUENCE_REPRS)
     @pytest.mark.parametrize("keep_cache", [True, False])
-    def test_forward_bits_equal_two_direct_calls(self, size, mode, keep_cache):
+    def test_forward_bits_equal_two_direct_calls(self, size, keep_cache):
         inputs, lengths, fwd, bwd = self.batch(*self.SHAPES[size])
-        final = mode == "final"
-        features, caches = bilstm_batch_forward(inputs, fwd, bwd, mode, lengths, keep_cache)
-        states_fwd, cache_fwd = lstm_forward(inputs, fwd, keep_cache, lengths, final=final)
-        states_bwd, cache_bwd = lstm_forward(inputs, bwd, keep_cache, lengths, True, final=final)
-        expected = np.concatenate((states_fwd, states_bwd), axis=-1).reshape(len(inputs), -1)
+        features, caches = bilstm_batch_forward(inputs, fwd, bwd, lengths, keep_cache)
+        states_fwd, cache_fwd = lstm_forward(inputs, fwd, keep_cache, lengths)
+        states_bwd, cache_bwd = lstm_forward(inputs, bwd, keep_cache, lengths, True)
+        expected = np.concatenate((states_fwd, states_bwd), axis=1)
         assert features.tobytes() == expected.tobytes()
         if not keep_cache:
             assert caches is None and cache_fwd is None
@@ -655,20 +630,14 @@ class TestDirectionWorker:
                     assert array.tobytes() == getattr(direct, name).tobytes(), name
 
     @pytest.mark.parametrize("size", ["small", "large"])
-    @pytest.mark.parametrize("mode", SEQUENCE_REPRS)
     @pytest.mark.parametrize("input_grad", [True, False])
-    def test_backward_bits_equal_two_direct_calls(self, size, mode, input_grad):
+    def test_backward_bits_equal_two_direct_calls(self, size, input_grad):
         inputs, lengths, fwd, bwd = self.batch(*self.SHAPES[size])
-        features, caches = bilstm_batch_forward(inputs, fwd, bwd, mode, lengths)
+        features, caches = bilstm_batch_forward(inputs, fwd, bwd, lengths)
         probe = np.random.default_rng(73).normal(0, 1, features.shape).astype(np.float32)
-        d_inputs, grads_fwd, grads_bwd = bilstm_batch_backward(probe, caches, fwd, bwd, mode,
-                                                               input_grad)
+        d_inputs, grads_fwd, grads_bwd = bilstm_batch_backward(probe, caches, fwd, bwd, input_grad)
         h = fwd.hidden_size
-        if mode == "final":
-            d_fwd, d_bwd = probe[:, :h], probe[:, h:]
-        else:
-            d_all = probe.reshape(len(inputs), inputs.shape[1], 2 * h)
-            d_fwd, d_bwd = d_all[..., :h], d_all[..., h:]
+        d_fwd, d_bwd = probe[:, :h], probe[:, h:]
         d_in_fwd, expected_fwd = lstm_backward(d_fwd, caches[0], fwd, input_grad)
         d_in_bwd, expected_bwd = lstm_backward(d_bwd, caches[1], bwd, input_grad)
         for got, expected in ((grads_fwd, expected_fwd), (grads_bwd, expected_bwd)):
@@ -700,8 +669,8 @@ class TestDirectionWorker:
             pytest.skip("one CPU: both directions run in the caller")
         inputs, lengths, fwd, bwd = self.batch(*self.SHAPES[size])
         seen = self.threads_of_calls(monkeypatch)
-        features, caches = bilstm_batch_forward(inputs, fwd, bwd, "final", lengths)
-        bilstm_batch_backward(np.ones_like(features), caches, fwd, bwd, "final", False)
+        features, caches = bilstm_batch_forward(inputs, fwd, bwd, lengths)
+        bilstm_batch_backward(np.ones_like(features), caches, fwd, bwd, False)
         caller = threading.current_thread()
         assert len(seen) == 4
         for name, params, thread in seen:
@@ -720,7 +689,7 @@ class TestDirectionWorker:
         assert lengths.sum() * 4 * h * h + PROJECTION_MIN_ROWS * 4 * h * d < PARALLEL_MIN_WORK
         rows = TableRows(inputs[0], np.zeros(lengths.shape + inputs.shape[1:2], dtype=np.intp))
         seen = self.threads_of_calls(monkeypatch)
-        bilstm_batch_forward(rows, fwd, bwd, "final", lengths)
+        bilstm_batch_forward(rows, fwd, bwd, lengths)
         assert [thread for _, _, thread in seen] == [threading.current_thread()] * 2
 
     def test_one_cpu_runs_both_directions_in_the_caller(self, monkeypatch):
@@ -729,7 +698,7 @@ class TestDirectionWorker:
         assert neural._worker_thread() is None
         inputs, lengths, fwd, bwd = self.batch(*self.SHAPES["large"])
         seen = self.threads_of_calls(monkeypatch)
-        bilstm_batch_forward(inputs, fwd, bwd, "final", lengths)
+        bilstm_batch_forward(inputs, fwd, bwd, lengths)
         assert [thread for _, _, thread in seen] == [threading.current_thread()] * 2
 
     def make_slow_backward_direction(self, monkeypatch, bwd):
@@ -755,7 +724,7 @@ class TestDirectionWorker:
         finished = self.make_slow_backward_direction(monkeypatch, bwd)
         wrong = random_cell(inputs.shape[2] + 1, fwd.hidden_size, 74)
         with pytest.raises(ValueError, match="input size"):
-            bilstm_batch_forward(inputs, wrong, bwd, "final", lengths)
+            bilstm_batch_forward(inputs, wrong, bwd, lengths)
         assert len(finished) == 1 and finished[0] is not threading.current_thread()
         self.assert_next_call_works(inputs, lengths, fwd, bwd)
 
@@ -766,19 +735,19 @@ class TestDirectionWorker:
         if stage == "forward":
             wrong = random_cell(inputs.shape[2] + 1, bwd.hidden_size, 75)
             with pytest.raises(ValueError, match="input size"):
-                bilstm_batch_forward(inputs, fwd, wrong, "final", lengths)
+                bilstm_batch_forward(inputs, fwd, wrong, lengths)
         else:
-            features, caches = bilstm_batch_forward(inputs, fwd, bwd, "final", lengths)
+            features, caches = bilstm_batch_forward(inputs, fwd, bwd, lengths)
             wrong = random_cell(inputs.shape[2], bwd.hidden_size + 1, 75)
             with pytest.raises(ValueError):
-                bilstm_batch_backward(features, caches, fwd, wrong, "final")
+                bilstm_batch_backward(features, caches, fwd, wrong)
         self.assert_next_call_works(inputs, lengths, fwd, bwd)
 
     @staticmethod
     def assert_next_call_works(inputs, lengths, fwd, bwd):
-        features, _ = bilstm_batch_forward(inputs, fwd, bwd, "final", lengths, False)
-        states_fwd, _ = lstm_forward(inputs, fwd, False, lengths, final=True)
-        states_bwd, _ = lstm_forward(inputs, bwd, False, lengths, True, final=True)
+        features, _ = bilstm_batch_forward(inputs, fwd, bwd, lengths, False)
+        states_fwd, _ = lstm_forward(inputs, fwd, False, lengths)
+        states_bwd, _ = lstm_forward(inputs, bwd, False, lengths, True)
         assert features.tobytes() == np.concatenate((states_fwd, states_bwd), axis=1).tobytes()
 
     def test_concurrent_callers_get_their_own_bits(self, monkeypatch):
@@ -787,8 +756,8 @@ class TestDirectionWorker:
         batches = [self.batch(3, 4, 7, 5, seed=seed) for seed in range(80, 86)]
 
         def step(x, n, f, b):
-            features, caches = bilstm_batch_forward(x, f, b, "final", n)
-            d_inputs, grads_fwd, grads_bwd = bilstm_batch_backward(features, caches, f, b, "final")
+            features, caches = bilstm_batch_forward(x, f, b, n)
+            d_inputs, grads_fwd, grads_bwd = bilstm_batch_backward(features, caches, f, b)
             return [features.tobytes(), d_inputs.tobytes(),
                     *(g.tobytes() for g in (*grads_fwd.values(), *grads_bwd.values()))]
 
