@@ -126,6 +126,37 @@ class TestPredict:
     def test_empty_input(self):
         assert small_model().predict([]).shape == (0,)
 
+    def test_features_are_the_final_states_of_both_directions(self):
+        # The paper's model: the BiLSTM's last hidden state in each
+        # direction, side by side, feed the dense layer and the sigmoid.
+        model = small_model(seed=6)
+        assert model.config.dense1_activation == "identity"
+        p = {name: tensor.astype(np.float64) for name, tensor in model.params.items()}
+        assert p["dense1_weights"].shape == (4, 2 * 6)
+        texts = ["tok1 tok2 tok3", "tok3", "", "tok4 unseen tok5 tok6"]
+        token_ids = model.encode_texts(texts)
+
+        def last_state(direction, sequence):
+            w_in, w_rec, bias = (p[f"{direction}_{name}"] for name in ("w_in", "w_rec", "bias"))
+            h = np.zeros(w_rec.shape[1])
+            c = np.zeros_like(h)
+            for x in sequence:
+                z = w_in @ x + w_rec @ h + bias
+                i, f, g, o = np.split(z, 4)
+                c = c / (1 + np.exp(-f)) + np.tanh(g) / (1 + np.exp(-i))
+                h = np.tanh(c) / (1 + np.exp(-o))
+            return h
+
+        expected = []
+        for row in token_ids:
+            sequence = p["embedding"][row[row != 0]]
+            features = np.concatenate((last_state("fwd", sequence),
+                                       last_state("bwd", sequence[::-1])))
+            hidden = p["dense1_weights"] @ features + p["dense1_bias"]
+            logit = p["dense2_weights"] @ hidden + p["dense2_bias"]
+            expected.append(1 / (1 + np.exp(-logit[0])))
+        assert np.allclose(model.predict(texts), expected, rtol=0, atol=1e-6)
+
 
 class TestClassify:
     def with_fixed_probability(self, p):

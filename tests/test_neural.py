@@ -373,16 +373,18 @@ class TestBlockedScan:
                 cached, _ = lstm_forward(inputs, params, True, self.LENGTHS, reverse)
                 assert states.tobytes() == cached.tobytes(), (distinct, ids[first_block][:4])
 
-    def test_forward_probs_equal_the_cached_forward(self, plain_pipeline):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_probs_equal_the_cached_forward(self, dtype, plain_pipeline):
         config = ModelConfig(hidden_size=6, dense1_size=4,
                              pipeline=replace(plain_pipeline, max_len=self.LENGTH + 3))
-        table = np.random.default_rng(52).normal(0, 1, (40, 8)).astype(np.float32)
+        table = np.random.default_rng(52).normal(0, 1, (40, 8))
         table[0] = 0.0
-        params = init_params(config, table)
+        params = init_params(config, table, dtype)
         token_ids = np.random.default_rng(53).integers(1, 40, (len(self.LENGTHS), self.LENGTH + 3))
         token_ids[np.arange(self.LENGTH + 3) >= self.LENGTHS[:, None]] = 0
         probs = forward_probs(params, token_ids, config)
         cached, _ = _forward_parts(params, token_ids, config, keep_cache=True)
+        assert probs.dtype == dtype
         assert probs.tobytes() == cached.tobytes()
 
 
@@ -392,13 +394,15 @@ class TestTableRows:
     gradients, with and without a cache and in both directions."""
 
     @staticmethod
-    def batch(seed, dtype, d=5, vocab=9):
-        """Few table rows, so positions repeat them; MIXED_LENGTHS has a
-        row of length 0 and padding past every row but the longest."""
+    def batch(seed, dtype, d=5, vocab=9, lengths="mixed"):
+        """Few table rows, so positions repeat them. With "mixed" lengths,
+        MIXED_LENGTHS has a row of length 0 and padding past every row but
+        the longest; with "full", lengths is None and every row is real
+        to its end."""
         rng = np.random.default_rng(seed)
         table = rng.normal(0, 1, (vocab, d)).astype(dtype)
         ids = rng.integers(0, vocab, (len(MIXED_LENGTHS), MIXED_LENGTHS.max() + 1))
-        return TableRows(table, ids), table[ids], MIXED_LENGTHS
+        return TableRows(table, ids), table[ids], MIXED_LENGTHS if lengths == "mixed" else None
 
     def test_shape_dtype_and_dense_view(self):
         rows = TableRows(np.zeros((9, 5), dtype=np.float32), np.zeros((3, 4), dtype=np.int64))
@@ -425,8 +429,9 @@ class TestTableRows:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("keep_cache", [True, False])
     @pytest.mark.parametrize("reverse", [False, True])
-    def test_lstm_equals_the_dense_batch(self, dtype, keep_cache, reverse):
-        rows, dense, lengths = self.batch(90, dtype)
+    @pytest.mark.parametrize("lengths", ["mixed", "full"])
+    def test_lstm_equals_the_dense_batch(self, dtype, keep_cache, reverse, lengths):
+        rows, dense, lengths = self.batch(90, dtype, lengths=lengths)
         params = random_cell(5, 4, 91, dtype)
         states, cache = lstm_forward(rows, params, keep_cache, lengths, reverse)
         expected, dense_cache = lstm_forward(dense, params, keep_cache, lengths, reverse)
@@ -453,10 +458,12 @@ class TestTableRows:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("keep_cache", [True, False])
     @pytest.mark.parametrize("worker", [False, True])
-    def test_bilstm_equals_the_dense_batch(self, dtype, keep_cache, worker, monkeypatch):
+    @pytest.mark.parametrize("lengths", ["mixed", "full"])
+    def test_bilstm_equals_the_dense_batch(self, dtype, keep_cache, worker, lengths,
+                                           monkeypatch):
         if worker:
             monkeypatch.setattr(neural, "PARALLEL_MIN_WORK", 0)
-        rows, dense, lengths = self.batch(93, dtype)
+        rows, dense, lengths = self.batch(93, dtype, lengths=lengths)
         fwd, bwd = random_cell(5, 4, 94, dtype), random_cell(5, 4, 95, dtype)
         features, caches = bilstm_batch_forward(rows, fwd, bwd, lengths, keep_cache)
         expected, dense_caches = bilstm_batch_forward(dense, fwd, bwd, lengths, keep_cache)
@@ -502,9 +509,12 @@ class TestBilstm:
         with pytest.raises(ValueError):
             bilstm_batch_forward(np.ones((1, 0, 2)), fwd, fwd)
 
-    def test_row_features_ignore_padding(self):
+    @pytest.mark.parametrize("worker", [False, True])
+    def test_row_features_ignore_padding(self, worker, monkeypatch):
         # A row of length n reads the same features as its first n
         # positions alone, whatever sits in the positions after them.
+        if worker:
+            monkeypatch.setattr(neural, "PARALLEL_MIN_WORK", 0)
         fwd = random_cell(3, 4, 6)
         bwd = random_cell(3, 4, 7)
         rng = np.random.default_rng(8)
@@ -516,7 +526,10 @@ class TestBilstm:
             alone, _ = bilstm_batch_forward(inputs[row : row + 1, :n], fwd, bwd)
             assert np.allclose(features[row], alone[0], atol=1e-12)
 
-    def test_zero_length_row_gets_zero_features(self):
+    @pytest.mark.parametrize("worker", [False, True])
+    def test_zero_length_row_gets_zero_features(self, worker, monkeypatch):
+        if worker:
+            monkeypatch.setattr(neural, "PARALLEL_MIN_WORK", 0)
         fwd = random_cell(3, 4, 9)
         bwd = random_cell(3, 4, 10)
         inputs = np.random.default_rng(11).normal(0, 1, (2, 5, 3))
@@ -524,7 +537,10 @@ class TestBilstm:
         assert np.all(features[1] == 0.0)
         assert np.any(features[0] != 0.0)
 
-    def test_gradients_match_finite_differences(self):
+    @pytest.mark.parametrize("worker", [False, True])
+    def test_gradients_match_finite_differences(self, worker, monkeypatch):
+        if worker:
+            monkeypatch.setattr(neural, "PARALLEL_MIN_WORK", 0)
         rng = np.random.default_rng(11)
         d, h, L = 3, 4, 5
         lengths = MIXED_LENGTHS  # rows that end before the padding, one of length L
@@ -587,6 +603,31 @@ class TestFinalStates:
         assert final.shape == (len(MIXED_LENGTHS), 4)
         assert final.tobytes() == states[np.arange(len(MIXED_LENGTHS)), ends].tobytes()
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_final_gradients_equal_each_row_scanned_alone(self, reverse):
+        # A (B, h) gradient reaches row b's inputs as it would reach the
+        # inputs of row b's real positions scanned alone; the weight
+        # gradients are the sum over rows, and a row of length 0 adds none.
+        params = random_cell(3, 4, 62)
+        params.bias[:] = np.random.default_rng(64).normal(0, 1, 16)
+        rng = np.random.default_rng(63)
+        inputs = rng.normal(0, 1, (len(MIXED_LENGTHS), 5, 3))
+        _, cache = lstm_forward(inputs, params, True, MIXED_LENGTHS, reverse)
+        d_final = rng.normal(0, 1, (len(MIXED_LENGTHS), 4))
+        d_inputs, grads = lstm_backward(d_final, cache, params)
+        summed = {name: np.zeros_like(grads[name]) for name in ("w_in", "w_rec", "bias")}
+        for row, n in enumerate(MIXED_LENGTHS):
+            assert np.all(d_inputs[row, n:] == 0.0)
+            if not n:
+                continue
+            _, alone = lstm_forward(inputs[row : row + 1, :n], params, True, None, reverse)
+            d_alone, grads_alone = lstm_backward(d_final[row : row + 1], alone, params)
+            assert np.allclose(d_inputs[row, :n], d_alone[0], rtol=1e-12, atol=1e-14)
+            for name in summed:
+                summed[name] += grads_alone[name]
+        for name in summed:
+            assert np.allclose(grads[name], summed[name], rtol=1e-12, atol=1e-14), name
+
 
 class TestDirectionWorker:
     """bilstm_batch_forward/_backward hand the backward direction to one
@@ -597,11 +638,11 @@ class TestDirectionWorker:
     SHAPES = {"small": (3, 4, 7, 5), "large": (64, 32, 256, 16)}
 
     @staticmethod
-    def batch(d, h, batch, length, seed=70):
+    def batch(d, h, batch, length, seed=70, dtype=np.float32):
         rng = np.random.default_rng(seed)
-        inputs = rng.normal(0, 1, (batch, length, d)).astype(np.float32)
+        inputs = rng.normal(0, 1, (batch, length, d)).astype(dtype)
         lengths = rng.integers(0, length + 1, batch)
-        fwd, bwd = random_cell(d, h, 71, np.float32), random_cell(d, h, 72, np.float32)
+        fwd, bwd = random_cell(d, h, 71, dtype), random_cell(d, h, 72, dtype)
         return inputs, lengths, fwd, bwd
 
     def test_shapes_lie_either_side_of_the_constant(self):
@@ -611,8 +652,9 @@ class TestDirectionWorker:
 
     @pytest.mark.parametrize("size", ["small", "large"])
     @pytest.mark.parametrize("keep_cache", [True, False])
-    def test_forward_bits_equal_two_direct_calls(self, size, keep_cache):
-        inputs, lengths, fwd, bwd = self.batch(*self.SHAPES[size])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bits_equal_two_direct_calls(self, size, keep_cache, dtype):
+        inputs, lengths, fwd, bwd = self.batch(*self.SHAPES[size], dtype=dtype)
         features, caches = bilstm_batch_forward(inputs, fwd, bwd, lengths, keep_cache)
         states_fwd, cache_fwd = lstm_forward(inputs, fwd, keep_cache, lengths)
         states_bwd, cache_bwd = lstm_forward(inputs, bwd, keep_cache, lengths, True)
@@ -631,10 +673,12 @@ class TestDirectionWorker:
 
     @pytest.mark.parametrize("size", ["small", "large"])
     @pytest.mark.parametrize("input_grad", [True, False])
-    def test_backward_bits_equal_two_direct_calls(self, size, input_grad):
-        inputs, lengths, fwd, bwd = self.batch(*self.SHAPES[size])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_bits_equal_two_direct_calls(self, size, input_grad, dtype):
+        inputs, lengths, fwd, bwd = self.batch(*self.SHAPES[size], dtype=dtype)
         features, caches = bilstm_batch_forward(inputs, fwd, bwd, lengths)
-        probe = np.random.default_rng(73).normal(0, 1, features.shape).astype(np.float32)
+        assert features.dtype == dtype
+        probe = np.random.default_rng(73).normal(0, 1, features.shape).astype(dtype)
         d_inputs, grads_fwd, grads_bwd = bilstm_batch_backward(probe, caches, fwd, bwd, input_grad)
         h = fwd.hidden_size
         d_fwd, d_bwd = probe[:, :h], probe[:, h:]
