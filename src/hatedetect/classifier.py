@@ -186,11 +186,12 @@ def _forward_parts(params: dict, token_ids: np.ndarray, config: ModelConfig, kee
     )
     dense1 = DenseParams(params["dense1_weights"], params["dense1_bias"], config.dense1_activation)
     hidden, dense1_cache = neural.dense_forward(features, dense1)
-    logits = hidden @ params["dense2_weights"].T + params["dense2_bias"]
+    dense2 = DenseParams(params["dense2_weights"], params["dense2_bias"])
+    logits, dense2_cache = neural.dense_forward(hidden, dense2)
     probs = neural.sigmoid(logits[:, 0])
     if not keep_cache:
         return probs, None
-    return probs, (token_ids, fwd, bwd, caches, dense1, dense1_cache, hidden)
+    return probs, (fwd, bwd, caches, dense1, dense1_cache, dense2, dense2_cache)
 
 
 def forward_probs(params: dict, token_ids: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -205,23 +206,19 @@ def loss_and_grads(params: dict, token_ids: np.ndarray, labels, config: ModelCon
     is set; all other gradients are always returned.
     """
     probs, parts = _forward_parts(params, token_ids, config)
-    token_ids, fwd, bwd, caches, dense1, dense1_cache, hidden = parts
+    fwd, bwd, caches, dense1, dense1_cache, dense2, dense2_cache = parts
     loss = neural.bce(probs, labels)
     labels_arr = np.asarray(labels, dtype=probs.dtype)
-    batch = len(labels_arr)
     # Exact gradient of the clamped BCE through the output sigmoid: zero
     # where the clamp is active, (p - y)/B elsewhere.
     active = (probs > neural.PROB_EPS) & (probs < 1.0 - neural.PROB_EPS)
-    dz2 = np.where(active, (probs - labels_arr) / batch, 0.0).astype(probs.dtype)[:, None]
-    grads = {
-        "dense2_weights": dz2.T @ hidden,
-        "dense2_bias": dz2.sum(axis=0),
-    }
-    d_hidden = dz2 @ params["dense2_weights"]
-    d_features, d_w1, d_b1 = neural.dense_backward(d_hidden, dense1_cache, dense1)
-    grads["dense1_weights"] = d_w1
-    grads["dense1_bias"] = d_b1
-    d_inputs, grads_fwd, grads_bwd = neural.bilstm_batch_backward(
+    dz2 = np.where(active, (probs - labels_arr) / len(labels_arr), 0.0).astype(probs.dtype)[:, None]
+    grads = {}
+    d_hidden, grads["dense2_weights"], grads["dense2_bias"] = neural.dense_backward(
+        dz2, dense2_cache, dense2)
+    d_features, grads["dense1_weights"], grads["dense1_bias"] = neural.dense_backward(
+        d_hidden, dense1_cache, dense1)
+    d_embedding, grads_fwd, grads_bwd = neural.bilstm_batch_backward(
         d_features, caches, fwd, bwd, config.embeddings_trainable
     )
     grads.update(
@@ -230,12 +227,6 @@ def loss_and_grads(params: dict, token_ids: np.ndarray, labels, config: ModelCon
         for name, grad in direction_grads.items()
     )
     if config.embeddings_trainable:
-        d_embedding = np.zeros_like(params["embedding"])
-        np.add.at(
-            d_embedding,
-            token_ids.reshape(-1),
-            d_inputs.reshape(-1, d_inputs.shape[-1]),
-        )
         grads["embedding"] = d_embedding
     return loss, grads
 
@@ -281,7 +272,8 @@ class HateClassifier:
         return np.stack(rows)
 
     def predict(self, texts) -> np.ndarray:
-        """Hate probabilities in (0, 1), order-preserving, batch-size independent."""
+        """Order-preserving hate probabilities in (0, 1). Alone and in a batch, a text
+        scores within about one float32 ulp (ROADMAP.md: batch invariance)."""
         return self.predict_encoded(self.encode_texts(texts))
 
     def predict_tokens(self, sequences) -> np.ndarray:

@@ -202,11 +202,11 @@ def evaluate_predictions(scores, predicted, actual) -> MetricsReport:
     return MetricsReport(per_class, weighted, accuracy, auc, supports, cm, np.asarray(scores))
 
 
-def report(model, examples, threshold: float | None = None) -> MetricsReport:
+def report(model, examples) -> MetricsReport:
     """Score a model over labeled examples and compute the full suite.
 
     The model is asked for each text's score once; the hard labels
-    threshold those scores at `threshold`, by default the model's own.
+    threshold those scores at the model's own threshold.
     """
     examples = list(examples)
     if not examples:
@@ -218,7 +218,7 @@ def report(model, examples, threshold: float | None = None) -> MetricsReport:
         actual.append(example.binary_label)
     texts = [example.text for example in examples]
     scores = model.predict(texts)
-    predicted = threshold_labels(scores, model.threshold if threshold is None else threshold)
+    predicted = threshold_labels(scores, model.threshold)
     return evaluate_predictions(scores, predicted, actual)
 
 

@@ -138,7 +138,7 @@ class LstmCache(NamedTuple):
     """What lstm_backward needs from a forward scan with keep_cache.
 
     inputs is the TableRows the scan read (a dense batch as rows of
-    itself), kept for its shape and dtype; packed_inputs holds each
+    itself), kept for its ids and dtype; packed_inputs holds each
     position's input row, gathered once from the table for the input
     weights' gradient. The per-position arrays are packed time-major:
     step t holds the counts[t] rows still running, in order of decreasing
@@ -295,10 +295,11 @@ def lstm_backward(d_states, cache: LstmCache, params: LstmCellParams, input_grad
 
     The loop carries only the recurrence, over the same packed schedule
     as the forward scan: going back in time, the running rows grow. The
-    weight gradients, the bias gradient and d_inputs are one GEMM or sum
-    each over the real positions. Returns (d_inputs (B,L,d), zero past
-    each row's length, or None without input_grad, grads dict with keys
-    w_in/w_rec/bias).
+    weight gradients, the bias gradient and the input rows' gradients are
+    one GEMM or sum each over the real positions. Returns ((ids, d_rows):
+    the distinct table ids the real positions read, ascending, and each
+    one's gradient summed over its positions, or None without input_grad;
+    grads dict with keys w_in/w_rec/bias).
     """
     inputs, packed, gates, cells, tanh_cells, hs, rows, cols, counts = cache
     h = params.hidden_size
@@ -347,9 +348,10 @@ def lstm_backward(d_states, cache: LstmCache, params: LstmCellParams, input_grad
     }
     if not input_grad:
         return None, grads
-    d_inputs = np.zeros(inputs.shape, dtype=dtype)
-    d_inputs[rows, cols] = coef @ params.w_in
-    return d_inputs, grads
+    packed_ids = inputs.ids[rows, cols]  # the table row each position read
+    order = np.argsort(packed_ids, kind="stable")
+    ids, starts = np.unique(packed_ids[order], return_index=True)
+    return (ids, np.add.reduceat((coef @ params.w_in)[order], starts, axis=0)), grads
 
 
 # One direction's scan work in multiply-adds, below which both directions
@@ -496,8 +498,9 @@ def bilstm_batch_forward(inputs, forward_params, backward_params, lengths=None,
 
 
 def bilstm_batch_backward(d_features, caches, forward_params, backward_params, input_grad=True):
-    """Gradients of bilstm_batch_forward's (B, 2h) features: (d_inputs
-    (B, L, d) or None without input_grad, forward grads, backward grads).
+    """Gradients of bilstm_batch_forward's (B, 2h) features: (the (V, d)
+    gradient of the caches' table, or None without input_grad, forward
+    grads, backward grads); a dense batch's table is its (B * L, d) rows.
     The backward direction's lstm_backward runs on the worker thread as
     in bilstm_batch_forward."""
     cache_fwd, cache_bwd = caches
@@ -509,8 +512,12 @@ def bilstm_batch_backward(d_features, caches, forward_params, backward_params, i
         len(cache_bwd.rows) * (backward_params.w_in.size + backward_params.w_rec.size)
         >= PARALLEL_MIN_WORK,
     )
-    d_inputs = d_in_fwd + d_in_bwd if input_grad else None
-    return d_inputs, grads_fwd, grads_bwd
+    if not input_grad:
+        return None, grads_fwd, grads_bwd
+    d_table = np.zeros_like(cache_fwd.inputs.table)
+    for ids, d_rows in (d_in_fwd, d_in_bwd):
+        d_table[ids] += d_rows
+    return d_table, grads_fwd, grads_bwd
 
 
 @dataclass

@@ -267,6 +267,34 @@ class TestTrain:
         assert not any(np.shares_memory(best.params[n], model.params[n])
                        for n in model.params if n != "embedding")
 
+    def test_trainable_embeddings_keep_every_row_training_never_reads(self):
+        # A table row's gradient is exactly zero unless a real position of
+        # a training batch reads it, so Adam leaves the PAD row zero and
+        # every row the training split never reads with its bits: here
+        # UNK, two spare tokens no text holds, and one that only the
+        # validation texts hold.
+        examples = make_keyword_examples(120, seed=1)
+        spare = ["spare0", "spare1", "spare2"]
+        matrix = make_random_matrix(list(FILLER_TOKENS) + list(TRIGGER_TOKENS) + spare,
+                                    dim=8, seed=2)
+        config = small_config(epochs=2, embeddings_trainable=True,
+                              pipeline=PipelineConfig(stopwords=frozenset(), max_len=20))
+        bundle = split(examples, seed=0)
+        bundle = replace(bundle, validation=[replace(e, text=f"{e.text} spare0")
+                                             for e in bundle.validation])
+        model = HateClassifier.build(config, matrix)
+        before = model.params["embedding"].copy()
+        _, best = train(model, bundle)
+        train_ids = model.encode_texts([e.text for e in bundle.train])
+        read = np.zeros(len(before), dtype=bool)
+        read[train_ids[train_ids != 0]] = True
+        assert not read[[0, 1]].any() and not read[-len(spare):].any()
+        for params in (model.params, best.params):
+            table = params["embedding"]
+            assert np.all(table[0] == 0.0)
+            assert table[~read].tobytes() == before[~read].tobytes()
+            assert np.all(np.any(table[read] != before[read], axis=1))
+
     def test_first_batch_loss_decreases_after_one_step(self):
         examples = make_keyword_examples(64, seed=6)
         for seed in range(10):

@@ -234,7 +234,7 @@ class TestReport:
         assert calls == [["a", "b", "c", "d"]]
         assert result.scores.tolist() == [0.9, 0.6, 0.7, 0.1]
         assert result.confusion_matrix.to_dict() == {"tp": 2, "fp": 0, "fn": 0, "tn": 2}
-        assert report(model, examples, threshold=0.5).confusion_matrix.fp == 1
+        assert report(CountingModel(scores.get, threshold=0.5), examples).confusion_matrix.fp == 1
 
     def test_renderings(self, tmp_path):
         examples = labeled([("a", H), ("b", N)])

@@ -127,6 +127,31 @@ def reference_scan(sequence, params):
     return np.array(states), np.array(cells)
 
 
+def dense_input_grad(table_grad, inputs):
+    """lstm_backward's (ids, d_rows) for a dense (B, L, d) batch as a
+    (B, L, d) array: a dense batch is rows of itself, so table row
+    b * L + t is position (b, t)."""
+    ids, d_rows = table_grad
+    d_inputs = np.zeros(inputs.shape, dtype=d_rows.dtype)
+    d_inputs.reshape(-1, inputs.shape[-1])[ids] = d_rows
+    return d_inputs
+
+
+def assert_sums_onto_table(d_table, terms):
+    """d_table is the sum of terms, (ids, rows) pairs of per-position
+    gradient rows and the table rows they read. A table row no position
+    read is exactly 0, one read once carries that position's bits, and
+    one read n times lies within the rounding of n - 1 additions, in
+    whatever order they were made."""
+    ids = np.concatenate([ids for ids, _ in terms])
+    rows = np.concatenate([rows for _, rows in terms]).astype(np.float64)
+    eps = np.finfo(d_table.dtype).eps
+    for row_id, got in enumerate(d_table):
+        read = rows[ids == row_id]
+        bound = max(len(read) - 1, 0) * eps * np.abs(read).sum(axis=0)
+        assert np.all(np.abs(got - read.sum(axis=0)) <= bound), row_id
+
+
 def padded(cache, packed):
     """A packed per-position cache array laid out as (B, L, ...), zero past
     each row's length."""
@@ -224,7 +249,7 @@ class TestLstmCellStep:
         inputs = rng.normal(0, 1, (B, L, d))
         probe = rng.normal(0, 1, (B, h))
         states, cache = lstm_forward(inputs, cell)
-        d_inputs, _ = lstm_backward(probe, cache, cell)
+        d_inputs = dense_input_grad(lstm_backward(probe, cache, cell)[0], inputs)
 
         def loss(x):
             states, _ = lstm_forward(x, cell)
@@ -276,7 +301,9 @@ class TestPackedScan:
         # The final state's gradient reaches every real position's input
         # and no padding position's; a zero-length row's gradient is ignored.
         probe = np.random.default_rng(37).normal(0, 1, final.shape)
-        d_inputs, _ = lstm_backward(probe, cache, params)
+        table_grad = lstm_backward(probe, cache, params)[0]
+        assert np.array_equal(table_grad[0], np.flatnonzero(~padding))
+        d_inputs = dense_input_grad(table_grad, inputs)
         assert np.all(d_inputs[padding] == 0.0)
         assert np.all(np.any(d_inputs[~padding] != 0.0, axis=-1))
 
@@ -295,7 +322,8 @@ class TestPackedScan:
         numeric = finite_diff_grad(loss, params, step=1e-5)
         numeric_x = finite_diff_grad(lambda x: loss(params, x), inputs, step=1e-5)
         _, cache = lstm_forward(inputs, cell, lengths=lengths, reverse=reverse)
-        d_inputs, analytic = lstm_backward(probe, cache, cell)
+        table_grad, analytic = lstm_backward(probe, cache, cell)
+        d_inputs = dense_input_grad(table_grad, inputs)
         for name in params:
             assert rel_error(analytic[name], numeric[name]) < 1e-4
         assert rel_error(d_inputs, numeric_x) < 1e-4
@@ -305,8 +333,8 @@ class TestPackedScan:
         inputs = np.ones((3, 4, 3))
         states, cache = lstm_forward(inputs, params, lengths=np.zeros(3, dtype=int))
         assert np.all(states == 0.0)
-        d_inputs, grads = lstm_backward(np.ones((3, 4)), cache, params)
-        assert np.all(d_inputs == 0.0)
+        (ids, d_rows), grads = lstm_backward(np.ones((3, 4)), cache, params)
+        assert ids.shape == (0,) and d_rows.shape == (0, 3)
         assert all(np.all(grad == 0.0) for grad in grads.values())
 
     @pytest.mark.parametrize("lengths", [
@@ -444,14 +472,20 @@ class TestTableRows:
         for name in LstmCache._fields[1:]:
             assert getattr(cache, name).tobytes() == getattr(dense_cache, name).tobytes(), name
         probe = np.random.default_rng(92).normal(0, 1, states.shape).astype(dtype)
+        read = rows.ids[cache.rows, cache.cols]
         for input_grad in (True, False):
-            d_inputs, grads = lstm_backward(probe, cache, params, input_grad)
+            table_grad, grads = lstm_backward(probe, cache, params, input_grad)
             d_dense, expected_grads = lstm_backward(probe, dense_cache, params, input_grad)
             if input_grad:
-                assert d_inputs.shape == dense.shape and d_inputs.dtype == dtype
-                assert d_inputs.tobytes() == d_dense.tobytes()
+                # The dense batch's position rows, summed onto the rows they read.
+                ids, d_rows = table_grad
+                assert np.array_equal(ids, np.unique(read)) and d_rows.dtype == dtype
+                d_table = np.zeros_like(rows.table)
+                d_table[ids] = d_rows
+                per_position = dense_input_grad(d_dense, dense)[cache.rows, cache.cols]
+                assert_sums_onto_table(d_table, [(read, per_position)])
             else:
-                assert d_inputs is None and d_dense is None
+                assert table_grad is None and d_dense is None
             for name in ("w_in", "w_rec", "bias"):
                 assert grads[name].tobytes() == expected_grads[name].tobytes(), name
 
@@ -475,10 +509,49 @@ class TestTableRows:
         probe = np.random.default_rng(96).normal(0, 1, features.shape).astype(dtype)
         got = bilstm_batch_backward(probe, caches, fwd, bwd)
         want = bilstm_batch_backward(probe, dense_caches, fwd, bwd)
-        assert got[0].tobytes() == want[0].tobytes()
+        # The table's gradient: both directions' position rows of the
+        # dense batch, summed onto the rows they read.
+        assert got[0].shape == rows.table.shape and got[0].dtype == dtype
+        h = fwd.hidden_size
+        terms = []
+        for d_states, cache, cell in ((probe[:, :h], dense_caches[0], fwd),
+                                      (probe[:, h:], dense_caches[1], bwd)):
+            d_dense = dense_input_grad(lstm_backward(d_states, cache, cell)[0], dense)
+            terms.append((rows.ids[cache.rows, cache.cols], d_dense[cache.rows, cache.cols]))
+        assert_sums_onto_table(got[0], terms)
         for grads, expected_grads in zip(got[1:], want[1:]):
             for name in ("w_in", "w_rec", "bias"):
                 assert grads[name].tobytes() == expected_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("worker", [False, True])
+    def test_table_gradient_matches_finite_differences(self, worker, monkeypatch):
+        # Ids repeat within a row and across rows, and row 2 has length 0.
+        # Table rows 5 and 6 sit only past a row's length or in row 2, and
+        # row 7 nowhere, so no real position reads them.
+        if worker:
+            monkeypatch.setattr(neural, "PARALLEL_MIN_WORK", 0)
+        rng = np.random.default_rng(97)
+        d, h = 3, 4
+        table = rng.normal(0, 1, (8, d))
+        ids = np.array([[1, 2, 1, 1, 5],
+                        [2, 3, 0, 4, 6],
+                        [6, 5, 6, 5, 5],
+                        [4, 4, 3, 2, 1]])
+        lengths = np.array([4, 3, 0, 5])
+        fwd, bwd = random_cell(d, h, 98), random_cell(d, h, 99)
+        probe = rng.normal(0, 1, (len(ids), 2 * h))
+
+        def loss(t):
+            features, _ = bilstm_batch_forward(TableRows(t, ids), fwd, bwd, lengths)
+            return float(np.sum(features * probe))
+
+        _, caches = bilstm_batch_forward(TableRows(table, ids), fwd, bwd, lengths)
+        d_table, _, _ = bilstm_batch_backward(probe, caches, fwd, bwd)
+        numeric = finite_diff_grad(loss, table, step=1e-5)
+        assert d_table.shape == table.shape
+        assert rel_error(d_table, numeric) < 1e-4
+        assert np.all(d_table[5:] == 0.0)
+        assert np.all(np.any(d_table[:5] != 0.0, axis=1))
 
 
 class TestBilstm:
@@ -562,7 +635,8 @@ class TestBilstm:
 
         numeric = finite_diff_grad(loss, params, step=1e-5)
         features, caches = bilstm_batch_forward(inputs, fwd, bwd, lengths)
-        d_inputs, grads_fwd, grads_bwd = bilstm_batch_backward(probe, caches, fwd, bwd)
+        d_table, grads_fwd, grads_bwd = bilstm_batch_backward(probe, caches, fwd, bwd)
+        d_inputs = d_table.reshape(inputs.shape)  # a dense batch is rows of itself
         analytic = {
             "fw": grads_fwd["w_in"], "fr": grads_fwd["w_rec"], "fb": grads_fwd["bias"],
             "bw": grads_bwd["w_in"], "br": grads_bwd["w_rec"], "bb": grads_bwd["bias"],
@@ -614,14 +688,17 @@ class TestFinalStates:
         inputs = rng.normal(0, 1, (len(MIXED_LENGTHS), 5, 3))
         _, cache = lstm_forward(inputs, params, True, MIXED_LENGTHS, reverse)
         d_final = rng.normal(0, 1, (len(MIXED_LENGTHS), 4))
-        d_inputs, grads = lstm_backward(d_final, cache, params)
+        table_grad, grads = lstm_backward(d_final, cache, params)
+        d_inputs = dense_input_grad(table_grad, inputs)
         summed = {name: np.zeros_like(grads[name]) for name in ("w_in", "w_rec", "bias")}
         for row, n in enumerate(MIXED_LENGTHS):
             assert np.all(d_inputs[row, n:] == 0.0)
             if not n:
                 continue
-            _, alone = lstm_forward(inputs[row : row + 1, :n], params, True, None, reverse)
-            d_alone, grads_alone = lstm_backward(d_final[row : row + 1], alone, params)
+            sequence = inputs[row : row + 1, :n]
+            _, alone = lstm_forward(sequence, params, True, None, reverse)
+            table_grad, grads_alone = lstm_backward(d_final[row : row + 1], alone, params)
+            d_alone = dense_input_grad(table_grad, sequence)
             assert np.allclose(d_inputs[row, :n], d_alone[0], rtol=1e-12, atol=1e-14)
             for name in summed:
                 summed[name] += grads_alone[name]
@@ -679,7 +756,7 @@ class TestDirectionWorker:
         features, caches = bilstm_batch_forward(inputs, fwd, bwd, lengths)
         assert features.dtype == dtype
         probe = np.random.default_rng(73).normal(0, 1, features.shape).astype(dtype)
-        d_inputs, grads_fwd, grads_bwd = bilstm_batch_backward(probe, caches, fwd, bwd, input_grad)
+        d_table, grads_fwd, grads_bwd = bilstm_batch_backward(probe, caches, fwd, bwd, input_grad)
         h = fwd.hidden_size
         d_fwd, d_bwd = probe[:, :h], probe[:, h:]
         d_in_fwd, expected_fwd = lstm_backward(d_fwd, caches[0], fwd, input_grad)
@@ -688,9 +765,11 @@ class TestDirectionWorker:
             for name in ("w_in", "w_rec", "bias"):
                 assert got[name].tobytes() == expected[name].tobytes(), name
         if input_grad:
-            assert d_inputs.tobytes() == (d_in_fwd + d_in_bwd).tobytes()
+            d_inputs = dense_input_grad(d_in_fwd, inputs) + dense_input_grad(d_in_bwd, inputs)
+            assert d_table.shape == (inputs.shape[0] * inputs.shape[1], inputs.shape[2])
+            assert d_table.tobytes() == d_inputs.tobytes()
         else:
-            assert d_inputs is None
+            assert d_table is None
 
     @staticmethod
     def threads_of_calls(monkeypatch):
@@ -801,8 +880,8 @@ class TestDirectionWorker:
 
         def step(x, n, f, b):
             features, caches = bilstm_batch_forward(x, f, b, n)
-            d_inputs, grads_fwd, grads_bwd = bilstm_batch_backward(features, caches, f, b)
-            return [features.tobytes(), d_inputs.tobytes(),
+            d_table, grads_fwd, grads_bwd = bilstm_batch_backward(features, caches, f, b)
+            return [features.tobytes(), d_table.tobytes(),
                     *(g.tobytes() for g in (*grads_fwd.values(), *grads_bwd.values()))]
 
         expected = [step(*batch) for batch in batches]
