@@ -299,7 +299,8 @@ def _cmd_evaluate(args) -> int:
     if external and not (args.predictions and args.labels):
         raise ValueError("external scoring needs both --predictions and --labels")
     if external:
-        report = metrics_mod.score_external(args.predictions, args.labels)
+        report = metrics_mod.score_external(args.predictions, args.labels,
+                                            config.model.threshold)
         if args.dry_run:
             print("dry run: external predictions validated")
             return EXIT_OK

@@ -244,12 +244,12 @@ def _read_two_column_csv(path: Path, value_column) -> dict:
     return rows
 
 
-def score_external(predictions_path, labels_path, threshold: float = 0.5) -> MetricsReport:
+def score_external(predictions_path, labels_path, threshold: float) -> MetricsReport:
     """Score an externally produced predictions file against a labels file.
 
     Files align by id; scores must lie in [0, 1]; hard labels use the same
-    >= threshold rule as the classifier. An error names the file and the
-    line.
+    >= threshold rule as the classifier, at the threshold given. An error
+    names the file and the line.
     """
     predictions_path, labels_path = Path(predictions_path), Path(labels_path)
     score_rows = _read_two_column_csv(predictions_path, "score")

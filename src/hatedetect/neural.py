@@ -32,17 +32,14 @@ class NumericError(RuntimeError):
 
 
 def sigmoid(x):
-    """Numerically stable logistic function.
+    """Numerically stable logistic function, an array of x's shape.
 
     Uses exp(-|x|) only, so it cannot overflow, and satisfies
     sigmoid(-x) + sigmoid(x) == 1 exactly.
     """
     x = np.asarray(x)
     z = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def bce(probabilities, labels) -> float:
@@ -100,8 +97,7 @@ class TableRows:
     """A (B, L, d) batch held as rows of a table: element [b, t] is
     table[ids[b, t]]. A scan reads its inputs this way, so a token that
     occurs many times is gathered and projected once per block, and no
-    (B, L, d) array is made. A dense batch x is rows of itself:
-    TableRows.of(x)."""
+    (B, L, d) array is made."""
 
     table: np.ndarray  # (V, d)
     ids: np.ndarray  # (B, L) integer indices into table
@@ -111,19 +107,6 @@ class TableRows:
                 or not np.issubdtype(self.ids.dtype, np.integer)):
             raise ValueError(f"expected a (V, d) table and (B, L) integer ids, got shapes "
                              f"{self.table.shape} and {self.ids.shape} of {self.ids.dtype}")
-
-    @classmethod
-    def of(cls, inputs) -> "TableRows":
-        """inputs if it is a TableRows, else the dense (B, L, d) batch as
-        rows of itself."""
-        if isinstance(inputs, cls):
-            return inputs
-        inputs = np.asarray(inputs)
-        if inputs.ndim != 3:
-            raise ValueError(f"expected a (B, L, d) batch, got shape {inputs.shape}")
-        batch, length, d = inputs.shape
-        ids = np.arange(batch * length).reshape(batch, length)
-        return cls(inputs.reshape(batch * length, d), ids)
 
     @property
     def shape(self) -> tuple:
@@ -137,14 +120,13 @@ class TableRows:
 class LstmCache(NamedTuple):
     """What lstm_backward needs from a forward scan with keep_cache.
 
-    inputs is the TableRows the scan read (a dense batch as rows of
-    itself), kept for its ids and dtype; packed_inputs holds each
-    position's input row, gathered once from the table for the input
-    weights' gradient. The per-position arrays are packed time-major:
-    step t holds the counts[t] rows still running, in order of decreasing
-    length, and position p of the pack is row rows[p], time position
-    cols[p] of the padded (B, L) layout. A scan without keep_cache holds
-    none of them.
+    inputs is the TableRows the scan read, kept for its ids and dtype;
+    packed_inputs holds each position's input row, gathered once from
+    the table for the input weights' gradient. The per-position arrays
+    are packed time-major: step t holds the counts[t] rows still running,
+    in order of decreasing length, and position p of the pack is row
+    rows[p], time position cols[p] of the padded (B, L) layout. A scan
+    without keep_cache holds none of them.
     """
 
     inputs: TableRows  # (B, L, d), the batch as the scan read it
@@ -171,9 +153,7 @@ PROJECTION_MIN_ROWS = 8
 
 
 def _check_lengths(lengths, batch, length):
-    """Per-row lengths as an index array; all `length` when None."""
-    if lengths is None:
-        return np.full(batch, length, dtype=np.intp)
+    """Per-row lengths as an index array."""
     lengths = np.asarray(lengths)
     if lengths.shape != (batch,) or not np.issubdtype(lengths.dtype, np.integer):
         raise ValueError(
@@ -198,18 +178,17 @@ def _schedule(lengths, reverse):
     return order[j], cols, np.count_nonzero(running, axis=1)
 
 
-def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, reverse=False):
+def lstm_forward(inputs: TableRows, params: LstmCellParams, keep_cache, lengths, reverse=False):
     """Scan a batch of right-padded sequences; returns (final states,
     cache for backward).
 
-    inputs is a TableRows or a dense (B, L, d) array, read as rows of
-    itself. Row b holds lengths[b] real positions (all L when lengths is
-    None); with reverse it is read from its last real position back to
-    its first. Each step is c' = f*c + i*g, h' = o*tanh(c') from a zero
-    state, and runs only the rows that have not ended, so padding costs
-    no work. The states are (B, h): each row's state after its last step,
-    zero for a row of length 0. Each step writes out only the rows whose
-    last step it is: the tail of the running prefix.
+    Row b of inputs holds lengths[b] real positions, an integer in 0..L;
+    with reverse it is read from its last real position back to its
+    first. Each step is c' = f*c + i*g, h' = o*tanh(c') from a zero state,
+    and runs only the rows that have not ended, so padding costs no work.
+    The states are (B, h): each row's state after its last step, zero for
+    a row of length 0. Each step writes out only the rows whose last step
+    it is: the tail of the running prefix.
 
     The scan runs in blocks of steps. Each block projects the distinct
     table rows of its real positions once, in one GEMM, and each step
@@ -222,10 +201,8 @@ def lstm_forward(inputs, params: LstmCellParams, keep_cache=True, lengths=None, 
     is None. A BLAS may round a GEMM of a few rows differently from a
     large one, so a last block shorter than BLOCK_STEPS joins the one
     before it, and a block projects at least PROJECTION_MIN_ROWS rows; so
-    both modes, and a dense batch and the same rows of a table, give the
-    same bits.
+    both modes give the same bits.
     """
-    inputs = TableRows.of(inputs)
     batch, length, d = inputs.shape
     if d != params.input_size:
         raise ValueError(f"input size {d} does not match cell input size {params.input_size}")
@@ -356,10 +333,10 @@ def lstm_backward(d_states, cache: LstmCache, params: LstmCellParams, input_grad
 
 # One direction's scan work in multiply-adds, below which both directions
 # run in the caller's thread: the Python step loop holds the GIL, and on a
-# small scan it is most of the time. A dense batch's scan does P * 4h *
-# (d + h) over its P real positions. Measured on 2 cores with 1 BLAS
+# small scan it is most of the time. A scan whose P real positions all
+# read distinct rows does P * 4h * (d + h). Measured on 2 cores with 1 BLAS
 # thread, serial against worker, median of 5 rounds, for the forward, the
-# cached forward and the backward, on dense batches: from 6M to 14.5M the
+# cached forward and the backward, on such batches: from 6M to 14.5M the
 # worker lost on at least one of the three at every shape tried
 # (x0.56-0.92); from 20.9M up it gained, x1.08-1.71, but for one cached
 # forward at h=64, d=100 (x0.90 at 24.7M). At h=128, d=300 this is about
@@ -462,15 +439,13 @@ def run_both(here, there, parallel: bool):
         del pending  # else there()'s error, through this frame, holds itself
 
 
-def bilstm_batch_forward(inputs, forward_params, backward_params, lengths=None,
+def bilstm_batch_forward(inputs: TableRows, forward_params, backward_params, lengths,
                          keep_cache=True):
     """Run both directions over a batch of right-padded sequences; returns
     (features, caches for backward, or None without keep_cache).
 
-    inputs is a TableRows or a dense (B, L, d) array; a dense array is
-    viewed as rows of itself once, and both directions read that one
-    view, which their caches keep. Row b holds lengths[b] real positions
-    (all L when lengths is None), an integer in 0..L. The backward
+    Both directions read the one TableRows, which their caches keep. Row
+    b holds lengths[b] real positions, an integer in 0..L. The backward
     direction reads them reversed, so both directions stop at the row's
     last real position and no state depends on the padding. The features
     are both directions' final states side by side, (B, 2h); a row of
@@ -484,7 +459,6 @@ def bilstm_batch_forward(inputs, forward_params, backward_params, lengths=None,
     overlap on two CPUs. The bits are those of the two calls one after
     the other.
     """
-    inputs = TableRows.of(inputs)
     if inputs.shape[1] < 1:
         raise ValueError(f"expected a (B, L, d) batch with L >= 1, got shape {inputs.shape}")
     lengths = _check_lengths(lengths, *inputs.shape[:2])
@@ -500,8 +474,7 @@ def bilstm_batch_forward(inputs, forward_params, backward_params, lengths=None,
 def bilstm_batch_backward(d_features, caches, forward_params, backward_params, input_grad=True):
     """Gradients of bilstm_batch_forward's (B, 2h) features: (the (V, d)
     gradient of the caches' table, or None without input_grad, forward
-    grads, backward grads); a dense batch's table is its (B * L, d) rows.
-    The backward direction's lstm_backward runs on the worker thread as
+    grads, backward grads). The backward direction's lstm_backward runs on the worker thread as
     in bilstm_batch_forward."""
     cache_fwd, cache_bwd = caches
     h_fwd = forward_params.hidden_size
@@ -565,14 +538,16 @@ def dense_backward(d_out, cache, params: DenseParams):
     return d_x, d_weights, d_bias
 
 
+ADAM_BETA1 = 0.9  # first-moment decay
+ADAM_BETA2 = 0.999  # second-moment decay
+ADAM_EPS = 1e-8  # added to the root of the second moment
+
+
 @dataclass
 class AdamState:
     """Per-parameter moment accumulators for bias-corrected Adam."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     first_moment: dict = field(default_factory=dict)
     second_moment: dict = field(default_factory=dict)
@@ -586,8 +561,8 @@ def adam_step(params: dict, grads: dict, state: AdamState):
     """
     state.step_count += 1
     t = state.step_count
-    correction1 = 1.0 - state.beta1**t
-    correction2 = 1.0 - state.beta2**t
+    correction1 = 1.0 - ADAM_BETA1**t
+    correction2 = 1.0 - ADAM_BETA2**t
     for name, grad in grads.items():
         param = params[name]
         if grad.shape != param.shape:
@@ -596,11 +571,11 @@ def adam_step(params: dict, grads: dict, state: AdamState):
             raise NumericError(f"non-finite gradient for parameter {name!r}")
         m = state.first_moment.setdefault(name, np.zeros_like(param))
         v = state.second_moment.setdefault(name, np.zeros_like(param))
-        m *= state.beta1
-        m += (1.0 - state.beta1) * grad
-        v *= state.beta2
-        v += (1.0 - state.beta2) * grad**2
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * grad**2
         m_hat = m / correction1
         v_hat = v / correction2
-        param -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+        param -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state

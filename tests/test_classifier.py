@@ -384,9 +384,9 @@ class TestLengthAware:
 
 class TestLstmCallShapes:
     """The traced benchmark wraps neural.lstm_forward/lstm_backward and
-    reads their call shapes: the forward's first argument is the padded
-    (B, L, d) batch, the cache's first entry is that same array, and the
-    cell parameters expose hidden_size."""
+    reads their call shapes: the forward's first argument is a TableRows
+    whose .shape is (B, L, d), the cache's first entry is that same
+    TableRows, and the cell parameters expose hidden_size."""
 
     def test_training_step_calls(self, monkeypatch):
         model = small_model(seed=1)

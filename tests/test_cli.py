@@ -462,6 +462,12 @@ class TestLogging:
 class TestPipeline:
     def test_end_to_end(self, workspace, capsys):
         tmp_path, config_path = workspace
+        # The toy model's test scores lie within 0.002 of 0.5; at this
+        # threshold some of them change class against 0.5.
+        threshold = 0.5005
+        config = json.loads(config_path.read_text())
+        config["model"]["threshold"] = threshold
+        config_path.write_text(json.dumps(config), encoding="utf-8")
         run_full_pipeline(config_path)
         run_dir = tmp_path / "run"
         assert (run_dir / "embeddings" / "vectors.txt").exists()
@@ -481,8 +487,10 @@ class TestPipeline:
         scores = HateClassifier.load(run_dir / "models" / "model.ckpt").predict(
             [example.text for example in test])
         assert written == {example.id: float(s) for example, s in zip(test, scores)}
+        assert any(0.5 <= s < threshold for s in scores)
 
-        # external scoring of the exported predictions reproduces the report
+        # external scoring of the exported predictions reproduces the report,
+        # at the model's threshold
         capsys.readouterr()
         assert run_cli(
             "evaluate", "--config", str(config_path),

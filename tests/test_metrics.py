@@ -256,31 +256,33 @@ class TestScoreExternal:
         examples = labeled(
             [("aa", H), ("bb", N), ("cc", H), ("dd", N), ("ee", H), ("ff", N)]
         )
+        # At the model's threshold 0.6, "dd" (0.5) is nonhate; at 0.5 it is hate.
         model = FakeModel(lambda t: {"aa": 0.91, "bb": 0.4, "cc": 0.77, "dd": 0.5,
-                                     "ee": 0.12, "ff": 0.03}[t])
+                                     "ee": 0.12, "ff": 0.03}[t], threshold=0.6)
         internal = report(model, examples)
+        assert internal.confusion_matrix.to_dict() == {"tp": 2, "fp": 0, "fn": 1, "tn": 3}
         ids = [e.id for e in examples]
         write_predictions_csv(tmp_path / "p.csv", ids, model.predict([e.text for e in examples]))
         write_labels_csv(tmp_path / "l.csv", ids, [e.binary_label for e in examples])
-        external = score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+        external = score_external(tmp_path / "p.csv", tmp_path / "l.csv", model.threshold)
         assert external == internal
 
     def test_unknown_id(self, tmp_path):
         write_predictions_csv(tmp_path / "p.csv", ["a", "b"], [0.1, 0.9])
         write_labels_csv(tmp_path / "l.csv", ["a", "zzz"], [H, N])
         with pytest.raises(ValueError, match="align"):
-            score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+            score_external(tmp_path / "p.csv", tmp_path / "l.csv", 0.5)
 
     def test_score_out_of_range(self, tmp_path):
         write_predictions_csv(tmp_path / "p.csv", ["a", "b"], [0.1, 1.3])
         write_labels_csv(tmp_path / "l.csv", ["a", "b"], [H, N])
         with pytest.raises(ValueError, match="range"):
-            score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+            score_external(tmp_path / "p.csv", tmp_path / "l.csv", 0.5)
 
     def test_missing_file(self, tmp_path):
         write_labels_csv(tmp_path / "l.csv", ["a"], [H])
         with pytest.raises(FileNotFoundError):
-            score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+            score_external(tmp_path / "p.csv", tmp_path / "l.csv", 0.5)
 
     def test_bom_header_and_crlf(self, tmp_path):
         (tmp_path / "p.csv").write_bytes("\ufeffid,score\r\na,0.9\r\nb,0.2\r\n".encode("utf-8"))
@@ -288,8 +290,8 @@ class TestScoreExternal:
             "\ufeffid,label\r\na,hate\r\nb,nonhate\r\n".encode("utf-8"))
         write_predictions_csv(tmp_path / "p2.csv", ["a", "b"], [0.9, 0.2])
         write_labels_csv(tmp_path / "l2.csv", ["a", "b"], [H, N])
-        expected = score_external(tmp_path / "p2.csv", tmp_path / "l2.csv")
-        assert score_external(tmp_path / "p.csv", tmp_path / "l.csv") == expected
+        expected = score_external(tmp_path / "p2.csv", tmp_path / "l2.csv", 0.5)
+        assert score_external(tmp_path / "p.csv", tmp_path / "l.csv", 0.5) == expected
 
     @pytest.mark.parametrize("row", ["b", "b,", "b,high", "b,0.5x"])
     def test_score_that_is_not_a_number_names_file_and_id(self, tmp_path, row):
@@ -297,7 +299,7 @@ class TestScoreExternal:
         (tmp_path / "p.csv").write_text(f"id,score\na,0.5\n{row}\n")
         write_labels_csv(tmp_path / "l.csv", ["a", "b"], [H, N])
         with pytest.raises(ValueError, match=r"p\.csv: score .* for id 'b' is not a number"):
-            score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+            score_external(tmp_path / "p.csv", tmp_path / "l.csv", 0.5)
 
     @pytest.mark.parametrize("row", ["b", "b,", "b,Hate", "b,spam"])
     def test_label_outside_the_two_classes_names_file_and_id(self, tmp_path, row):
@@ -305,16 +307,16 @@ class TestScoreExternal:
         write_predictions_csv(tmp_path / "p.csv", ["a", "b"], [0.5, 0.2])
         (tmp_path / "l.csv").write_text(f"id,label\na,hate\n{row}\n")
         with pytest.raises(ValueError, match=r"l\.csv: label .* for id 'b' is not one of"):
-            score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+            score_external(tmp_path / "p.csv", tmp_path / "l.csv", 0.5)
 
     def test_duplicate_id_and_no_rows(self, tmp_path):
         (tmp_path / "p.csv").write_text("id,score\na,0.5\na,0.6\n")
         (tmp_path / "l.csv").write_text("id,label\n")
         with pytest.raises(ValueError, match="duplicate id 'a'"):
-            score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+            score_external(tmp_path / "p.csv", tmp_path / "l.csv", 0.5)
         write_predictions_csv(tmp_path / "p.csv", ["a"], [0.5])
         with pytest.raises(ValueError, match="no data rows"):
-            score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+            score_external(tmp_path / "p.csv", tmp_path / "l.csv", 0.5)
 
     @pytest.mark.parametrize("scores, labels, message", [
         ("a,0.5\n\nb,0.5x\n", "a,hate\nb,hate\n", "p.csv: score '0.5x' for id 'b' is not a number (line 4)"),
@@ -329,13 +331,13 @@ class TestScoreExternal:
         (tmp_path / "l.csv").write_text("id,label\n" + labels)
         message = message.format(p=tmp_path / "p.csv", l=tmp_path / "l.csv")
         with pytest.raises(ValueError, match=re.escape(message)):
-            score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+            score_external(tmp_path / "p.csv", tmp_path / "l.csv", 0.5)
 
     def test_bad_header(self, tmp_path):
         (tmp_path / "p.csv").write_text("identifier,value\na,0.5\n")
         write_labels_csv(tmp_path / "l.csv", ["a"], [H])
         with pytest.raises(ValueError, match="column"):
-            score_external(tmp_path / "p.csv", tmp_path / "l.csv")
+            score_external(tmp_path / "p.csv", tmp_path / "l.csv", 0.5)
 
 
 class TestEvaluatePredictions:

@@ -40,18 +40,20 @@ def rel_error(a, b, floor=1e-6):
 
 class TestSigmoid:
     def test_zero(self):
-        assert sigmoid(0.0) == 0.5
+        out = sigmoid(np.array(0.0))
+        assert isinstance(out, np.ndarray) and out.shape == ()
+        assert out == 0.5
 
     def test_saturation_no_overflow(self):
         with np.errstate(over="raise"):
-            value = sigmoid(100.0)
+            value = sigmoid(np.array(100.0))
         assert 1.0 - 1e-12 < value <= 1.0
         with np.errstate(over="raise"):
-            assert sigmoid(-500.0) >= 0.0
-            assert sigmoid(500.0) <= 1.0
+            assert sigmoid(np.array(-500.0)) >= 0.0
+            assert sigmoid(np.array(500.0)) <= 1.0
 
     def test_symmetry(self):
-        x = 3.7
+        x = np.array(3.7)
         assert abs(sigmoid(-x) + sigmoid(x) - 1.0) < 1e-12
 
     def test_array_input(self):
@@ -127,10 +129,18 @@ def reference_scan(sequence, params):
     return np.array(states), np.array(cells)
 
 
+def rows_of(x):
+    """A dense (B, L, d) batch as rows of itself, table row b * L + t
+    holding position (b, t), and every row's full length L."""
+    x = np.asarray(x)
+    batch, length, d = x.shape
+    ids = np.arange(batch * length).reshape(batch, length)
+    return TableRows(x.reshape(batch * length, d), ids), np.full(batch, length)
+
+
 def dense_input_grad(table_grad, inputs):
-    """lstm_backward's (ids, d_rows) for a dense (B, L, d) batch as a
-    (B, L, d) array: a dense batch is rows of itself, so table row
-    b * L + t is position (b, t)."""
+    """lstm_backward's (ids, d_rows) for a batch made by rows_of as a
+    (B, L, d) array: table row b * L + t is position (b, t)."""
     ids, d_rows = table_grad
     d_inputs = np.zeros(inputs.shape, dtype=d_rows.dtype)
     d_inputs.reshape(-1, inputs.shape[-1])[ids] = d_rows
@@ -168,7 +178,8 @@ class TestLstmCellStep:
         h = 4
         params = identity_input_cell(h)
         first = np.random.default_rng(0).normal(0.0, 2.0, 4 * h)
-        final, cache = lstm_forward(np.stack([first, np.zeros(4 * h)])[None], params)
+        inputs, lengths = rows_of(np.stack([first, np.zeros(4 * h)])[None])
+        final, cache = lstm_forward(inputs, params, True, lengths)
         cells, states = padded(cache, cache.cells), padded(cache, cache.states)
         c0 = cells[0, 0]
         assert np.any(np.abs(c0) > 0.1)
@@ -180,21 +191,24 @@ class TestLstmCellStep:
     def test_all_zero(self):
         d, h = 2, 3
         params = LstmCellParams(np.zeros((4 * h, d)), np.zeros((4 * h, h)), np.zeros(4 * h))
-        states, cache = lstm_forward(np.zeros((1, 1, d)), params)
+        inputs, lengths = rows_of(np.zeros((1, 1, d)))
+        states, cache = lstm_forward(inputs, params, True, lengths)
         assert np.all(states == 0.0)
         assert cache.cells.shape == (1, h)
         assert np.all(cache.cells == 0.0)
 
     def test_shape_mismatch(self):
         params = random_cell(3, 4, 0)
+        inputs, lengths = rows_of(np.zeros((1, 1, 5)))
         with pytest.raises(ValueError):
-            lstm_forward(np.zeros((1, 1, 5)), params)
+            lstm_forward(inputs, params, True, lengths)
 
     def test_cell_growth_bound(self):
         # |c'| <= |c| + 1 elementwise: forget gate <= 1, candidate in [-1, 1]
         rng = np.random.default_rng(3)
         params = random_cell(4, 5, 1)
-        _, cache = lstm_forward(rng.normal(0, 2, (50, 8, 4)), params)
+        inputs, lengths = rows_of(rng.normal(0, 2, (50, 8, 4)))
+        _, cache = lstm_forward(inputs, params, True, lengths)
         cells = padded(cache, cache.cells)
         assert np.all(np.abs(cells[:, 0]) <= 1.0 + 1e-12)
         assert np.all(np.abs(cells[:, 1:]) <= np.abs(cells[:, :-1]) + 1.0 + 1e-12)
@@ -204,7 +218,8 @@ class TestLstmCellStep:
         params.bias[:] = np.random.default_rng(5).normal(0, 1, 16)
         rng = np.random.default_rng(4)
         batch = rng.normal(0, 1, (3, 6, 3))
-        final, cache = lstm_forward(batch, params)
+        inputs, lengths = rows_of(batch)
+        final, cache = lstm_forward(inputs, params, True, lengths)
         for row, sequence in enumerate(batch):
             ref_states, ref_cells = reference_scan(sequence, params)
             assert np.allclose(padded(cache, cache.states)[row], ref_states, atol=1e-12)
@@ -213,31 +228,34 @@ class TestLstmCellStep:
 
     def test_forward_only_keeps_no_cache(self):
         params = random_cell(3, 4, 2)
-        inputs = np.random.default_rng(6).normal(0, 1, (2, 5, 3))
-        states, cache = lstm_forward(inputs, params, keep_cache=False)
+        batch = np.random.default_rng(6).normal(0, 1, (2, 5, 3))
+        inputs, lengths = rows_of(batch)
+        states, cache = lstm_forward(inputs, params, False, lengths)
         assert cache is None
-        assert np.array_equal(states, lstm_forward(inputs, params)[0])
+        assert np.array_equal(states, lstm_forward(inputs, params, True, lengths)[0])
+        inputs, _ = rows_of(batch[[0, 1, 0]])
         lengths = np.array([3, 0, 5])
         for reverse in (False, True):
-            states, cache = lstm_forward(inputs[[0, 1, 0]], params, False, lengths, reverse)
+            states, cache = lstm_forward(inputs, params, False, lengths, reverse)
             assert cache is None
-            cached, _ = lstm_forward(inputs[[0, 1, 0]], params, True, lengths, reverse)
+            cached, _ = lstm_forward(inputs, params, True, lengths, reverse)
             assert np.array_equal(states, cached)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         d, h, L, B = 3, 4, 5, 2
-        inputs = rng.normal(0, 1, (B, L, d))
+        inputs, lengths = rows_of(rng.normal(0, 1, (B, L, d)))
         probe = rng.normal(0, 1, (B, h))  # random scalarization of the final states
         cell = random_cell(d, h, 6)
         params = {"w_in": cell.w_in, "w_rec": cell.w_rec, "bias": cell.bias}
 
         def loss(p):
-            states, _ = lstm_forward(inputs, LstmCellParams(p["w_in"], p["w_rec"], p["bias"]))
+            cell = LstmCellParams(p["w_in"], p["w_rec"], p["bias"])
+            states, _ = lstm_forward(inputs, cell, True, lengths)
             return float(np.sum(states * probe))
 
         numeric = finite_diff_grad(loss, params, step=1e-5)
-        states, cache = lstm_forward(inputs, cell)
+        states, cache = lstm_forward(inputs, cell, True, lengths)
         _, analytic = lstm_backward(probe, cache, cell)
         for name in params:
             assert rel_error(analytic[name], numeric[name]) < 1e-4
@@ -248,11 +266,13 @@ class TestLstmCellStep:
         cell = random_cell(d, h, 8)
         inputs = rng.normal(0, 1, (B, L, d))
         probe = rng.normal(0, 1, (B, h))
-        states, cache = lstm_forward(inputs, cell)
+        rows, lengths = rows_of(inputs)
+        states, cache = lstm_forward(rows, cell, True, lengths)
         d_inputs = dense_input_grad(lstm_backward(probe, cache, cell)[0], inputs)
 
         def loss(x):
-            states, _ = lstm_forward(x, cell)
+            rows, lengths = rows_of(x)
+            states, _ = lstm_forward(rows, cell, True, lengths)
             return float(np.sum(states * probe))
 
         numeric = finite_diff_grad(loss, inputs, step=1e-5)
@@ -265,15 +285,16 @@ class TestPackedScan:
 
     @staticmethod
     def mixed_batch(seed, d=3):
+        """A dense batch, it as rows of itself, and MIXED_LENGTHS."""
         inputs = np.random.default_rng(seed).normal(0, 1, (len(MIXED_LENGTHS), 5, d))
-        return inputs, MIXED_LENGTHS
+        return inputs, rows_of(inputs)[0], MIXED_LENGTHS
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_rows_match_the_reference_scan_alone(self, reverse):
         params = random_cell(3, 4, 30)
         params.bias[:] = np.random.default_rng(31).normal(0, 1, 16)
-        inputs, lengths = self.mixed_batch(32)
-        final, cache = lstm_forward(inputs, params, lengths=lengths, reverse=reverse)
+        inputs, rows, lengths = self.mixed_batch(32)
+        final, cache = lstm_forward(rows, params, True, lengths, reverse)
         states, cells = padded(cache, cache.states), padded(cache, cache.cells)
         for row, n in enumerate(lengths):
             sequence = inputs[row, :n][::-1] if reverse else inputs[row, :n]
@@ -289,8 +310,8 @@ class TestPackedScan:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_states_and_input_gradients_zero_past_length(self, reverse):
         params = random_cell(3, 4, 35)
-        inputs, lengths = self.mixed_batch(36)
-        final, cache = lstm_forward(inputs, params, lengths=lengths, reverse=reverse)
+        inputs, rows, lengths = self.mixed_batch(36)
+        final, cache = lstm_forward(rows, params, True, lengths, reverse)
         # The cache holds a state at every real position and at no other,
         # and a row of length 0 ends in the zero state.
         padding = np.arange(inputs.shape[1]) >= lengths[:, None]
@@ -310,18 +331,18 @@ class TestPackedScan:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_gradients_match_finite_differences(self, reverse):
         cell = random_cell(3, 4, 38)
-        inputs, lengths = self.mixed_batch(39)
+        inputs, rows, lengths = self.mixed_batch(39)
         probe = np.random.default_rng(40).normal(0, 1, (len(inputs), 4))
         params = {"w_in": cell.w_in, "w_rec": cell.w_rec, "bias": cell.bias}
 
         def loss(p, x=inputs):
             cell = LstmCellParams(p["w_in"], p["w_rec"], p["bias"])
-            states, _ = lstm_forward(x, cell, lengths=lengths, reverse=reverse)
+            states, _ = lstm_forward(rows_of(x)[0], cell, True, lengths, reverse)
             return float(np.sum(states * probe))
 
         numeric = finite_diff_grad(loss, params, step=1e-5)
         numeric_x = finite_diff_grad(lambda x: loss(params, x), inputs, step=1e-5)
-        _, cache = lstm_forward(inputs, cell, lengths=lengths, reverse=reverse)
+        _, cache = lstm_forward(rows, cell, True, lengths, reverse)
         table_grad, analytic = lstm_backward(probe, cache, cell)
         d_inputs = dense_input_grad(table_grad, inputs)
         for name in params:
@@ -330,8 +351,8 @@ class TestPackedScan:
 
     def test_no_real_positions(self):
         params = random_cell(3, 4, 41)
-        inputs = np.ones((3, 4, 3))
-        states, cache = lstm_forward(inputs, params, lengths=np.zeros(3, dtype=int))
+        inputs, _ = rows_of(np.ones((3, 4, 3)))
+        states, cache = lstm_forward(inputs, params, True, np.zeros(3, dtype=int))
         assert np.all(states == 0.0)
         (ids, d_rows), grads = lstm_backward(np.ones((3, 4)), cache, params)
         assert ids.shape == (0,) and d_rows.shape == (0, 3)
@@ -343,13 +364,15 @@ class TestPackedScan:
         [2],  # not one per row
         [[2, 2]],
         [2.0, 1.0],  # not integers
+        None,  # lengths are required
     ])
     def test_invalid_lengths_rejected(self, lengths):
         params = random_cell(3, 4, 42)
+        inputs, _ = rows_of(np.ones((2, 5, 3)))
         with pytest.raises(ValueError, match="lengths"):
-            lstm_forward(np.ones((2, 5, 3)), params, lengths=np.array(lengths))
+            lstm_forward(inputs, params, True, lengths)
         with pytest.raises(ValueError, match="lengths"):
-            bilstm_batch_forward(np.ones((2, 5, 3)), params, params, lengths=np.array(lengths))
+            bilstm_batch_forward(inputs, params, params, lengths)
 
 
 class TestBlockedScan:
@@ -367,9 +390,10 @@ class TestBlockedScan:
         params = random_cell(8, 6, 50, dtype)
         inputs = np.random.default_rng(51).normal(0, 1, (len(self.LENGTHS), self.LENGTH, 8))
         inputs = inputs.astype(dtype)
+        rows, full = rows_of(inputs)
         # Mixed lengths, all full, a lone row, and no real position at all.
-        for batch, lengths in ((inputs, self.LENGTHS), (inputs, None), (inputs[:1], None),
-                               (inputs, np.zeros(len(inputs), dtype=int))):
+        for batch, lengths in ((rows, self.LENGTHS), (rows, full), rows_of(inputs[:1]),
+                               (rows, np.zeros(len(full), dtype=int))):
             states, cache = lstm_forward(batch, params, False, lengths, reverse)
             assert cache is None
             cached, _ = lstm_forward(batch, params, True, lengths, reverse)
@@ -417,29 +441,26 @@ class TestBlockedScan:
 
 
 class TestTableRows:
-    """A scan of TableRows(table, ids) gives the bits of the same scan of
-    the dense table[ids]: states, every cache array, gradients and input
-    gradients, with and without a cache and in both directions."""
+    """A batch whose tokens repeat gives the bits of the same positions
+    read as distinct rows, the dense table[ids] as rows of itself:
+    states, every cache array, gradients and input gradients, with and
+    without a cache and in both directions."""
 
     @staticmethod
     def batch(seed, dtype, d=5, vocab=9, lengths="mixed"):
-        """Few table rows, so positions repeat them. With "mixed" lengths,
-        MIXED_LENGTHS has a row of length 0 and padding past every row but
-        the longest; with "full", lengths is None and every row is real
-        to its end."""
+        """Few table rows, so positions repeat them, and the same positions
+        as rows of themselves. With "mixed" lengths, MIXED_LENGTHS has a
+        row of length 0 and padding past every row but the longest; with
+        "full", every row is real to its end."""
         rng = np.random.default_rng(seed)
         table = rng.normal(0, 1, (vocab, d)).astype(dtype)
         ids = rng.integers(0, vocab, (len(MIXED_LENGTHS), MIXED_LENGTHS.max() + 1))
-        return TableRows(table, ids), table[ids], MIXED_LENGTHS if lengths == "mixed" else None
+        dense, full = rows_of(table[ids])
+        return TableRows(table, ids), dense, MIXED_LENGTHS if lengths == "mixed" else full
 
-    def test_shape_dtype_and_dense_view(self):
+    def test_shape_and_dtype(self):
         rows = TableRows(np.zeros((9, 5), dtype=np.float32), np.zeros((3, 4), dtype=np.int64))
         assert np.shape(rows) == rows.shape == (3, 4, 5) and rows.dtype == np.float32
-        assert TableRows.of(rows) is rows
-        dense = np.arange(24.0).reshape(2, 3, 4)
-        view = TableRows.of(dense)
-        assert view.shape == dense.shape
-        assert np.array_equal(view.table[view.ids], dense)
 
     @pytest.mark.parametrize("table, ids", [
         (np.zeros(5), np.zeros((2, 3), dtype=int)),  # not a (V, d) table
@@ -449,10 +470,6 @@ class TestTableRows:
     def test_bad_shapes_rejected(self, table, ids):
         with pytest.raises(ValueError, match="table"):
             TableRows(table, ids)
-
-    def test_dense_batch_must_be_three_dimensional(self):
-        with pytest.raises(ValueError, match=r"\(B, L, d\)"):
-            lstm_forward(np.ones((2, 3)), random_cell(3, 4, 0))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("keep_cache", [True, False])
@@ -558,15 +575,17 @@ class TestBilstm:
     def test_single_position_sequence(self):
         fwd = random_cell(3, 4, 0)
         bwd = random_cell(3, 4, 1)
-        out, _ = bilstm_batch_forward(np.ones((1, 1, 3)), fwd, bwd)
+        inputs, lengths = rows_of(np.ones((1, 1, 3)))
+        out, _ = bilstm_batch_forward(inputs, fwd, bwd, lengths)
         assert out.shape == (1, 8)
 
     def test_reversal_swaps_halves_with_shared_params(self):
         cell = random_cell(3, 4, 2)
         rng = np.random.default_rng(3)
         seq = rng.normal(0, 1, (1, 6, 3))
-        out, _ = bilstm_batch_forward(seq, cell, cell)
-        reversed_out, _ = bilstm_batch_forward(seq[:, ::-1], cell, cell)
+        inputs, lengths = rows_of(seq)
+        out, _ = bilstm_batch_forward(inputs, cell, cell, lengths)
+        reversed_out, _ = bilstm_batch_forward(rows_of(seq[:, ::-1])[0], cell, cell, lengths)
         h = 4
         assert np.allclose(out[0, :h], reversed_out[0, h:], atol=1e-12)
         assert np.allclose(out[0, h:], reversed_out[0, :h], atol=1e-12)
@@ -574,13 +593,15 @@ class TestBilstm:
     def test_zero_everything(self):
         d, h = 2, 3
         zero = LstmCellParams(np.zeros((4 * h, d)), np.zeros((4 * h, h)), np.zeros(4 * h))
-        out, _ = bilstm_batch_forward(np.zeros((1, 4, d)), zero, zero)
+        inputs, lengths = rows_of(np.zeros((1, 4, d)))
+        out, _ = bilstm_batch_forward(inputs, zero, zero, lengths)
         assert np.all(out == 0.0)
 
     def test_empty_sequence_rejected(self):
         fwd = random_cell(2, 2, 0)
-        with pytest.raises(ValueError):
-            bilstm_batch_forward(np.ones((1, 0, 2)), fwd, fwd)
+        inputs, lengths = rows_of(np.ones((1, 0, 2)))
+        with pytest.raises(ValueError, match="L >= 1"):
+            bilstm_batch_forward(inputs, fwd, fwd, lengths)
 
     @pytest.mark.parametrize("worker", [False, True])
     def test_row_features_ignore_padding(self, worker, monkeypatch):
@@ -593,10 +614,11 @@ class TestBilstm:
         rng = np.random.default_rng(8)
         inputs = rng.normal(0, 1, (3, 7, 3))
         lengths = np.array([7, 4, 1])
-        features, _ = bilstm_batch_forward(inputs, fwd, bwd, lengths)
+        features, _ = bilstm_batch_forward(rows_of(inputs)[0], fwd, bwd, lengths)
         assert features.shape == (3, 8)
         for row, n in enumerate(lengths):
-            alone, _ = bilstm_batch_forward(inputs[row : row + 1, :n], fwd, bwd)
+            sequence, full = rows_of(inputs[row : row + 1, :n])
+            alone, _ = bilstm_batch_forward(sequence, fwd, bwd, full)
             assert np.allclose(features[row], alone[0], atol=1e-12)
 
     @pytest.mark.parametrize("worker", [False, True])
@@ -605,7 +627,7 @@ class TestBilstm:
             monkeypatch.setattr(neural, "PARALLEL_MIN_WORK", 0)
         fwd = random_cell(3, 4, 9)
         bwd = random_cell(3, 4, 10)
-        inputs = np.random.default_rng(11).normal(0, 1, (2, 5, 3))
+        inputs, _ = rows_of(np.random.default_rng(11).normal(0, 1, (2, 5, 3)))
         features, _ = bilstm_batch_forward(inputs, fwd, bwd, np.array([3, 0]))
         assert np.all(features[1] == 0.0)
         assert np.any(features[0] != 0.0)
@@ -619,6 +641,7 @@ class TestBilstm:
         lengths = MIXED_LENGTHS  # rows that end before the padding, one of length L
         B = len(lengths)
         inputs = rng.normal(0, 1, (B, L, d))
+        rows, _ = rows_of(inputs)
         fwd = random_cell(d, h, 12)
         bwd = random_cell(d, h, 13)
         probe = rng.normal(0, 1, (B, 2 * h))
@@ -630,13 +653,13 @@ class TestBilstm:
         def loss(p):
             f = LstmCellParams(p["fw"], p["fr"], p["fb"])
             b = LstmCellParams(p["bw"], p["br"], p["bb"])
-            features, _ = bilstm_batch_forward(inputs, f, b, lengths)
+            features, _ = bilstm_batch_forward(rows, f, b, lengths)
             return float(np.sum(features * probe))
 
         numeric = finite_diff_grad(loss, params, step=1e-5)
-        features, caches = bilstm_batch_forward(inputs, fwd, bwd, lengths)
+        features, caches = bilstm_batch_forward(rows, fwd, bwd, lengths)
         d_table, grads_fwd, grads_bwd = bilstm_batch_backward(probe, caches, fwd, bwd)
-        d_inputs = d_table.reshape(inputs.shape)  # a dense batch is rows of itself
+        d_inputs = d_table.reshape(inputs.shape)  # the batch is rows of itself
         analytic = {
             "fw": grads_fwd["w_in"], "fr": grads_fwd["w_rec"], "fb": grads_fwd["bias"],
             "bw": grads_bwd["w_in"], "br": grads_bwd["w_rec"], "bb": grads_bwd["bias"],
@@ -644,7 +667,8 @@ class TestBilstm:
         for name in params:
             assert rel_error(analytic[name], numeric[name]) < 1e-4
         numeric_x = finite_diff_grad(
-            lambda x: float(np.sum(bilstm_batch_forward(x, fwd, bwd, lengths)[0] * probe)),
+            lambda x: float(np.sum(bilstm_batch_forward(rows_of(x)[0], fwd, bwd, lengths)[0]
+                                   * probe)),
             inputs, step=1e-5,
         )
         assert rel_error(d_inputs, numeric_x) < 1e-4
@@ -653,8 +677,8 @@ class TestBilstm:
     def test_forward_finite_for_large_inputs(self):
         fwd = random_cell(3, 4, 20)
         bwd = random_cell(3, 4, 21)
-        seq = np.full((1, 8, 3), 1e3)
-        out, _ = bilstm_batch_forward(seq, fwd, bwd)
+        inputs, lengths = rows_of(np.full((1, 8, 3), 1e3))
+        out, _ = bilstm_batch_forward(inputs, fwd, bwd, lengths)
         assert np.all(np.isfinite(out))
 
 
@@ -669,7 +693,7 @@ class TestFinalStates:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_final_states_are_the_per_position_states_at_each_end(self, keep_cache, reverse):
         params = random_cell(3, 4, 60)
-        inputs = np.random.default_rng(61).normal(0, 1, (len(MIXED_LENGTHS), 5, 3))
+        inputs, _ = rows_of(np.random.default_rng(61).normal(0, 1, (len(MIXED_LENGTHS), 5, 3)))
         _, cache = lstm_forward(inputs, params, True, MIXED_LENGTHS, reverse)
         states = padded(cache, cache.states)
         final, _ = lstm_forward(inputs, params, keep_cache, MIXED_LENGTHS, reverse)
@@ -686,7 +710,7 @@ class TestFinalStates:
         params.bias[:] = np.random.default_rng(64).normal(0, 1, 16)
         rng = np.random.default_rng(63)
         inputs = rng.normal(0, 1, (len(MIXED_LENGTHS), 5, 3))
-        _, cache = lstm_forward(inputs, params, True, MIXED_LENGTHS, reverse)
+        _, cache = lstm_forward(rows_of(inputs)[0], params, True, MIXED_LENGTHS, reverse)
         d_final = rng.normal(0, 1, (len(MIXED_LENGTHS), 4))
         table_grad, grads = lstm_backward(d_final, cache, params)
         d_inputs = dense_input_grad(table_grad, inputs)
@@ -696,7 +720,8 @@ class TestFinalStates:
             if not n:
                 continue
             sequence = inputs[row : row + 1, :n]
-            _, alone = lstm_forward(sequence, params, True, None, reverse)
+            rows, full = rows_of(sequence)
+            _, alone = lstm_forward(rows, params, True, full, reverse)
             table_grad, grads_alone = lstm_backward(d_final[row : row + 1], alone, params)
             d_alone = dense_input_grad(table_grad, sequence)
             assert np.allclose(d_inputs[row, :n], d_alone[0], rtol=1e-12, atol=1e-14)
@@ -717,7 +742,7 @@ class TestDirectionWorker:
     @staticmethod
     def batch(d, h, batch, length, seed=70, dtype=np.float32):
         rng = np.random.default_rng(seed)
-        inputs = rng.normal(0, 1, (batch, length, d)).astype(dtype)
+        inputs, _ = rows_of(rng.normal(0, 1, (batch, length, d)).astype(dtype))
         lengths = rng.integers(0, length + 1, batch)
         fwd, bwd = random_cell(d, h, 71, dtype), random_cell(d, h, 72, dtype)
         return inputs, lengths, fwd, bwd
@@ -810,7 +835,7 @@ class TestDirectionWorker:
         h, d = bwd.hidden_size, bwd.input_size
         assert scan_work(lengths, bwd) >= PARALLEL_MIN_WORK
         assert lengths.sum() * 4 * h * h + PROJECTION_MIN_ROWS * 4 * h * d < PARALLEL_MIN_WORK
-        rows = TableRows(inputs[0], np.zeros(lengths.shape + inputs.shape[1:2], dtype=np.intp))
+        rows = TableRows(inputs.table, np.zeros(inputs.shape[:2], dtype=np.intp))
         seen = self.threads_of_calls(monkeypatch)
         bilstm_batch_forward(rows, fwd, bwd, lengths)
         assert [thread for _, _, thread in seen] == [threading.current_thread()] * 2
