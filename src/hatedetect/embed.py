@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .atomic import atomic_write, not_utf8, write_bytes
-from .neural import sigmoid
+from .neural import release_free_heap, sigmoid
 from .textprep import PAD_INDEX, PAD_TOKEN, UNK_INDEX, UNK_TOKEN
 
 log = logging.getLogger(__name__)
@@ -183,9 +183,10 @@ class EmbeddingMatrix:
 
         The rows are read LOAD_CHUNK characters at a time into one table,
         allocated once from the header, so a load peaks at about the table
-        plus one chunk. Python splits off each token and checks each line's
-        arity; numpy's C parser converts the values, to the same doubles as
-        float().
+        plus one chunk above what is live: the heap's free pages are given
+        back (release_free_heap) before the table is allocated. Python
+        splits off each token and checks each line's arity; numpy's C
+        parser converts the values, to the same doubles as float().
         """
         path = Path(path)
         if not path.exists():
@@ -198,6 +199,7 @@ class EmbeddingMatrix:
                 reserved = [line.partition(" ")[0] for line in head] == [PAD_TOKEN, UNK_TOKEN]
                 tokens = [] if reserved else [PAD_TOKEN, UNK_TOKEN]
                 offset = len(tokens)
+                release_free_heap()
                 table = np.zeros((offset + v, dim))
                 chunk = head + handle.readlines(LOAD_CHUNK)
                 while chunk:

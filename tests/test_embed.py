@@ -386,6 +386,17 @@ class TestLoadMemory:
         assert matrix.vectors.shape == (rows, 300)
         assert peak - matrix.vectors.nbytes < self.ALLOWANCE
 
+    def test_free_heap_released_before_the_table_is_allocated(self, tmp_path, monkeypatch):
+        path = tmp_path / "vectors.txt"
+        make_random_matrix(["a", "b", "c"], dim=2, seed=1).save_text(path)
+        events = []
+        zeros = np.zeros
+        monkeypatch.setattr(embed, "release_free_heap", lambda: events.append("release"))
+        monkeypatch.setattr(np, "zeros", lambda *args, **kwargs: events.append("zeros")
+                            or zeros(*args, **kwargs))
+        EmbeddingMatrix.load_text(path)
+        assert events[:2] == ["release", "zeros"] and events.count("release") == 1
+
     def test_header_the_file_cannot_hold_is_refused_before_allocating(self, tmp_path):
         path = tmp_path / "hostile.txt"
         path.write_text("1000000000 300\n" + "".join(

@@ -930,25 +930,27 @@ class TestDirectionWorker:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
 
-    def test_arena_call_only_on_glibc(self, monkeypatch):
+    @pytest.mark.parametrize("call, name, args", [
+        (neural._one_malloc_arena, "mallopt", (neural.M_ARENA_MAX, 1)),
+        (neural.release_free_heap, "malloc_trim", (0,)),
+    ], ids=["arena", "trim"])
+    def test_libc_call_only_on_glibc(self, monkeypatch, call, name, args):
         calls = []
 
-        class Glibc:
-            def __init__(self, name):
-                self.gnu_get_libc_version = None
-                self.mallopt = lambda *args: calls.append(args)
-
         class OtherLibc:
-            def __init__(self, name):
-                pass
+            def __init__(self, path):
+                setattr(self, name, lambda *args: calls.append(args))
 
-        def unloadable(name):
+        class Glibc(OtherLibc):
+            gnu_get_libc_version = None
+
+        def unloadable(path):
             raise OSError("no C library")
 
         for libc in (Glibc, OtherLibc, unloadable):
             monkeypatch.setattr(neural.ctypes, "CDLL", libc)
-            neural._one_malloc_arena()
-        assert calls == [(neural.M_ARENA_MAX, 1)]
+            call()
+        assert calls == [args]
 
 
 class TestDense:
